@@ -6,10 +6,21 @@ Three engines with one constraint vocabulary:
               reference oracle, feasible at order <= 2 (and compositions
               at order 3).
 * vector    - numpy sweep of the full order-3 cell-set space (8^9 tables),
-              unpruned; scan order equals the canonical table order.
-* backtrack - row-major cell assignment with constraint propagation
-              (the only engine that scales past toy spaces for strongly
+              unpruned; scan order equals the canonical table order.  Count
+              mode returns premise counts and the first failure, collect
+              mode the satisfying tables.
+* backtrack - row-major cell assignment with constraint propagation,
+              sharded over the first slot's values from order 3 on (the
+              only engine that scales past toy spaces for strongly
               constrained jobs).
+
+`plan_sweep` is the one place that picks an engine for a sweep: pure for
+oracle runs at order <= 2 and for compositions, vector for order-3 runs
+whose constraints all vectorize (count mode if only counts are needed), the
+backtracker for pruned-generator requests, other orders and constraints
+the vector engine cannot evaluate, and a witness-map split of the
+backtracker for strict polysymmetry at order >= 4.  `sweep_tasks` and
+`merge_sweep` run a planned table sweep as independent tasks.
 
 Constraints are serializable descriptors:
 
@@ -20,18 +31,31 @@ Constraints are serializable descriptors:
     ("reversibility-at", z)       canonical reversibility (needs opposites)
     ("opposite-additivity-at", z) -(x+y) = -x-y elementwise
     ("scalar-zero-at", z)         x+z = z+x = {x}
+    ("divisions-nonempty",)       every x/y and y\\x is non-empty
+    ("hyperring-mul-over", add, z) the table as a multiplication over the
+                                  additive group (add, z): both inclusion
+                                  distributivities, the sign rule, not
+                                  every product empty
 
 Every engine emits only tables that pass the authoritative axiom-module
 predicates; pruning is a conservative accelerator, never the verdict.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
 
 from . import axioms
-from .model import HyperTable, cell_key, full_mask, mask_image
+from .model import (
+    HyperTable,
+    TwoOpModel,
+    cell_key,
+    full_mask,
+    left_division,
+    mask_image,
+    right_division,
+)
 
 # -- constraint predicates (authoritative) ------------------------------------
 
@@ -56,6 +80,20 @@ def constraint_holds(table: HyperTable, c) -> bool:
         return axioms.check_opposite_additivity(table, c[1]).holds
     if tag == "scalar-zero-at":
         return axioms.check_scalar_zero(table, c[1]).holds
+    if tag == "divisions-nonempty":
+        n = table.order
+        return all(
+            right_division(table, x, y) and left_division(table, y, x)
+            for x in range(n)
+            for y in range(n)
+        )
+    if tag == "hyperring-mul-over":
+        model = TwoOpModel(table.order, c[1], table, c[2])
+        return (
+            axioms.check_ring_axioms(model, "distributive-inclusion").holds
+            and axioms.check_ring_axioms(model, "sign-rule").holds
+            and not axioms.check_law(table, "degenerate").holds
+        )
     raise ValueError(f"unknown constraint descriptor: {c!r}")
 
 
@@ -123,6 +161,8 @@ def vectorizable(c) -> bool:
         "polysymmetry-at",
         "unique-opposite-at",
         "scalar-zero-at",
+        "divisions-nonempty",
+        "hyperring-mul-over",
     }
 
 
@@ -238,6 +278,10 @@ def _v3_predicate(cells, c):
             parts.append(cells[3 * x + z] == 1 << x)
             parts.append(cells[3 * z + x] == 1 << x)
         return conj(parts)
+    if tag == "divisions-nonempty":
+        return v3_divisions_nonempty(cells)
+    if tag == "hyperring-mul-over":
+        return v3_mul_premises(cells, c[1], axioms.group_inverse_map(c[1], c[2]))
     raise ValueError(f"constraint not vectorizable: {c!r}")
 
 
@@ -322,46 +366,59 @@ def v3_mul_premises(cells, add: HyperTable, neg) -> object:
     return mask & nondeg
 
 
-def v3_mask_to_indices(mask):
-    if isinstance(mask, np.ndarray):
-        return np.flatnonzero(mask)
-    return np.arange(8 ** 6) if mask else np.arange(0)
-
-
 def v3_decode(head_digits, i) -> tuple:
     head = tuple(int(_V3_CODE_TO_MASK[d]) for d in head_digits)
     return head + tuple(int(_V3_TAIL_CELLS[k][i]) for k in range(6))
 
 
-def vector_sweep3_chunk(head_digits, constraints, collect):
-    """One chunk of the order-3 sweep: the first row fixed, 8^6 tails.
+def _v3_first(mask):
+    """Index of the first set tail in a mask that may be a numpy scalar."""
+    if isinstance(mask, np.ndarray):
+        hits = np.flatnonzero(mask)
+        return int(hits[0]) if hits.size else None
+    return 0 if mask else None
 
-    Returns (satisfying-count, cell tuples if collect else None); tail scan
-    order is the canonical table order.
+
+def v3_count_chunk(head_digits, runs, conclusion, biconditional=False):
+    """Count mode over one chunk: (premise tables, first failure or None).
+
+    The premises are a disjunction of descriptor conjunctions.  A failure is
+    a premise table where some conclusion descriptor fails or, for a
+    biconditional, where the two conclusion descriptors disagree.
     """
+    cells = v3_chunk_cells(head_digits)
+    premise = np.False_
+    for run in runs:
+        premise = premise | (v3_eval(cells, list(run)) if run else np.True_)
+    if biconditional:
+        a, b = (v3_eval(cells, [c]) for c in conclusion)
+        bad = premise & (a ^ b)
+    else:
+        bad = premise & ~v3_eval(cells, list(conclusion))
+    count = int(np.count_nonzero(premise)) * (1 if np.ndim(premise) else 8 ** 6)
+    first = _v3_first(bad)
+    return count, None if first is None else v3_decode(head_digits, first)
+
+
+def v3_collect_chunk(head_digits, constraints):
+    """Collect mode over one chunk: the satisfying cell tuples in canonical
+    order.  Non-vectorizable constraints filter the vector survivors."""
     vec = [c for c in constraints if vectorizable(c)]
     final = [c for c in constraints if not vectorizable(c)]
     cells = v3_chunk_cells(head_digits)
     head = tuple(cells[:3])
-
     mask = v3_eval(cells, vec)
-    idx = v3_mask_to_indices(mask)
-    if idx.size == 0:
-        return 0, ([] if collect else None)
-
-    survivors = []
-    count = 0
-    if final or collect:
-        for i in idx:
-            cell_tuple = head + tuple(int(_V3_TAIL_CELLS[k][i]) for k in range(6))
-            table = HyperTable(3, cell_tuple)
-            if all(constraint_holds(table, c) for c in final):
-                count += 1
-                if collect:
-                    survivors.append(table.cells)
+    if isinstance(mask, np.ndarray):
+        idx = np.flatnonzero(mask)
     else:
-        count = int(idx.size)
-    return count, (survivors if collect else None)
+        idx = np.arange(8 ** 6) if mask else np.arange(0)
+    out = []
+    for i in idx:
+        cell_tuple = head + tuple(int(_V3_TAIL_CELLS[k][i]) for k in range(6))
+        if final and not satisfies_all(HyperTable(3, cell_tuple), final):
+            continue
+        out.append(cell_tuple)
+    return out
 
 
 def vector_sweep3_tasks():
@@ -482,46 +539,41 @@ class Backtracker:
         self._build_watchers()
 
     def _close_orbits(self, links):
-        n2 = self.n2
-        seen = [False] * n2
+        seen = [False] * self.n2
         orbits = []
-        ident = identity_lut(self.n)
-        for start in range(n2):
+        for start in range(self.n2):
             if seen[start]:
                 continue
-            members = {start: [ident]}
-            frontier = [(start, ident)]
-            while frontier:
-                pos, lut = frontier.pop()
-                for dst, gen_lut in links.get(pos, ()):
-                    new_lut = tuple(gen_lut[lut[v]] for v in range(len(lut)))
-                    luts = members.setdefault(dst, [])
-                    if new_lut not in luts:
-                        luts.append(new_lut)
-                        frontier.append((dst, new_lut))
+            members = self._orbit(links, start)
             rep = min(members)
             if rep != start:
                 # restart from the true minimum so reps come first row-major;
                 # generator sets must be symmetric for this to re-cover the
                 # orbit (commutativity, involutions and group actions are)
-                members2 = {rep: [ident]}
-                frontier = [(rep, ident)]
-                while frontier:
-                    pos, lut = frontier.pop()
-                    for dst, gen_lut in links.get(pos, ()):
-                        new_lut = tuple(gen_lut[lut[v]] for v in range(len(lut)))
-                        luts = members2.setdefault(dst, [])
-                        if new_lut not in luts:
-                            luts.append(new_lut)
-                            frontier.append((dst, new_lut))
-                if set(members2) != set(members):
+                from_rep = self._orbit(links, rep)
+                if set(from_rep) != set(members):
                     raise ValueError("link generators must be symmetric")
-                members = members2
+                members = from_rep
             for pos in members:
                 seen[pos] = True
             orbits.append((rep, sorted(members.items())))
         orbits.sort()
         return orbits
+
+    def _orbit(self, links, start):
+        """Link closure from `start`: {pos: [luts that reach pos]}."""
+        ident = identity_lut(self.n)
+        members = {start: [ident]}
+        frontier = [(start, ident)]
+        while frontier:
+            pos, lut = frontier.pop()
+            for dst, gen_lut in links.get(pos, ()):
+                new_lut = tuple(gen_lut[lut[v]] for v in range(len(lut)))
+                luts = members.setdefault(dst, [])
+                if new_lut not in luts:
+                    luts.append(new_lut)
+                    frontier.append((dst, new_lut))
+        return members
 
     def _build_domains(self):
         self.slots = []
@@ -812,7 +864,97 @@ class Backtracker:
         return len(self.domains[0]) if self.slots else 1
 
 
-def backtrack_count_and_collect(spec: SearchSpec, first_value_index=None):
-    bt = Backtracker(spec)
-    out = list(bt.search(first_value_index))
-    return out, bt.pruned, bt.nodes
+# -- sweep planner -------------------------------------------------------------
+
+PURE = "pure"
+VECTOR_COUNT = "vector-count"
+VECTOR_COLLECT = "vector-collect"
+BACKTRACK = "backtrack"
+WITNESS_MAP = "witness-map"
+
+
+def plan_sweep(order, constraints, kind="hyper", oracle=False, counts=False, pruned=False):
+    """The engine for one sweep; every verifier and enumeration sweep asks here.
+
+    * oracle: pure at order <= 2 and for compositions, vector at order 3
+      when every constraint is vectorizable, the backtracker otherwise;
+    * strict polysymmetry at order >= 4, unless the caller asks for the
+      pruned generator: the witness-map split;
+    * the backtracker when the caller asks for the pruned generator, at
+      order != 3, or when some constraint is not vectorizable;
+    * otherwise at order 3: vector count when only the premise count and
+      the first failure are needed, vector collect when the tables are.
+    """
+    vector = order == 3 and kind == "hyper" and all(vectorizable(c) for c in constraints)
+    if oracle and (order <= 2 or kind == "composition"):
+        return PURE
+    if not (oracle or pruned) and order >= 4 and any(
+        c[0] == "polysymmetry-at" and not c[2] for c in constraints
+    ):
+        return WITNESS_MAP
+    if not vector or (pruned and not oracle):
+        return BACKTRACK
+    return VECTOR_COUNT if counts else VECTOR_COLLECT
+
+
+def sweep_tasks(engine, order, constraints, kind="hyper"):
+    """(task function, tasks) of a table sweep on `engine`; each task returns
+    (cell tuples, pruned nodes) and merge_sweep folds them in task order."""
+    constraints = tuple(constraints)
+    if engine == PURE:
+        return partial(_pure_task, order=order, kind=kind, constraints=constraints), [None]
+    if engine == VECTOR_COLLECT:
+        return partial(_vector_collect_task, constraints=constraints), vector_sweep3_tasks()
+    if engine == WITNESS_MAP:
+        return _backtrack_task, _witness_map_tasks(order, constraints)
+    if engine != BACKTRACK:
+        raise ValueError(f"not a table engine: {engine!r}")
+    spec_args = dict(order=order, kind=kind, constraints=constraints)
+    if order <= 2:  # at most 256 tables: one in-process task beats a worker pool
+        return _backtrack_task, [(spec_args, None)]
+    probe = Backtracker(SearchSpec(**spec_args))
+    return _backtrack_task, [(spec_args, i) for i in range(probe.first_domain_size())]
+
+
+def merge_sweep(engine, order, constraints, results):
+    """(cell tuples in canonical order, pruned nodes) from the task results."""
+    cells = [cc for part, _ in results for cc in part]
+    if engine == WITNESS_MAP:
+        # a table is found once per witness map it admits
+        poly = [c for c in constraints if c[0] == "polysymmetry-at"]
+        cells = sorted(
+            (cc for cc in set(cells) if satisfies_all(HyperTable(order, cc), poly)),
+            key=lambda cc: tuple(cell_key(m) for m in cc),
+        )
+    return cells, sum(p for _, p in results)
+
+
+def _pure_task(_task, order, kind, constraints):
+    return [t.cells for t in pure_sweep(order, kind, True, constraints)], 0
+
+
+def _vector_collect_task(head_digits, constraints):
+    return v3_collect_chunk(head_digits, constraints), 0
+
+
+def _backtrack_task(args):
+    spec_args, first_index = args
+    bt = Backtracker(SearchSpec(**spec_args))
+    return list(bt.search(first_index)), bt.pruned
+
+
+def _witness_map_tasks(order, constraints):
+    """Strict polysymmetry at e pins a singleton skeleton: every x owns some
+    x' with both x*x' and x'*x equal to {e}.  One backtracking task per
+    witness map x -> x' forces that skeleton, so each is heavily constrained;
+    together they cover the model set, and merge_sweep applies the
+    polysymmetry check itself."""
+    n = order
+    (e,) = {c[1] for c in constraints if c[0] == "polysymmetry-at"}
+    rest = tuple(c for c in constraints if c[0] != "polysymmetry-at")
+    tasks = []
+    for witness in product(range(n), repeat=n):
+        skeleton = {pos for x, xp in enumerate(witness) for pos in (x * n + xp, xp * n + x)}
+        forced = tuple((pos, 1 << e) for pos in sorted(skeleton))
+        tasks.append((dict(order=n, constraints=rest, forced=forced), None))
+    return tasks

@@ -7,16 +7,18 @@ every candidate unless the job pins one.  Models are emitted exactly once, in
 canonical table order; with up_to_iso each isomorphism class is emitted once,
 represented by its canonical form.
 
-Oracle mode ignores every pruning device and filters the raw space (pure
-Python at order <= 2 and for compositions, the vectorized full-space engine
-at order 3); it is the certification path for the backtracking generator.
+Single-operation sweeps take their engine from `engines.plan_sweep`.  By
+default that is the sharded backtracker, whose pruned-node count the summary
+reports.  Oracle mode ignores every pruning device and filters the raw space
+(pure Python at order <= 2 and for compositions, the vectorized full-space
+engine at order 3); it is the certification path for the backtracking
+generator.
 """
 
 import json
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 
 from . import axioms, classify, engines
 from .model import (
@@ -183,64 +185,43 @@ def _single_runs(job: EnumerationJob):
     ], singleton_only
 
 
-def _run_backtrack_task(args):
-    spec_args, first_index = args
-    spec = engines.SearchSpec(**spec_args)
-    cells, pruned, _nodes = engines.backtrack_count_and_collect(spec, first_index)
-    return cells, pruned
-
-
-def _vector_oracle_chunk(task, constraints):
-    _, collected = engines.vector_sweep3_chunk(task, list(constraints), collect=True)
-    return collected
-
-
 def _cells_key(cells):
     return tuple(engines.cell_key(m) for m in cells)
 
 
-def _enumerate_single(job: EnumerationJob, workers: int):
-    final_ok = _single_final_predicate(job)
+def _single_sweeps(job: EnumerationJob):
+    """(kind, [(engine, run), ...]): each run with the planner's engine."""
     runs, singleton_only = _single_runs(job)
     kind = "composition" if singleton_only else "hyper"
+    if job.oracle:
+        if kind == "composition" and job.order > 3:
+            raise ValueError("oracle mode caps composition jobs at order 3")
+        if kind == "hyper" and job.order > 3:
+            raise ValueError("oracle mode caps single-operation jobs at order 3")
+        # the oracle leans on no pruning device: the raw space where the pure
+        # engine reaches, else each run's vectorizable part; final_ok decides
+        if engines.plan_sweep(job.order, (), kind, oracle=True) == engines.PURE:
+            runs = [()]
+        else:
+            runs = [tuple(c for c in run if engines.vectorizable(c)) for run in runs]
+    plans = [engines.plan_sweep(job.order, run, kind, job.oracle, pruned=True) for run in runs]
+    return kind, list(zip(plans, runs))
+
+
+def _enumerate_single(job: EnumerationJob, workers: int):
+    final_ok = _single_final_predicate(job)
+    kind, sweeps = _single_sweeps(job)
     pruned_total = 0
     seen = set()
-
-    if job.oracle:
-        if job.order <= 2 or kind == "composition":
-            if kind == "composition" and job.order > 3:
-                raise ValueError("oracle mode caps composition jobs at order 3")
-            for cells in product(
-                engines.value_order(job.order, kind, True),
-                repeat=job.order * job.order,
-            ):
-                if final_ok(HyperTable(job.order, cells, kind)):
-                    seen.add(cells)
-        elif job.order == 3:
-            for run in runs:
-                vec = tuple(c for c in run if engines.vectorizable(c))
-                fn = partial(_vector_oracle_chunk, constraints=vec)
-                for chunk in parallel_map(fn, engines.vector_sweep3_tasks(), workers):
-                    for cells in chunk:
-                        if cells not in seen and final_ok(HyperTable(3, cells)):
-                            seen.add(cells)
-        else:
-            raise ValueError("oracle mode caps single-operation jobs at order 3")
-    else:
-        for run in runs:
-            spec_args = dict(
-                order=job.order,
-                kind=kind,
-                allow_empty=kind == "hyper",
-                constraints=run,
-            )
-            probe = engines.Backtracker(engines.SearchSpec(**spec_args))
-            tasks = [(spec_args, i) for i in range(probe.first_domain_size())]
-            for cells, pruned in parallel_map(_run_backtrack_task, tasks, workers):
-                pruned_total += pruned
-                for cc in cells:
-                    if cc not in seen and final_ok(HyperTable(job.order, cc, kind)):
-                        seen.add(cc)
+    for engine, run in sweeps:
+        fn, tasks = engines.sweep_tasks(engine, job.order, run, kind)
+        cells, pruned = engines.merge_sweep(
+            engine, job.order, run, parallel_map(fn, tasks, workers)
+        )
+        pruned_total += pruned
+        for cc in cells:
+            if cc not in seen and final_ok(HyperTable(job.order, cc, kind)):
+                seen.add(cc)
 
     tables = [HyperTable(job.order, cc, kind) for cc in sorted(seen, key=_cells_key)]
     return tables, pruned_total
@@ -427,11 +408,9 @@ def _enumerate_two_op(job: EnumerationJob, workers: int):
     if job.oracle:
         if n > 2:
             raise ValueError("two-operation oracle mode is limited to order 2")
-        masks = engines.key_sorted_masks(n)
-        n2 = n * n
+        tables = list(engines.pure_sweep(n, "hyper", True, ()))
         for zero in _candidates(job):
-            for add_cells in product(masks, repeat=n2):
-                add = HyperTable(n, add_cells)
+            for add in tables:
                 # every two-operation structure requires a commutative
                 # associative addition; screening here keeps the inner loop
                 # honest (same predicates) but 20x cheaper
@@ -440,10 +419,8 @@ def _enumerate_two_op(job: EnumerationJob, workers: int):
                     and axioms.check_law(add, "commutative").holds
                 ):
                     continue
-                for mul_cells in product(masks, repeat=n2):
-                    model = _with_detected_one(
-                        n, add, HyperTable(n, mul_cells), zero, job
-                    )
+                for mul in tables:
+                    model = _with_detected_one(n, add, mul, zero, job)
                     if model is not None and final_ok(model):
                         seen[two_op_key(model)] = model
         return [seen[k] for k in sorted(seen)], 0

@@ -13,10 +13,12 @@ def default_workers() -> int:
 
 
 def parallel_map(fn, tasks, workers: int = 1) -> list:
-    """`[fn(t) for t in tasks]`, computed by `workers` processes in task order."""
+    """`[fn(t) for t in tasks]`, computed in task order by `workers`
+    processes, but never more than there are tasks or CPUs."""
     tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    if size <= 1:
         return [fn(t) for t in tasks]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(workers, len(tasks))) as pool:
+    with ctx.Pool(size) as pool:
         return pool.map(fn, tasks)

@@ -16,11 +16,6 @@ def cyclic_group_table(n: int) -> HyperTable:
     return HyperTable(n, cells, KIND_COMPOSITION)
 
 
-def klein_group_table() -> HyperTable:
-    cells = tuple(1 << (x ^ y) for x in range(4) for y in range(4))
-    return HyperTable(4, cells, KIND_COMPOSITION)
-
-
 def subtraction_table(n: int) -> HyperTable:
     """x∘y = y - x mod n; reproductive and left-inverted associative."""
     cells = tuple(1 << ((y - x) % n) for x in range(n) for y in range(n))

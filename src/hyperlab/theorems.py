@@ -1,4 +1,4 @@
-"""One verifier per catalogued claim: sweep the finite model space at a
+"""Verifiers for the catalogued claims: sweep the finite model space at a
 given order, confirm the conclusion on every model satisfying the premises,
 and search for independence witnesses when premises are dropped.
 
@@ -22,52 +22,42 @@ Verifier ids:
     T29  hypermodule premises over the bundled scalar family => the module
          addition is canonical
 
+Every id but T6, T28 and T29 is a declarative `Claim` run by `_run_claim`;
+T6's row-staged search, T28's model-set comparison and T29's scalar family
+are bespoke.  Each sweep takes its engine from `engines.plan_sweep`: pure in
+oracle mode at order <= 2 and for T2's compositions, the order-3 vector
+engine (count mode for T3's oracle, T7, T9, T11; collect mode for T13, T24,
+P14-P23, T27), the backtracker at other orders, for T3's pruned order-3
+sweep and wherever a constraint is not vectorizable, and the witness-map
+split for strict polysymmetry at order >= 4.
+
 Sweeps quantified over a distinguished element (identity or zero) count
 (table, element) pairs as premise models.  Every counterexample and
 independence witness is revalidated through the axiom predicates before a
-report is emitted, and reports are identical for any worker count.
+report is emitted (a disagreement raises RuntimeError), and reports are
+identical for any worker count.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import product
 
-import numpy as np
 
 from . import axioms, engines
-from .enumeration import EnumerationJob, enumerate_models
+from .enumeration import EnumerationJob, _abelian_group_tables, enumerate_models
 from .model import (
     HyperTable,
     HypermoduleModel,
     TwoOpModel,
     apply_permutation,
-    full_mask,
-    left_division,
+    mask_image,
     members_of,
-    right_division,
     table_key,
 )
 from .modelio import serialize_model
 from .parallel import parallel_map
 from .samples import krasner_hyperfield, sign_hyperfield
-
-THEOREM_IDS = (
-    "T2",
-    "T3",
-    "T6",
-    "T7",
-    "T9",
-    "T11",
-    "T13",
-    "T24",
-    "P14-P23",
-    "T25",
-    "T26",
-    "T27",
-    "T28",
-    "T29",
-)
 
 _ORDER_CAPS = {
     "T2": 3,
@@ -85,6 +75,7 @@ _ORDER_CAPS = {
     "T28": 4,
     "T29": 3,
 }
+THEOREM_IDS = tuple(_ORDER_CAPS)
 
 
 @dataclass
@@ -106,24 +97,16 @@ class VerificationReport:
             raise ValueError("premise models cannot exceed the space size")
 
     def to_json(self, include_wall_time=True) -> dict:
-        out = {
-            "theorem": self.theorem,
-            "order": self.order,
-            "space_size": self.space_size,
-            "premise_models": self.premise_models,
-            "conclusion_holds": self.conclusion_holds,
-            "counterexample": self.counterexample,
-            "independence_witnesses": self.independence_witnesses,
-            "extras": self.extras,
-        }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
+        out = asdict(self)
+        if not include_wall_time:
+            del out["wall_time"]
         return out
 
 
-# -- element-dependent constraint vocabulary ---------------------------------
+# -- premise and conclusion vocabulary -------------------------------------------
 
-_ELEMENT_IDS = {
+# ids with an engine descriptor, given the quantified element
+_DESCRIPTOR_IDS = {law: (lambda e, law=law: ("law", law)) for law in axioms.LAW_IDS} | {
     "identity": lambda e: ("identity-at", e),
     "polysymmetry": lambda e: ("polysymmetry-at", e, False),
     "polysymmetry-weak": lambda e: ("polysymmetry-at", e, True),
@@ -131,41 +114,271 @@ _ELEMENT_IDS = {
     "reversibility-canonical": lambda e: ("reversibility-at", e),
     "opposite-additivity": lambda e: ("opposite-additivity-at", e),
     "scalar-zero": lambda e: ("scalar-zero-at", e),
+    "divisions-nonempty": lambda e: ("divisions-nonempty",),
 }
 
-_CONCLUSION_ONLY_IDS = {"reversibility-poly", "reversibility-poly-weak"}
+# ids that only serve as conclusions: id -> predicate(table, element)
+_CONCLUSION_ONLY_IDS = {
+    "reversibility-poly": lambda t, e: axioms.check_reversibility_poly(t, e).holds,
+    "reversibility-poly-weak": lambda t, e: axioms.check_reversibility_poly(
+        t, e, weak=True
+    ).holds,
+    "qmp-properties": lambda t, e: all(ok for _, ok in qmp_property_checks(t, e)),
+    "identity-and-inverses": lambda t, e: _identity_and_inverses(t),
+}
+
+_ELEMENT_FREE_IDS = {"divisions-nonempty", "identity-and-inverses"}
 
 
 def _id_known(ident: str) -> bool:
-    return ident in axioms.LAW_IDS or ident in _ELEMENT_IDS or ident in _CONCLUSION_ONLY_IDS
-
-
-def _descriptors_at(ids, cand):
-    out = []
-    for ident in ids:
-        if ident in axioms.LAW_IDS:
-            out.append(("law", ident))
-        elif ident in _ELEMENT_IDS:
-            out.append(_ELEMENT_IDS[ident](cand))
-        else:
-            raise ValueError(f"unknown premise id: {ident!r}")
-    return tuple(out)
-
-
-def _id_holds(table, ident, cand) -> bool:
-    if ident in axioms.LAW_IDS:
-        return axioms.check_law(table, ident).holds
-    if ident in _ELEMENT_IDS:
-        return engines.constraint_holds(table, _ELEMENT_IDS[ident](cand))
-    if ident == "reversibility-poly":
-        return axioms.check_reversibility_poly(table, cand).holds
-    if ident == "reversibility-poly-weak":
-        return axioms.check_reversibility_poly(table, cand, weak=True).holds
-    raise ValueError(f"unknown id: {ident!r}")
+    return ident in _DESCRIPTOR_IDS or ident in _CONCLUSION_ONLY_IDS
 
 
 def _element_dependent(ident) -> bool:
-    return ident in _ELEMENT_IDS or ident in _CONCLUSION_ONLY_IDS
+    return ident not in axioms.LAW_IDS and ident not in _ELEMENT_FREE_IDS
+
+
+def _descriptors_at(ids, cand):
+    for ident in ids:
+        if ident not in _DESCRIPTOR_IDS:
+            raise ValueError(f"unknown premise id: {ident!r}")
+    return tuple(_DESCRIPTOR_IDS[ident](cand) for ident in ids)
+
+
+def _id_holds(table, ident, cand) -> bool:
+    if ident in _DESCRIPTOR_IDS:
+        return engines.constraint_holds(table, _DESCRIPTOR_IDS[ident](cand))
+    if ident in _CONCLUSION_ONLY_IDS:
+        return _CONCLUSION_ONLY_IDS[ident](table, cand)
+    raise ValueError(f"unknown id: {ident!r}")
+
+
+def _witness(table, ident, cand):
+    """JSON witness of a conclusion id that fails on (table, cand)."""
+    if ident == "qmp-properties":
+        _revalidate(not _id_holds(table, ident, cand), "a qMp property fails")
+        return {"check": next(cid for cid, ok in qmp_property_checks(table, cand) if not ok)}
+    if ident in axioms.LAW_IDS:
+        res = axioms.check_law(table, ident)
+    elif ident == "scalar-zero":
+        res = axioms.check_scalar_zero(table, cand)
+    elif ident == "reversibility-poly":
+        res = axioms.check_reversibility_poly(table, cand)
+    else:
+        raise ValueError(f"no witness for {ident!r}")
+    _revalidate(not res.holds, f"{ident} fails")
+    return res.witness.to_json()
+
+
+def _revalidate(ok, what):
+    """Every emitted counterexample and witness is checked here: the axiom
+    predicates must confirm what the engine reported."""
+    if not ok:
+        raise RuntimeError(f"revalidation failed: {what}")
+
+
+# -- declarative claims and their runner ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class Claim:
+    """Premises imply a conclusion; the declarative input of `_run_claim`.
+
+    premises       premise runs: a disjunction of conjunctions of ids
+    conclusion     ids that must all hold, or the two sides of a biconditional
+    biconditional  for a biconditional, (side_a, side_b) -> witness JSON
+    element        None, or the report key ("element", "zero") of the
+                   quantified element; premise models are then (table, e)
+                   pairs for every candidate e
+    space          "hyper" or "composition"
+    drops          droppable premises: ids, or (name, ids) for a group
+    drop_by        "element": a drop witness is the canonical first (model,
+                   element) pair, reported as "element"; "zero": the first
+                   model at the lowest zero with a witness, reported as "zero"
+    counts         only the premise count and the first failure are needed
+    pruned         sweep on the backtracker even where the vector engine fits
+    extras         hook(Swept) -> the report's extras
+    """
+
+    premises: tuple
+    conclusion: tuple
+    biconditional: object = None
+    element: str | None = None
+    space: str = "hyper"
+    drops: tuple = ()
+    drop_by: str = "element"
+    counts: bool = False
+    pruned: bool = False
+    extras: object = None
+
+
+@dataclass
+class Swept:
+    """An extras hook's input; `models` is None after a count-mode sweep."""
+
+    claim: Claim
+    order: int
+    oracle: bool
+    workers: int
+    models: list | None
+    first: tuple | None
+
+
+def sweep_engine(theorem: str, order: int, oracle: bool = False) -> str:
+    """The engine `engines.plan_sweep` picks for a claim's premise sweep."""
+    claim = CLAIMS[theorem]
+    ids = [i for run in claim.premises for i in run]
+    if claim.counts:  # the count kernel evaluates the conclusion too
+        ids += claim.conclusion
+    descriptors = _descriptors_at(ids, 0)
+    return engines.plan_sweep(
+        order, descriptors, claim.space, oracle, counts=claim.counts, pruned=claim.pruned
+    )
+
+
+def _run_claim(theorem, order, drop_premises, oracle, workers):
+    claim = CLAIMS[theorem]
+    if sweep_engine(theorem, order, oracle) == engines.VECTOR_COUNT:
+        models = None
+        premise_models, first = _count_sweep(claim, workers)
+    else:
+        models = _premise_models(claim, order, oracle, workers)
+        premise_models = len(models)
+        first = _first_failure(claim, models)
+    space = engines.space_size(order, claim.space, True)
+    report = VerificationReport(
+        theorem=theorem,
+        order=order,
+        space_size=space * order if claim.element else space,
+        premise_models=premise_models,
+        conclusion_holds=first is None,
+        counterexample=None if first is None else _counterexample(claim, *first),
+    )
+    if claim.extras is not None:
+        report.extras = claim.extras(Swept(claim, order, oracle, workers, models, first))
+    if drop_premises and claim.drops:
+        report.independence_witnesses = _drop_entries(claim, order)
+    return report
+
+
+def _fails(claim, table, cand) -> bool:
+    holds = [_id_holds(table, i, cand) for i in claim.conclusion]
+    return holds[0] != holds[1] if claim.biconditional is not None else not all(holds)
+
+
+def _confirm(claim, runs, table, cand):
+    """Revalidate a failure: some premise run holds and the conclusion fails."""
+    _revalidate(
+        any(all(_id_holds(table, i, cand) for i in run) for run in runs)
+        and _fails(claim, table, cand),
+        f"the premises hold and the conclusion {claim.conclusion} fails",
+    )
+
+
+def _first_failure(claim, models):
+    for table, cand in models:
+        if _fails(claim, table, cand):
+            _confirm(claim, claim.premises, table, cand)
+            return table, cand
+    return None
+
+
+def _counterexample(claim, table, cand):
+    out = {"model": serialize_model(table)}
+    if claim.element:
+        out[claim.element] = cand
+    if claim.biconditional is not None:
+        out["witness"] = claim.biconditional(*(_id_holds(table, i, cand) for i in claim.conclusion))
+    else:
+        failed = next(i for i in claim.conclusion if not _id_holds(table, i, cand))
+        out["witness"] = _witness(table, failed, cand)
+    return out
+
+
+def _count_sweep(claim, workers):
+    """Order-3 count mode: (premise models, first failure or None)."""
+    fn = partial(
+        engines.v3_count_chunk,
+        runs=tuple(_descriptors_at(run, None) for run in claim.premises),
+        conclusion=_descriptors_at(claim.conclusion, None),
+        biconditional=claim.biconditional is not None,
+    )
+    premise_models, first = 0, None
+    for count, cells in parallel_map(fn, engines.vector_sweep3_tasks(), workers):
+        premise_models += count
+        if first is None and cells is not None:
+            first = cells
+    if first is None:
+        return premise_models, None
+    table = HyperTable(3, first)
+    _confirm(claim, claim.premises, table, None)
+    return premise_models, (table, None)
+
+
+def _sweep_tables(order, constraints, oracle, workers, kind="hyper", pruned=False):
+    """Every table satisfying the constraints, in canonical order."""
+    engine = engines.plan_sweep(order, constraints, kind, oracle, pruned=pruned)
+    fn, tasks = engines.sweep_tasks(engine, order, constraints, kind)
+    cells, _ = engines.merge_sweep(engine, order, constraints, parallel_map(fn, tasks, workers))
+    return [HyperTable(order, cc, kind) for cc in cells]
+
+
+def _premise_models(claim, order, oracle, workers):
+    """(table, element) premise models in canonical order; the element is
+    None when the claim quantifies none."""
+
+    def tables(e):
+        swept = [
+            _sweep_tables(
+                order, _descriptors_at(run, e), oracle, workers, claim.space, claim.pruned
+            )
+            for run in claim.premises
+        ]
+        if len(swept) == 1:
+            return swept[0]
+        union = {t.cells: t for part in swept for t in part}
+        return sorted(union.values(), key=table_key)
+
+    if claim.element is None:
+        return [(t, None) for t in tables(0)]
+    if oracle:
+        pairs = [(t, e) for e in range(order) for t in tables(e)]
+    else:
+        # the premises are permutation-equivariant: the model set at k is the
+        # image of the element-0 set under the transposition (0 k)
+        base = tables(0)
+        pairs = [(t, 0) for t in base]
+        for k in range(1, order):
+            tau = list(range(order))
+            tau[0], tau[k] = k, 0
+            pairs.extend((apply_permutation(t, tau), k) for t in base)
+    pairs.sort(key=lambda pe: (table_key(pe[0]), pe[1]))
+    return pairs
+
+
+# -- independence witnesses ------------------------------------------------------
+
+
+def _independence_hits(order, premise_ids, claim):
+    """For each candidate element, ascending: the first (table, candidate)
+    in canonical order where the premises hold and the claim's conclusion
+    fails.  Element-dependent ids share the candidate."""
+    ids = tuple(premise_ids) + tuple(claim.conclusion)
+    cands = range(order) if any(_element_dependent(i) for i in ids) else (0,)
+    for cand in cands:
+        spec = engines.SearchSpec(
+            order, kind=claim.space, constraints=_descriptors_at(premise_ids, cand)
+        )
+        for cells in engines.Backtracker(spec).search():
+            table = HyperTable(order, cells, claim.space)
+            if _fails(claim, table, cand):
+                _confirm(claim, (premise_ids,), table, cand)
+                yield table, cand
+                break  # emission is ordered, the first hit is minimal for this cand
+
+
+def _canonical_first(hits):
+    return min(hits, key=lambda h: (table_key(h[0]), h[1]), default=None)
 
 
 def search_independence(premises, conclusion, order: int, workers: int = 1):
@@ -184,7 +397,8 @@ def search_independence(premises, conclusion, order: int, workers: int = 1):
         if ident in _CONCLUSION_ONLY_IDS and ident != conclusion:
             raise ValueError(f"{ident!r} can only be used as a conclusion")
 
-    hit = _independence_search(order, tuple(premises), (conclusion,), workers)
+    claim = Claim(premises=(tuple(premises),), conclusion=(conclusion,))
+    hit = _canonical_first(_independence_hits(order, tuple(premises), claim))
     if hit is None:
         return {"none_at_order": order}
     table, cand = hit
@@ -194,33 +408,28 @@ def search_independence(premises, conclusion, order: int, workers: int = 1):
     return out
 
 
-def _independence_search(order, premise_ids, conclusion_ids, workers=1):
-    """First (table, candidate) with all premises holding and some conclusion
-    failing; conclusions form a conjunction."""
-    element_premises = [i for i in premise_ids if _element_dependent(i)]
-    cands = range(order) if (
-        element_premises or any(_element_dependent(i) for i in conclusion_ids)
-    ) else (0,)
-
-    best = None
-    for cand in cands:
-        descriptors = _descriptors_at(
-            [i for i in premise_ids if i in axioms.LAW_IDS], 0
-        ) + _descriptors_at(element_premises, cand)
-        spec = engines.SearchSpec(order, constraints=descriptors)
-        for cells in engines.Backtracker(spec).search():
-            table = HyperTable(order, cells)
-            if not all(_id_holds(table, i, cand) for i in premise_ids):
-                continue
-            if all(_id_holds(table, i, cand) for i in conclusion_ids):
-                continue
-            key = (table_key(table), cand)
-            if best is None or key < best[0]:
-                best = (key, table, cand)
-            break  # emission is ordered, the first hit is minimal for this cand
-    if best is None:
-        return None
-    return best[1], best[2]
+def _drop_entries(claim, order):
+    """One independence entry per droppable premise (or premise group)."""
+    entries = []
+    for drop in claim.drops:
+        name, removed = drop if isinstance(drop, tuple) else (drop, (drop,))
+        kept_runs = dict.fromkeys(
+            tuple(i for i in run if i not in removed) for run in claim.premises
+        )
+        for kept in kept_runs:
+            hits = _independence_hits(order, kept, claim)
+            hit = next(hits, None) if claim.drop_by == "zero" else _canonical_first(hits)
+            if hit is not None:
+                break
+        if hit is None:
+            entries.append({"dropped": name, "none_at_order": order})
+            continue
+        table, cand = hit
+        entry = {"dropped": name, "model": serialize_model(table)}
+        if any(_element_dependent(i) for i in kept + claim.conclusion):
+            entry[claim.drop_by] = cand
+        entries.append(entry)
+    return entries
 
 
 def verify(
@@ -237,484 +446,25 @@ def verify(
     if not 1 <= order <= cap:
         raise ValueError(f"order {order} outside 1..{cap} for {theorem}")
     start = time.perf_counter()
-    fn = _VERIFIERS[theorem]
+    fn = _VERIFIERS.get(theorem, partial(_run_claim, theorem))
     report = fn(order, drop_premises=drop_premises, oracle=oracle, workers=workers)
     report.wall_time = time.perf_counter() - start
     return report
 
 
-# -- sweep plumbing ------------------------------------------------------------
+# -- claim-specific predicates and extras hooks -------------------------------------
 
 
-def _hyper_space(order: int) -> int:
-    return (1 << order) ** (order * order)
-
-
-def _sweep_tables(order, constraints, oracle, workers):
-    """All hyper tables (empty cells allowed) satisfying the constraints,
-    in canonical order."""
-    if oracle and order <= 2:
-        return list(engines.pure_sweep(order, "hyper", True, constraints))
-    if order <= 2:
-        spec_args = dict(order=order, kind="hyper", allow_empty=True,
-                         constraints=tuple(constraints))
-        cells, _, _ = engines.backtrack_count_and_collect(engines.SearchSpec(**spec_args))
-        return [HyperTable(order, cc) for cc in cells]
-    if order == 3 and all(engines.vectorizable(c) for c in constraints):
-        fn = partial(_vector_collect_task, constraints=tuple(constraints))
-        tables = []
-        for chunk in parallel_map(fn, engines.vector_sweep3_tasks(), workers):
-            tables.extend(HyperTable(3, cc) for cc in chunk)
-        return tables
-    spec_args = dict(order=order, kind="hyper", allow_empty=True,
-                     constraints=tuple(constraints))
-    probe = engines.Backtracker(engines.SearchSpec(**spec_args))
-    tasks = [(spec_args, i) for i in range(probe.first_domain_size())]
-    tables = []
-    for cells, _pruned in parallel_map(_backtrack_task, tasks, workers):
-        tables.extend(HyperTable(order, cc) for cc in cells)
-    return tables
-
-
-def _vector_collect_task(task, constraints):
-    _, collected = engines.vector_sweep3_chunk(task, list(constraints), collect=True)
-    return collected
-
-
-def _backtrack_task(args):
-    spec_args, first_index = args
-    cells, pruned, _ = engines.backtrack_count_and_collect(
-        engines.SearchSpec(**spec_args), first_index
-    )
-    return cells, pruned
-
-
-def _vector_count_task(task, premises, conclusion):
-    """(premise count, violation count, first violating cells or None)."""
-    cells = engines.v3_chunk_cells(task)
-    premise_mask = engines.v3_eval(cells, list(premises))
-    concl_mask = engines.v3_eval(cells, [conclusion]) if conclusion else None
-    if not isinstance(premise_mask, np.ndarray):
-        if not premise_mask:
-            return 0, 0, None
-        premise_mask = np.ones(8 ** 6, dtype=bool)
-    premise_count = int(premise_mask.sum())
-    if conclusion is None:
-        return premise_count, 0, None
-    viol = premise_mask & ~concl_mask
-    viol_count = int(viol.sum()) if isinstance(viol, np.ndarray) else (
-        8 ** 6 if viol else 0
-    )
-    first = None
-    if viol_count:
-        idx = int(np.flatnonzero(viol)[0]) if isinstance(viol, np.ndarray) else 0
-        first = engines.v3_decode(task, idx)
-    return premise_count, viol_count, first
-
-
-def _law_witness(table, law):
-    res = axioms.check_law(table, law)
-    assert not res.holds
-    return res.witness.to_json()
-
-
-def _pair_counterexample(table, element, law, element_key="element"):
-    return {
-        "model": serialize_model(table),
-        element_key: element,
-        "witness": _law_witness(table, law),
-    }
-
-
-def _drop_entries(premise_ids, conclusion_ids, order, workers):
-    """One independence entry per dropped premise."""
-    entries = []
-    for dropped in premise_ids:
-        kept = tuple(i for i in premise_ids if i != dropped)
-        hit = _independence_search(order, kept, conclusion_ids, workers)
-        if hit is None:
-            entries.append({"dropped": dropped, "none_at_order": order})
-        else:
-            table, cand = hit
-            for ident in kept:  # revalidate through the axiom predicates
-                assert _id_holds(table, ident, cand)
-            assert not all(_id_holds(table, i, cand) for i in conclusion_ids)
-            entry = {"dropped": dropped, "model": serialize_model(table)}
-            if any(_element_dependent(i) for i in kept + tuple(conclusion_ids)):
-                entry["element"] = cand
-            entries.append(entry)
-    return entries
-
-
-# -- simple one-law implication sweeps (T3, T7, T9, T11) -------------------------
-
-
-def _implication_sweep(order, premises, conclusion_law, oracle, workers):
-    """Count premise models and find the first conclusion violation."""
-    if order == 3 and not oracle:
-        fn = partial(
-            _vector_count_task,
-            premises=tuple(premises),
-            conclusion=("law", conclusion_law),
-        )
-        premise_models = 0
-        first = None
-        for pc, vc, first_cells in parallel_map(fn, engines.vector_sweep3_tasks(), workers):
-            premise_models += pc
-            if first is None and first_cells is not None:
-                first = first_cells
-        return premise_models, first
-    tables = _sweep_tables(order, premises, oracle, workers)
-    for t in tables:
-        if not axioms.check_law(t, conclusion_law).holds:
-            return len(tables), t.cells
-    return len(tables), None
-
-
-def _verify_t3(order, drop_premises, oracle, workers):
-    premises = (("law", "associative"), ("law", "reproductive"))
-    if oracle or order <= 2:
-        tables = _sweep_tables(order, premises, oracle, workers)
-        premise_models = len(tables)
-        first = None
-        for t in tables:
-            if not axioms.check_law(t, "cellwise-nonempty").holds:
-                first = t.cells
-                break
-    else:
-        spec_args = dict(order=order, kind="hyper", allow_empty=True,
-                         constraints=premises)
-        probe = engines.Backtracker(engines.SearchSpec(**spec_args))
-        tasks = [(spec_args, i) for i in range(probe.first_domain_size())]
-        premise_models = 0
-        first = None
-        for cells, _ in parallel_map(_backtrack_task, tasks, workers):
-            for cc in cells:
-                premise_models += 1
-                if first is None:
-                    t = HyperTable(order, cc)
-                    if not axioms.check_law(t, "cellwise-nonempty").holds:
-                        first = cc
-        # certify against the unpruned engine when asked for order 3 oracle
-    counterexample = None
-    if first is not None:
-        t = HyperTable(order, first)
-        assert axioms.check_law(t, "associative").holds
-        assert axioms.check_law(t, "reproductive").holds
-        counterexample = {
-            "model": serialize_model(t),
-            "witness": _law_witness(t, "cellwise-nonempty"),
-        }
-    report = VerificationReport(
-        theorem="T3",
-        order=order,
-        space_size=_hyper_space(order),
-        premise_models=premise_models,
-        conclusion_holds=first is None,
-        counterexample=counterexample,
-    )
-    if drop_premises:
-        report.independence_witnesses = _drop_entries(
-            ("associative", "reproductive"), ("cellwise-nonempty",), order, workers
-        )
-    return report
-
-
-def _verify_t7(order, drop_premises, oracle, workers):
-    premises = (("law", "weakly-associative"),)
-    premise_models, first = _implication_sweep(
-        order, premises, "cellwise-nonempty", oracle, workers
-    )
-    counterexample = None
-    if first is not None:
-        t = HyperTable(order, first)
-        assert axioms.check_law(t, "weakly-associative").holds
-        counterexample = {
-            "model": serialize_model(t),
-            "witness": _law_witness(t, "cellwise-nonempty"),
-        }
-    report = VerificationReport(
-        theorem="T7",
-        order=order,
-        space_size=_hyper_space(order),
-        premise_models=premise_models,
-        conclusion_holds=first is None,
-        counterexample=counterexample,
-    )
-    if drop_premises:
-        report.independence_witnesses = _drop_entries(
-            ("weakly-associative",), ("cellwise-nonempty",), order, workers
-        )
-    return report
-
-
-def _verify_t9(order, drop_premises, oracle, workers):
-    left = (("law", "left-inverted-associative"), ("law", "reproductive"))
-    right = (("law", "right-inverted-associative"), ("law", "reproductive"))
-    if order == 3 and not oracle:
-        premise_models = 0
-        first = None
-        fn = partial(_t9_vector_task)
-        for pc, first_cells in parallel_map(fn, engines.vector_sweep3_tasks(), workers):
-            premise_models += pc
-            if first is None and first_cells is not None:
-                first = first_cells
-    else:
-        left_tables = {t.cells for t in _sweep_tables(order, left, oracle, workers)}
-        right_tables = {t.cells for t in _sweep_tables(order, right, oracle, workers)}
-        union = sorted(left_tables | right_tables, key=lambda cc: table_key(HyperTable(order, cc)))
-        premise_models = len(union)
-        first = None
-        for cc in union:
-            if not axioms.check_law(HyperTable(order, cc), "cellwise-nonempty").holds:
-                first = cc
-                break
-    counterexample = None
-    if first is not None:
-        t = HyperTable(order, first)
-        assert axioms.check_law(t, "reproductive").holds
-        assert (
-            axioms.check_law(t, "left-inverted-associative").holds
-            or axioms.check_law(t, "right-inverted-associative").holds
-        )
-        counterexample = {
-            "model": serialize_model(t),
-            "witness": _law_witness(t, "cellwise-nonempty"),
-        }
-    report = VerificationReport(
-        theorem="T9",
-        order=order,
-        space_size=_hyper_space(order),
-        premise_models=premise_models,
-        conclusion_holds=first is None,
-        counterexample=counterexample,
-    )
-    if drop_premises:
-        entries = []
-        hit = _independence_search(order, ("reproductive",), ("cellwise-nonempty",), workers)
-        if hit is None:
-            entries.append({"dropped": "inverted-associative", "none_at_order": order})
-        else:
-            entries.append(
-                {"dropped": "inverted-associative", "model": serialize_model(hit[0])}
-            )
-        hit = _independence_search(
-            order, ("left-inverted-associative",), ("cellwise-nonempty",), workers
-        )
-        if hit is None:
-            hit = _independence_search(
-                order, ("right-inverted-associative",), ("cellwise-nonempty",), workers
-            )
-        if hit is None:
-            entries.append({"dropped": "reproductive", "none_at_order": order})
-        else:
-            entries.append({"dropped": "reproductive", "model": serialize_model(hit[0])})
-        report.independence_witnesses = entries
-    return report
-
-
-def _t9_vector_task(task):
-    cells = engines.v3_chunk_cells(task)
-    repro = engines.v3_eval(cells, [("law", "reproductive")])
-    lia = engines.v3_eval(cells, [("law", "left-inverted-associative")])
-    ria = engines.v3_eval(cells, [("law", "right-inverted-associative")])
-    nonempty = engines.v3_eval(cells, [("law", "cellwise-nonempty")])
-    premise = (lia | ria) & repro
-    if not isinstance(premise, np.ndarray):
-        premise = np.full(8 ** 6, bool(premise), dtype=bool)
-    viol = premise & ~nonempty
-    first = None
-    if isinstance(viol, np.ndarray) and viol.any():
-        first = engines.v3_decode(task, int(np.flatnonzero(viol)[0]))
-    return int(premise.sum()), first
-
-
-def _t11_vector_task(task):
-    cells = engines.v3_chunk_cells(task)
-    repro = engines.v3_eval(cells, [("law", "reproductive")])
-    divs = engines.v3_divisions_nonempty(cells)
-    if not isinstance(repro, np.ndarray):
-        repro = np.full(8 ** 6, bool(repro), dtype=bool)
-    bad = repro ^ divs
-    first = None
-    if isinstance(bad, np.ndarray) and bad.any():
-        first = engines.v3_decode(task, int(np.flatnonzero(bad)[0]))
-    return first
-
-
-def _verify_t11(order, drop_premises, oracle, workers):
-    n2_full = _hyper_space(order)
-    if order == 3 and not oracle:
-        first = None
-        for f in parallel_map(_t11_vector_task, engines.vector_sweep3_tasks(), workers):
-            if first is None and f is not None:
-                first = f
-    else:
-        first = None
-        for cells in product(engines.key_sorted_masks(order), repeat=order * order):
-            t = HyperTable(order, cells)
-            repro = axioms.check_law(t, "reproductive").holds
-            divs = all(
-                right_division(t, x, y) and left_division(t, y, x)
-                for x in range(order)
-                for y in range(order)
-            )
-            if repro != divs:
-                first = cells
-                break
-    counterexample = None
-    if first is not None:
-        counterexample = {
-            "model": serialize_model(HyperTable(order, first)),
-            "witness": {"note": "reproductive and division-nonemptiness disagree"},
-        }
-    return VerificationReport(
-        theorem="T11",
-        order=order,
-        space_size=n2_full,
-        premise_models=n2_full,
-        conclusion_holds=first is None,
-        counterexample=counterexample,
-        extras={"biconditional": True},
-    )
-
-
-# -- T2: compositions ------------------------------------------------------------
-
-
-def _t2_identity_and_inverses(table: HyperTable):
-    n = table.order
-    identity = None
-    for e in range(n):
-        if all(
-            table.cell(e, x) == 1 << x and table.cell(x, e) == 1 << x for x in range(n)
-        ):
-            identity = e
-            break
-    if identity is None:
+def _identity_and_inverses(table: HyperTable) -> bool:
+    scalars = axioms.find_identities(table).scalar
+    if not scalars:
         return False
-    return axioms.group_inverse_map(table, identity) is not None
+    return axioms.group_inverse_map(table, (scalars & -scalars).bit_length() - 1) is not None
 
 
-def _verify_t2(order, drop_premises, oracle, workers):
-    spec = engines.SearchSpec(
-        order, kind="composition", constraints=(("law", "associative"),)
-    )
-    premise_models = 0
-    first = None
-    for cells in engines.Backtracker(spec).search():
-        t = HyperTable(order, cells, "composition")
-        premise_models += 1
-        repro = axioms.check_law(t, "reproductive").holds
-        if repro != _t2_identity_and_inverses(t) and first is None:
-            first = cells
-    counterexample = None
-    if first is not None:
-        counterexample = {
-            "model": serialize_model(HyperTable(order, first, "composition")),
-            "witness": {"note": "reproductivity and identity+inverses disagree"},
-        }
-    report = VerificationReport(
-        theorem="T2",
-        order=order,
-        space_size=order ** (order * order),
-        premise_models=premise_models,
-        conclusion_holds=first is None,
-        counterexample=counterexample,
-        extras={"biconditional": True},
-    )
-    if drop_premises:
-        first_bad = None
-        for cells in engines.Backtracker(
-            engines.SearchSpec(order, kind="composition")
-        ).search():
-            t = HyperTable(order, cells, "composition")
-            if axioms.check_law(t, "reproductive").holds != _t2_identity_and_inverses(t):
-                first_bad = t
-                break
-        if first_bad is None:
-            report.independence_witnesses = [
-                {"dropped": "associative", "none_at_order": order}
-            ]
-        else:
-            report.independence_witnesses = [
-                {"dropped": "associative", "model": serialize_model(first_bad)}
-            ]
-    return report
-
-
-# -- qMp sweeps (T13, T24, P14-P23) ------------------------------------------------
-
-
-def _spread_by_transposition(order, base_tables):
-    """Pairs for every distinguished element from the element-0 sweep.
-
-    The premise predicates are permutation-equivariant, so the model set at
-    element k is exactly the image of the element-0 set under the
-    transposition (0 k); oracle runs bypass this and sweep each element
-    directly.
-    """
-    pairs = [(t, 0) for t in base_tables]
-    for k in range(1, order):
-        tau = list(range(order))
-        tau[0], tau[k] = k, 0
-        pairs.extend((apply_permutation(t, tau), k) for t in base_tables)
-    pairs.sort(key=lambda pe: (table_key(pe[0]), pe[1]))
-    return pairs
-
-
-def qmp_premise_pairs(order, oracle=False, workers=1, weak=False):
+def qmp_premise_pairs(order, oracle=False, workers=1):
     """(table, e) pairs satisfying the qMp premises, e scanned ascending."""
-    def sweep(e):
-        constraints = (
-            ("law", "associative"),
-            ("identity-at", e),
-            ("polysymmetry-at", e, weak),
-        )
-        if order >= 4 and not weak and not oracle:
-            return _qmp_tables_by_witness_map(order, e)
-        return _sweep_tables(order, constraints, oracle, workers)
-
-    if not oracle:
-        return _spread_by_transposition(order, sweep(0))
-    pairs = []
-    for e in range(order):
-        pairs.extend((t, e) for t in sweep(e))
-    pairs.sort(key=lambda pe: (table_key(pe[0]), pe[1]))
-    return pairs
-
-
-def _qmp_tables_by_witness_map(order, e):
-    """Strict polysymmetry pins a singleton skeleton: every x owns some x'
-    with both cells x*x' and x'*x equal to {e}.  Sweeping all witness maps
-    x -> x' and forcing their skeletons covers the model set; each subsearch
-    is then heavily constrained."""
-    n = order
-    seen = {}
-    for witness in product(range(n), repeat=n):
-        forced = {}
-        ok = True
-        for x, xp in enumerate(witness):
-            for pos in (x * n + xp, xp * n + x):
-                if forced.get(pos, 1 << e) != 1 << e:
-                    ok = False
-                    break
-                forced[pos] = 1 << e
-            if not ok:
-                break
-        if not ok:
-            continue
-        spec = engines.SearchSpec(
-            n,
-            constraints=(("law", "associative"), ("identity-at", e)),
-            forced=tuple(sorted(forced.items())),
-        )
-        for cells in engines.Backtracker(spec).search():
-            if cells not in seen:
-                t = HyperTable(n, cells)
-                if axioms.check_polysymmetry(t, e).holds:
-                    seen[cells] = t
-    return [seen[k] for k in sorted(seen, key=lambda cc: table_key(HyperTable(n, cc)))]
+    return _premise_models(CLAIMS["T13"], order, oracle, workers)
 
 
 def qmp_property_checks(table: HyperTable, e: int):
@@ -722,467 +472,201 @@ def qmp_property_checks(table: HyperTable, e: int):
     n = table.order
     bit_e = 1 << e
     sym = [axioms.symmetric_set(table, e, x) for x in range(n)]
-    checks = []
-
-    checks.append(("P14-symmetric-set-of-identity", sym[e] == bit_e))
-    checks.append(("C15-identity-squared", table.cell(e, e) == bit_e))
-    checks.append(("P16-no-attractive-elements", axioms.attractive_elements(table, e) == 0))
-
-    ok = all(
-        not (table.cell(x, y) >> y) & 1 or x == e
-        for x in range(n)
-        for y in range(n)
-    )
-    checks.append(("P17-membership-forces-identity", ok))
-
-    ok = True
-    for x in range(n):
-        images = {table.cell(e, xp) for xp in members_of(sym[x])}
-        if len(images) > 1:
-            ok = False
-    checks.append(("P18-symmetric-images-agree", ok))
-
-    ok = True
-    for x in range(n):
-        for xp in members_of(sym[x]):
-            if table.cell(xp, e) != sym[x]:
-                ok = False
-    checks.append(("P19-symmetric-set-is-class", ok))
-
-    ok = True
-    for x in range(n):
-        for y in range(n):
-            if table.cell(x, e) & table.cell(y, e):
-                if table.cell(x, e) != table.cell(y, e):
-                    ok = False
-                for xp in members_of(sym[x]):
-                    if not (sym[xp] >> x) & 1 or not (sym[xp] >> y) & 1:
-                        ok = False
-    checks.append(("P20-overlapping-classes-coincide", ok))
-
     classes = [table.cell(x, e) for x in range(n)]
-    union = 0
-    partition_ok = True
-    for x in range(n):
-        union |= classes[x]
-        if not (classes[x] >> x) & 1:
-            partition_ok = False
-        for y in range(n):
-            if classes[x] & classes[y] and classes[x] != classes[y]:
-                partition_ok = False
-    if union != full_mask(n):
-        partition_ok = False
-    checks.append(("T21-classes-partition", partition_ok))
-
-    ok = True
-    for x in range(n):
-        for y in range(n):
-            prods = {classes[z] for z in members_of(table.cell(x, y))}
-            if len(prods) > 1:
-                ok = False
-    checks.append(("P22-product-in-one-class", ok))
-
-    ok = True
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for w in range(n):
-                    a, b = table.cell(x, y), table.cell(z, w)
-                    if a & b and a != b:
-                        ok = False
-    checks.append(("C23-products-equal-or-disjoint", ok))
-    return checks
-
-
-def _verify_t13(order, drop_premises, oracle, workers):
-    pairs = qmp_premise_pairs(order, oracle, workers)
-    first = None
-    commutative_pairs = 0
-    commutative_bad = 0
-    for t, e in pairs:
-        is_comm = axioms.check_law(t, "commutative").holds
-        if is_comm:
-            commutative_pairs += 1
-        if not axioms.check_law(t, "reproductive").holds:
-            if first is None:
-                first = (t, e)
-            if is_comm:
-                commutative_bad += 1
-    counterexample = None
-    if first is not None:
-        counterexample = _pair_counterexample(first[0], first[1], "reproductive")
-    report = VerificationReport(
-        theorem="T13",
-        order=order,
-        space_size=order * _hyper_space(order),
-        premise_models=len(pairs),
-        conclusion_holds=first is None,
-        counterexample=counterexample,
-        extras={
-            "with_commutativity": {
-                "premise_models": commutative_pairs,
-                "conclusion_holds": commutative_bad == 0,
-            }
-        },
-    )
-    if drop_premises:
-        report.independence_witnesses = _drop_entries(
-            ("associative", "identity", "polysymmetry"), ("reproductive",), order, workers
-        )
-    return report
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    overlapping = [(x, y) for x, y in pairs if classes[x] & classes[y]]
+    return [
+        ("P14-symmetric-set-of-identity", sym[e] == bit_e),
+        ("C15-identity-squared", table.cell(e, e) == bit_e),
+        ("P16-no-attractive-elements", axioms.attractive_elements(table, e) == 0),
+        (
+            "P17-membership-forces-identity",
+            all(x == e or not table.cell(x, y) >> y & 1 for x, y in pairs),
+        ),
+        (
+            "P18-symmetric-images-agree",
+            all(len({table.cell(e, xp) for xp in members_of(sym[x])}) <= 1 for x in range(n)),
+        ),
+        (
+            "P19-symmetric-set-is-class",
+            all(table.cell(xp, e) == sym[x] for x in range(n) for xp in members_of(sym[x])),
+        ),
+        (
+            "P20-overlapping-classes-coincide",
+            all(
+                classes[x] == classes[y]
+                and all(sym[xp] >> x & 1 and sym[xp] >> y & 1 for xp in members_of(sym[x]))
+                for x, y in overlapping
+            ),
+        ),
+        (
+            "T21-classes-partition",  # x in its own class also makes the union full
+            all(classes[x] >> x & 1 for x in range(n))
+            and all(classes[x] == classes[y] for x, y in overlapping),
+        ),
+        (
+            "P22-product-in-one-class",
+            all(len({classes[z] for z in members_of(table.cell(x, y))}) <= 1 for x, y in pairs),
+        ),
+        (
+            "C23-products-equal-or-disjoint",
+            all(a == b for a in set(table.cells) for b in set(table.cells) if a & b),
+        ),
+    ]
 
 
-def _verify_t24(order, drop_premises, oracle, workers):
-    def run(weak):
-        pairs = qmp_premise_pairs(order, oracle, workers, weak=weak)
-        first = None
-        for t, e in pairs:
-            if not axioms.check_reversibility_poly(t, e, weak=weak).holds:
-                first = (t, e)
-                break
-        return pairs, first
-
-    pairs, first = run(weak=False)
-    if order <= 3:
-        weak_pairs, weak_first = run(weak=True)
-    else:
-        weak_pairs, weak_first = None, None  # weak reading swept at <= 3 only
-    counterexample = None
-    if first is not None:
-        res = axioms.check_reversibility_poly(first[0], first[1])
-        counterexample = {
-            "model": serialize_model(first[0]),
-            "element": first[1],
-            "witness": res.witness.to_json(),
+def _t13_extras(s: Swept):
+    comm = [(t, e) for t, e in s.models if axioms.check_law(t, "commutative").holds]
+    return {
+        "with_commutativity": {
+            "premise_models": len(comm),
+            "conclusion_holds": _first_failure(s.claim, comm) is None,
         }
-    if weak_pairs is None:
-        weak_extra = {"note": "the weak reading is swept at orders <= 3 only"}
+    }
+
+
+def _t24_extras(s: Swept):
+    if s.order > 3:
+        weak = {"note": "the weak reading is swept at orders <= 3 only"}
     else:
-        weak_extra = {
-            "premise_models": len(weak_pairs),
-            "conclusion_holds": weak_first is None,
-        }
-        if weak_first is not None:
-            weak_extra["counterexample"] = {
-                "model": serialize_model(weak_first[0]),
-                "element": weak_first[1],
-            }
-    report = VerificationReport(
-        theorem="T24",
-        order=order,
-        space_size=order * _hyper_space(order),
-        premise_models=len(pairs),
-        conclusion_holds=first is None,
-        counterexample=counterexample,
-        extras={"weak_polysymmetry_reading": weak_extra},
-    )
-    if drop_premises:
-        report.independence_witnesses = _drop_entries(
-            ("associative", "identity", "polysymmetry"),
-            ("reversibility-poly",),
-            order,
-            workers,
-        )
-    return report
+        models = _premise_models(_WEAK_QMP, s.order, s.oracle, s.workers)
+        first = _first_failure(_WEAK_QMP, models)
+        weak = {"premise_models": len(models), "conclusion_holds": first is None}
+        if first is not None:
+            weak["counterexample"] = {"model": serialize_model(first[0]), "element": first[1]}
+    return {"weak_polysymmetry_reading": weak}
 
 
-def _verify_psuite(order, drop_premises, oracle, workers):
-    pairs = qmp_premise_pairs(order, oracle, workers)
-    per_check_failures = {}
-    first = None
-    first_check = None
-    for t, e in pairs:
+def _psuite_extras(s: Swept):
+    failures = {}
+    for t, e in s.models:
         for check_id, ok in qmp_property_checks(t, e):
             if not ok:
-                per_check_failures[check_id] = per_check_failures.get(check_id, 0) + 1
-                if first is None:
-                    first, first_check = (t, e), check_id
-    counterexample = None
-    if first is not None:
-        counterexample = {
-            "model": serialize_model(first[0]),
-            "element": first[1],
-            "witness": {"check": first_check},
+                failures[check_id] = failures.get(check_id, 0) + 1
+    checks = [cid for cid, _ in qmp_property_checks(HyperTable(1, (1,)), 0)]
+    return {"checks": checks, "failures_per_check": failures}
+
+
+def _t27_extras(s: Swept):
+    scalar = [(t, z) for t, z in s.models if axioms.check_scalar_zero(t, z).holds]
+    sets = {
+        "associative+commutative+unique-opposite": (s.models, s.first),
+        "associative+commutative+unique-opposite+scalar-zero": (
+            scalar,
+            _first_failure(s.claim, scalar),
+        ),
+    }
+    return {
+        "premise_sets": {
+            name: {"premise_models": len(models), "biconditional_holds": first is None}
+            for name, (models, first) in sets.items()
         }
-    check_ids = [cid for cid, _ in qmp_property_checks(
-        HyperTable(1, (1,)), 0
-    )]
-    return VerificationReport(
-        theorem="P14-P23",
-        order=order,
-        space_size=order * _hyper_space(order),
-        premise_models=len(pairs),
-        conclusion_holds=first is None,
-        counterexample=counterexample,
-        extras={
-            "checks": check_ids,
-            "failures_per_check": per_check_failures,
-        },
-    )
+    }
 
 
-# -- canonical additive sweeps (T25, T26, T27) --------------------------------------
+_QMP = ("associative", "identity", "polysymmetry")
+_CANONICAL = ("associative", "commutative", "unique-opposite", "reversibility-canonical")
 
+CLAIMS = {
+    "T2": Claim(
+        (("associative",),), ("reproductive", "identity-and-inverses"), space="composition",
+        biconditional=lambda a, b: {"note": "reproductivity and identity+inverses disagree"},
+        drops=("associative",), extras=lambda _s: {"biconditional": True},
+    ),
+    # pruned: criterion 2 certifies the backtracker's order-3 sweep
+    "T3": Claim(
+        (("associative", "reproductive"),), ("cellwise-nonempty",),
+        drops=("associative", "reproductive"), counts=True, pruned=True,
+    ),
+    "T7": Claim(
+        (("weakly-associative",),), ("cellwise-nonempty",),
+        drops=("weakly-associative",), counts=True,
+    ),
+    "T9": Claim(
+        (("left-inverted-associative", "reproductive"),
+         ("right-inverted-associative", "reproductive")),
+        ("cellwise-nonempty",),
+        drops=(
+            ("inverted-associative",
+             ("left-inverted-associative", "right-inverted-associative")),
+            "reproductive",
+        ),
+        counts=True,
+    ),
+    "T11": Claim(
+        ((),), ("reproductive", "divisions-nonempty"),
+        biconditional=lambda a, b: {"note": "reproductive and division-nonemptiness disagree"},
+        counts=True, extras=lambda _s: {"biconditional": True},
+    ),
+    "T13": Claim(
+        (_QMP,), ("reproductive",), element="element", drops=_QMP, extras=_t13_extras
+    ),
+    "T24": Claim(
+        (_QMP,), ("reversibility-poly",), element="element", drops=_QMP, extras=_t24_extras
+    ),
+    "P14-P23": Claim((_QMP,), ("qmp-properties",), element="element", extras=_psuite_extras),
+    "T25": Claim(
+        (_CANONICAL,), ("reproductive", "cellwise-nonempty"), element="zero", drops=_CANONICAL
+    ),
+    "T26": Claim((_CANONICAL,), ("scalar-zero",), element="zero", drops=_CANONICAL),
+    "T27": Claim(
+        (_CANONICAL[:3],), ("reversibility-canonical", "opposite-additivity"),
+        biconditional=lambda rev, opp: {"reversibility": rev, "opposite_additivity": opp},
+        element="zero", drops=_CANONICAL[:3], drop_by="zero", extras=_t27_extras,
+    ),
+}
 
-def canonical_premise_pairs(order, oracle=False, workers=1, with_reversibility=True):
-    def sweep(z):
-        constraints = [
-            ("law", "associative"),
-            ("law", "commutative"),
-            ("unique-opposite-at", z),
-        ]
-        if with_reversibility:
-            constraints.append(("reversibility-at", z))
-        return _sweep_tables(order, tuple(constraints), oracle, workers)
-
-    if not oracle:
-        return _spread_by_transposition(order, sweep(0))
-    pairs = []
-    for z in range(order):
-        pairs.extend((t, z) for t in sweep(z))
-    pairs.sort(key=lambda pz: (table_key(pz[0]), pz[1]))
-    return pairs
-
-
-def _verify_t25(order, drop_premises, oracle, workers):
-    pairs = canonical_premise_pairs(order, oracle, workers)
-    first = None
-    failing_law = None
-    for t, z in pairs:
-        for law in ("reproductive", "cellwise-nonempty"):
-            if not axioms.check_law(t, law).holds:
-                first, failing_law = (t, z), law
-                break
-        if first:
-            break
-    counterexample = None
-    if first is not None:
-        counterexample = _pair_counterexample(first[0], first[1], failing_law, "zero")
-    report = VerificationReport(
-        theorem="T25",
-        order=order,
-        space_size=order * _hyper_space(order),
-        premise_models=len(pairs),
-        conclusion_holds=first is None,
-        counterexample=counterexample,
-    )
-    if drop_premises:
-        report.independence_witnesses = _drop_entries(
-            ("associative", "commutative", "unique-opposite", "reversibility-canonical"),
-            ("reproductive", "cellwise-nonempty"),
-            order,
-            workers,
-        )
-    return report
-
-
-def _verify_t26(order, drop_premises, oracle, workers):
-    pairs = canonical_premise_pairs(order, oracle, workers)
-    first = None
-    for t, z in pairs:
-        if not axioms.check_scalar_zero(t, z).holds:
-            first = (t, z)
-            break
-    counterexample = None
-    if first is not None:
-        res = axioms.check_scalar_zero(first[0], first[1])
-        counterexample = {
-            "model": serialize_model(first[0]),
-            "zero": first[1],
-            "witness": res.witness.to_json(),
-        }
-    report = VerificationReport(
-        theorem="T26",
-        order=order,
-        space_size=order * _hyper_space(order),
-        premise_models=len(pairs),
-        conclusion_holds=first is None,
-        counterexample=counterexample,
-    )
-    if drop_premises:
-        report.independence_witnesses = _drop_entries(
-            ("associative", "commutative", "unique-opposite", "reversibility-canonical"),
-            ("scalar-zero",),
-            order,
-            workers,
-        )
-    return report
-
-
-def _verify_t27(order, drop_premises, oracle, workers):
-    pairs = canonical_premise_pairs(order, oracle, workers, with_reversibility=False)
-
-    def biconditional_failure(subset):
-        for t, z in subset:
-            rev = axioms.check_reversibility_canonical(t, z).holds
-            opp = axioms.check_opposite_additivity(t, z).holds
-            if rev != opp:
-                return (t, z, rev, opp)
-        return None
-
-    bare_fail = biconditional_failure(pairs)
-    scalar_pairs = [
-        (t, z) for t, z in pairs if axioms.check_scalar_zero(t, z).holds
-    ]
-    scalar_fail = biconditional_failure(scalar_pairs)
-
-    counterexample = None
-    if bare_fail is not None:
-        t, z, rev, opp = bare_fail
-        counterexample = {
-            "model": serialize_model(t),
-            "zero": z,
-            "witness": {"reversibility": rev, "opposite_additivity": opp},
-        }
-    elif scalar_fail is not None:
-        t, z, rev, opp = scalar_fail
-        counterexample = {
-            "model": serialize_model(t),
-            "zero": z,
-            "witness": {"reversibility": rev, "opposite_additivity": opp},
-        }
-    report = VerificationReport(
-        theorem="T27",
-        order=order,
-        space_size=order * _hyper_space(order),
-        premise_models=len(pairs),
-        conclusion_holds=counterexample is None,
-        counterexample=counterexample,
-        extras={
-            "premise_sets": {
-                "associative+commutative+unique-opposite": {
-                    "premise_models": len(pairs),
-                    "biconditional_holds": bare_fail is None,
-                },
-                "associative+commutative+unique-opposite+scalar-zero": {
-                    "premise_models": len(scalar_pairs),
-                    "biconditional_holds": scalar_fail is None,
-                },
-            }
-        },
-    )
-    if drop_premises:
-        entries = []
-        for dropped in ("associative", "commutative", "unique-opposite"):
-            kept = tuple(
-                i for i in ("associative", "commutative", "unique-opposite")
-                if i != dropped
-            )
-            hit = _t27_drop_search(order, kept)
-            if hit is None:
-                entries.append({"dropped": dropped, "none_at_order": order})
-            else:
-                t, z = hit
-                entries.append(
-                    {"dropped": dropped, "model": serialize_model(t), "zero": z}
-                )
-        report.independence_witnesses = entries
-    return report
-
-
-def _t27_drop_search(order, kept_ids):
-    for z in range(order):
-        descriptors = _descriptors_at(kept_ids, z)
-        spec = engines.SearchSpec(order, constraints=descriptors)
-        for cells in engines.Backtracker(spec).search():
-            t = HyperTable(order, cells)
-            if axioms.opposite_map(t, z) is None:
-                continue
-            rev = axioms.check_reversibility_canonical(t, z).holds
-            opp = axioms.check_opposite_additivity(t, z).holds
-            if rev != opp:
-                return t, z
-    return None
+# T24's weak reading, swept by its extras hook
+_WEAK_QMP = Claim(
+    premises=(("associative", "identity", "polysymmetry-weak"),),
+    conclusion=("reversibility-poly-weak",),
+    element="element",
+)
 
 
 # -- T6: multiplicative hyperrings ---------------------------------------------
 
 
 def _t6_add_tables(order):
-    from .enumeration import EnumerationJob, _abelian_group_tables
-
     return _abelian_group_tables(EnumerationJob(order, ()))
 
 
-def _t6_mul_search(add, zero, order, allow_degenerate):
-    from .t6search import t6_search
-
-    return [
-        (model, degenerate)
-        for model, degenerate in t6_search(add, zero, include_degenerate=allow_degenerate)
-    ]
-
-
-def _t6_mul_search_generic(add, zero, order, allow_degenerate):
-    """Cell-level backtracking variant, kept as a cross-check for the
-    row-staged engine."""
+def _t6_mul_search_generic(add, zero, order):
+    """Cell-level backtracking variant of the row-staged search, kept as a
+    cross-check for it."""
     from .enumeration import _distributive_watchers, _sign_links
 
     neg = axioms.group_inverse_map(add, zero)
     spec = engines.SearchSpec(
         order,
-        allow_empty=True,
         constraints=(("law", "associative"),),
         link_generators=tuple(_sign_links(neg, order)),
         watcher_factory=partial(_distributive_watchers, add=add),
     )
     out = []
     for cells in engines.Backtracker(spec).search():
-        mul = HyperTable(order, cells)
-        model = TwoOpModel(order, add, mul, zero)
-        if not axioms.check_ring_axioms(model, "distributive-inclusion").holds:
-            continue
-        if not axioms.check_ring_axioms(model, "sign-rule").holds:
-            continue
-        degenerate = axioms.check_law(mul, "degenerate").holds
-        if degenerate and not allow_degenerate:
-            continue
-        out.append((model, degenerate))
+        model = TwoOpModel(order, add, HyperTable(order, cells), zero)
+        if axioms.check_ring_axioms(model, "distributive-inclusion").holds and (
+            axioms.check_ring_axioms(model, "sign-rule").holds
+        ):
+            out.append(model)
     return out
 
 
 def _t6_oracle_muls(add, zero, order, workers):
-    """Unpruned mul sweep for certification: every mul table, filtered."""
-    if order <= 2:
-        out = []
-        for cells in product(engines.key_sorted_masks(order), repeat=order * order):
-            mul = HyperTable(order, cells)
-            model = TwoOpModel(order, add, mul, zero)
-            if not axioms.check_law(mul, "associative").holds:
-                continue
-            if not axioms.check_ring_axioms(model, "distributive-inclusion").holds:
-                continue
-            if not axioms.check_ring_axioms(model, "sign-rule").holds:
-                continue
-            out.append((model, axioms.check_law(mul, "degenerate").holds))
-        return out
-    if order != 3:
-        raise ValueError("T6 oracle mode caps at order 3")
-    neg = axioms.group_inverse_map(add, zero)
+    """Unpruned sweep for certification: every non-degenerate mul table
+    meeting the premises, on the planner's oracle engine."""
+    premises = (("law", "associative"), ("hyperring-mul-over", add, zero))
     out = []
-    fn = partial(_t6_vector_task, add=add, neg=neg)
-    for chunk in parallel_map(fn, engines.vector_sweep3_tasks(), workers):
-        for cells in chunk:
-            mul = HyperTable(order, cells)
-            model = TwoOpModel(order, add, mul, zero)
-            assert axioms.check_ring_axioms(model, "distributive-inclusion").holds
-            assert axioms.check_ring_axioms(model, "sign-rule").holds
-            out.append((model, False))  # non-degenerate enforced by the kernel
+    for mul in _sweep_tables(order, premises, True, workers):
+        model = TwoOpModel(order, add, mul, zero)
+        _revalidate(
+            axioms.check_ring_axioms(model, "distributive-inclusion").holds
+            and axioms.check_ring_axioms(model, "sign-rule").holds,
+            "the multiplicative premises hold",
+        )
+        out.append((model, False))
     return out
-
-
-def _t6_vector_task(task, add, neg):
-    cells = engines.v3_chunk_cells(task)
-    mask = engines.v3_eval(cells, [("law", "associative")])
-    mask = mask & engines.v3_mul_premises(cells, add, neg)
-    found = []
-    if isinstance(mask, np.ndarray):
-        for i in np.flatnonzero(mask):
-            found.append(engines.v3_decode(task, int(i)))
-    elif mask:
-        for i in range(8 ** 6):
-            found.append(engines.v3_decode(task, i))
-    return found
 
 
 def _verify_t6(order, drop_premises, oracle, workers):
@@ -1194,7 +678,9 @@ def _verify_t6(order, drop_premises, oracle, workers):
         if oracle:
             swept = _t6_oracle_muls(add, zero, order, workers)
         else:
-            swept = _t6_mul_search(add, zero, order, allow_degenerate=True)
+            from .t6search import t6_search
+
+            swept = t6_search(add, zero, include_degenerate=True)
         for model, degenerate in swept:
             mul = model.mul
             n = model.order
@@ -1212,7 +698,7 @@ def _verify_t6(order, drop_premises, oracle, workers):
     if first is not None:
         counterexample = {
             "model": serialize_model(first),
-            "witness": _law_witness(first.mul, "cellwise-nonempty"),
+            "witness": _witness(first.mul, "cellwise-nonempty", None),
         }
     elif lemma_violation is not None:
         counterexample = {
@@ -1222,7 +708,7 @@ def _verify_t6(order, drop_premises, oracle, workers):
     report = VerificationReport(
         theorem="T6",
         order=order,
-        space_size=len(adds) * _hyper_space(order),
+        space_size=len(adds) * engines.space_size(order, "hyper", True),
         premise_models=premise_models,
         conclusion_holds=counterexample is None,
         counterexample=counterexample,
@@ -1237,39 +723,33 @@ def _verify_t6(order, drop_premises, oracle, workers):
 
 
 def _t6_drops(order, adds):
+    axes = {
+        "mul-associative": lambda m: axioms.check_law(m.mul, "associative").holds,
+        "distributive-inclusion": lambda m: axioms.check_ring_axioms(
+            m, "distributive-inclusion"
+        ).holds,
+        "sign-rule": lambda m: axioms.check_ring_axioms(m, "sign-rule").holds,
+        "non-degenerate": lambda m: not axioms.check_law(m.mul, "degenerate").holds,
+    }
     entries = []
-    axes = ("mul-associative", "distributive-inclusion", "sign-rule", "non-degenerate")
     for dropped in axes:
-        hit = None
-        for zero, add in adds:
-            for cells in product(engines.key_sorted_masks(order), repeat=order * order):
-                mul = HyperTable(order, cells)
-                model = TwoOpModel(order, add, mul, zero)
-                checks = {
-                    "mul-associative": axioms.check_law(mul, "associative").holds,
-                    "distributive-inclusion": axioms.check_ring_axioms(
-                        model, "distributive-inclusion"
-                    ).holds,
-                    "sign-rule": axioms.check_ring_axioms(model, "sign-rule").holds,
-                    "non-degenerate": not axioms.check_law(mul, "degenerate").holds,
-                }
-                if all(v for k, v in checks.items() if k != dropped):
-                    if not axioms.check_law(mul, "cellwise-nonempty").holds:
-                        hit = model
-                        break
-            if hit:
-                break
-        if hit is None:
-            entries.append({"dropped": dropped, "none_at_order": order})
-        else:
-            entries.append({"dropped": dropped, "model": serialize_model(hit)})
-    entries.append(
-        {
-            "dropped": "additive-abelian-group",
-            "not_searched": "the sign rule presupposes additive inverses",
-        }
-    )
-    return entries
+        hit = next(
+            (
+                model
+                for zero, add in adds
+                for mul in engines.pure_sweep(order, "hyper", True, ())
+                for model in (TwoOpModel(order, add, mul, zero),)
+                if not axioms.check_law(mul, "cellwise-nonempty").holds
+                and all(holds(model) for axis, holds in axes.items() if axis != dropped)
+            ),
+            None,
+        )
+        entries.append(
+            {"dropped": dropped, "none_at_order": order} if hit is None
+            else {"dropped": dropped, "model": serialize_model(hit)}
+        )
+    not_searched = "the sign rule presupposes additive inverses"
+    return entries + [{"dropped": "additive-abelian-group", "not_searched": not_searched}]
 
 
 # -- T28: hyperfields --------------------------------------------------------------
@@ -1285,23 +765,16 @@ _T28_PREMISES = (
 )
 
 
-def _t28_model_set(order, structure, oracle, workers):
+def _enumerated(workers, order, structure, **job_fields):
     models = []
-    job = EnumerationJob(
-        order=order,
-        constraints=(structure,),
-        zero=0,
-        one=1 if order > 1 else None,
-        oracle=oracle,
-        emit=models.append,
-    )
-    enumerate_models(job, workers)
+    enumerate_models(EnumerationJob(order, (structure,), emit=models.append, **job_fields), workers)
     return models
 
 
 def _verify_t28(order, drop_premises, oracle, workers):
-    def15 = _t28_model_set(order, "hyperfield-def15", oracle, workers)
-    def14 = _t28_model_set(order, "hyperfield", oracle, workers)
+    pins = dict(zero=0, one=1 if order > 1 else None, oracle=oracle)
+    def15 = _enumerated(workers, order, "hyperfield-def15", **pins)
+    def14 = _enumerated(workers, order, "hyperfield", **pins)
     texts15 = [serialize_model(m) for m in def15]
     texts14 = [serialize_model(m) for m in def14]
     sets_equal = set(texts15) == set(texts14)
@@ -1325,7 +798,7 @@ def _verify_t28(order, drop_premises, oracle, workers):
     report = VerificationReport(
         theorem="T28",
         order=order,
-        space_size=_hyper_space(order) * mul_space,
+        space_size=engines.space_size(order, "hyper", True) * mul_space,
         premise_models=len(def15),
         conclusion_holds=counterexample is None,
         counterexample=counterexample,
@@ -1336,19 +809,13 @@ def _verify_t28(order, drop_premises, oracle, workers):
         },
     )
     if drop_premises:
-        report.independence_witnesses = _t28_drops(order)
+        for dropped in _T28_PREMISES:
+            hit = _t28_drop_search(order, dropped)
+            report.independence_witnesses.append(
+                {"dropped": dropped, "none_at_order": order} if hit is None
+                else {"dropped": dropped, "model": serialize_model(hit)}
+            )
     return report
-
-
-def _t28_drops(order):
-    entries = []
-    for dropped in _T28_PREMISES:
-        hit = _t28_drop_search(order, dropped)
-        if hit is None:
-            entries.append({"dropped": dropped, "none_at_order": order})
-        else:
-            entries.append({"dropped": dropped, "model": serialize_model(hit)})
-    return entries
 
 
 def _t28_drop_search(order, dropped):
@@ -1372,10 +839,6 @@ def _t28_drop_search(order, dropped):
         constraints=(("law", "associative"),),
         forced=tuple(mul_forced.items()),
     )
-    add_ids = {
-        "additive-associative": "associative",
-        "additive-commutative": "commutative",
-    }
     add_constraints = []
     if dropped != "additive-associative":
         add_constraints.append(("law", "associative"))
@@ -1387,35 +850,24 @@ def _t28_drop_search(order, dropped):
     for mul_cells in engines.Backtracker(mul_spec).search():
         mul = HyperTable(n, mul_cells, "composition")
         probe = TwoOpModel(n, mul, mul, 0, one)
-        checks = {
-            "multiplicative-group-on-H*": lambda: axioms.check_ring_axioms(
-                probe, "multiplicative-group-on-H*"
-            ).holds,
-            "absorbing-zero": lambda: axioms.check_ring_axioms(
-                probe, "absorbing-zero"
-            ).holds,
-        }
-        skip = False
-        for name, fn in checks.items():
-            if dropped != name and not fn():
-                skip = True
-                break
-        if skip:
+        if any(
+            name != dropped and not axioms.check_ring_axioms(probe, name).holds
+            for name in ("multiplicative-group-on-H*", "absorbing-zero")
+        ):
             continue
         add_spec = engines.SearchSpec(n, constraints=tuple(add_constraints))
         for add_cells in engines.Backtracker(add_spec).search():
             add = HyperTable(n, add_cells)
             model = TwoOpModel(n, add, mul, 0, one)
-            ok = True
-            if dropped != "distributive-equal":
-                ok = axioms.check_ring_axioms(model, "distributive-equal").holds
-            if not ok:
+            if dropped != "distributive-equal" and not axioms.check_ring_axioms(
+                model, "distributive-equal"
+            ).holds:
                 continue
-            if axioms.opposite_map(add, 0) is None:
-                # only reachable when unique-opposite was dropped; an
-                # undefined opposite map counts as failed reversibility
-                return model
-            if not axioms.check_reversibility_canonical(add, 0).holds:
+            # an undefined opposite map (unique-opposite dropped) counts as
+            # failed reversibility
+            if axioms.opposite_map(add, 0) is None or not (
+                axioms.check_reversibility_canonical(add, 0).holds
+            ):
                 return model
     return None
 
@@ -1426,37 +878,19 @@ def _t28_drop_search(order, dropped):
 def _t29_scalar_family(workers):
     family = [("krasner", krasner_hyperfield()), ("sign", sign_hyperfield())]
     for order in (2, 3):
-        models = []
-        job = EnumerationJob(
-            order=order,
-            constraints=("hyperfield",),
-            zero=0,
-            one=1,
-            emit=models.append,
-        )
-        enumerate_models(job, workers)
-        for i, m in enumerate(models):
+        for i, m in enumerate(_enumerated(workers, order, "hyperfield", zero=0, one=1)):
             family.append((f"hyperfield-{order}-{i}", m))
-    seen = set()
-    out = []
+    unique = {}
     for name, m in family:
-        key = serialize_model(m)
-        if key not in seen:
-            seen.add(key)
-            out.append((name, m))
-    return out
+        unique.setdefault(serialize_model(m), (name, m))
+    return list(unique.values())
 
 
 def _t29_module_tables(max_order, workers):
     """(table, zero, commutative) candidates: normal hypergroups of small order."""
     out = []
     for order in range(1, max_order + 1):
-        models = []
-        job = EnumerationJob(
-            order=order, constraints=("normal-hypergroup",), emit=models.append
-        )
-        enumerate_models(job, workers)
-        for t in models:
+        for t in _enumerated(workers, order, "normal-hypergroup"):
             scalars = axioms.find_identities(t).scalar
             for z in members_of(scalars):
                 if axioms.check_unique_opposite(t, z).holds:
@@ -1466,14 +900,13 @@ def _t29_module_tables(max_order, workers):
 
 def _actions_satisfying(p_model, madd, zero_m):
     """Yield single-valued actions passing axioms i-iv (ii as equality)."""
-    hm_p = p_model
     p_n = p_model.order
     m_n = madd.order
     for flat in product(range(m_n), repeat=p_n * m_n):
         action = tuple(
             tuple(flat[a * m_n + m] for m in range(m_n)) for a in range(p_n)
         )
-        hm = HypermoduleModel(hm_p, madd, zero_m, action)
+        hm = HypermoduleModel(p_model, madd, zero_m, action)
         if _action_axioms_hold(hm):
             yield hm
 
@@ -1492,29 +925,13 @@ def _action_axioms_hold(hm: HypermoduleModel) -> bool:
     for a in range(p_n):
         for m in range(m_n):
             for k in range(m_n):
-                lhs = 0
-                cell = madd.cell(m, k)
-                i = 0
-                mm = cell
-                while mm:
-                    if mm & 1:
-                        lhs |= 1 << hm.act(a, i)
-                    mm >>= 1
-                    i += 1
+                lhs = mask_image(madd.cell(m, k), hm.action[a])
                 if lhs != madd.cell(hm.act(a, m), hm.act(a, k)):
                     return False
     for a in range(p_n):
         for b in range(p_n):
             for m in range(m_n):
-                lhs = 0
-                cell = p_add.cell(a, b)
-                i = 0
-                mm = cell
-                while mm:
-                    if mm & 1:
-                        lhs |= 1 << hm.act(i, m)
-                    mm >>= 1
-                    i += 1
+                lhs = mask_image(p_add.cell(a, b), [row[m] for row in hm.action])
                 if lhs != madd.cell(hm.act(a, m), hm.act(b, m)):
                     return False
                 ab = p_mul.cell(a, b).bit_length() - 1
@@ -1525,7 +942,7 @@ def _action_axioms_hold(hm: HypermoduleModel) -> bool:
 
 def _verify_t29(order, drop_premises, oracle, workers):
     scalars = _t29_scalar_family(workers)
-    modules = [(t, z, c) for (t, z, c) in _t29_module_tables(order, workers)]
+    modules = _t29_module_tables(order, workers)
     space = 0
     premise_models = 0
     noncomm_premise_models = 0
@@ -1539,12 +956,7 @@ def _verify_t29(order, drop_premises, oracle, workers):
             for hm in _actions_satisfying(p_model, madd, zero_m):
                 if commutative:
                     premise_models += 1
-                    canonical = (
-                        axioms.check_unique_opposite(madd, zero_m).holds
-                        and axioms.check_reversibility_canonical(madd, zero_m).holds
-                        and axioms.check_law(madd, "associative").holds
-                        and axioms.check_law(madd, "commutative").holds
-                    )
+                    canonical = engines.satisfies_all(madd, _descriptors_at(_CANONICAL, zero_m))
                     if not canonical and first is None:
                         first = hm
                     # acting by the opposite of the scalar unit must negate
@@ -1580,27 +992,9 @@ def _verify_t29(order, drop_premises, oracle, workers):
     )
     if drop_premises:
         report.independence_witnesses = [
-            {
-                "dropped": "any",
-                "not_searched": "the sweep runs over a bundled scalar family",
-            }
+            {"dropped": "any", "not_searched": "the sweep runs over a bundled scalar family"}
         ]
     return report
 
 
-_VERIFIERS = {
-    "T2": _verify_t2,
-    "T3": _verify_t3,
-    "T6": _verify_t6,
-    "T7": _verify_t7,
-    "T9": _verify_t9,
-    "T11": _verify_t11,
-    "T13": _verify_t13,
-    "T24": _verify_t24,
-    "P14-P23": _verify_psuite,
-    "T25": _verify_t25,
-    "T26": _verify_t26,
-    "T27": _verify_t27,
-    "T28": _verify_t28,
-    "T29": _verify_t29,
-}
+_VERIFIERS = {"T6": _verify_t6, "T28": _verify_t28, "T29": _verify_t29}

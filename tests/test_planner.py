@@ -1,0 +1,197 @@
+"""The sweep planner's engine choice, pinned for every spec-driven verifier,
+order and mode and for each enumeration kind, plus the runner's
+revalidation and the bounded worker pool.  Apart from one small order-3
+cross-check of the witness-map split, nothing here runs a sweep.
+
+T6, T28 and T29 are bespoke: T6 runs its row-staged search (oracle mode
+plans through `_sweep_tables`), T28 compares enumeration jobs (covered by
+the enumeration rows) and T29 searches actions over a bundled family.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from hyperlab import engines, enumeration, parallel, theorems
+from hyperlab.enumeration import EnumerationJob
+
+PURE = engines.PURE
+COUNT = engines.VECTOR_COUNT
+COLLECT = engines.VECTOR_COLLECT
+BT = engines.BACKTRACK
+WMAP = engines.WITNESS_MAP
+
+# theorem -> engine by order, as (default, --oracle)
+VERIFIER_PLANS = {
+    "T2": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, PURE)},
+    "T3": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COUNT)},
+    "T7": {1: (BT, PURE), 2: (BT, PURE), 3: (COUNT, COUNT)},
+    "T9": {1: (BT, PURE), 2: (BT, PURE), 3: (COUNT, COUNT)},
+    "T11": {1: (BT, PURE), 2: (BT, PURE), 3: (COUNT, COUNT)},
+    "T13": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (WMAP, BT)},
+    "T24": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (WMAP, BT)},
+    "P14-P23": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (WMAP, BT)},
+    "T25": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, BT), 4: (BT, BT)},
+    "T26": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, BT), 4: (BT, BT)},
+    "T27": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (BT, BT)},
+}
+
+
+def test_every_spec_driven_verifier_and_order_is_pinned():
+    assert set(VERIFIER_PLANS) == set(theorems.CLAIMS)
+    assert set(theorems.THEOREM_IDS) - set(theorems.CLAIMS) == {"T6", "T28", "T29"}
+    for theorem, plans in VERIFIER_PLANS.items():
+        assert set(plans) == set(range(1, theorems._ORDER_CAPS[theorem] + 1)), theorem
+
+
+@pytest.mark.parametrize(
+    "theorem, order, oracle, engine",
+    [
+        (theorem, order, oracle, plans[order][oracle])
+        for theorem, plans in VERIFIER_PLANS.items()
+        for order in plans
+        for oracle in (False, True)
+    ],
+)
+def test_verifier_engine(theorem, order, oracle, engine):
+    assert theorems.sweep_engine(theorem, order, oracle) == engine
+
+
+@pytest.mark.parametrize("theorem", ["T7", "T11"])
+def test_order3_oracle_counts_without_materialising_tables(theorem):
+    # 15,322,445 T7 premise tables, 8^9 T11 tables: count mode keeps neither
+    assert theorems.sweep_engine(theorem, 3, oracle=True) == COUNT
+    assert theorems.sweep_engine(theorem, 3) == COUNT
+
+
+@pytest.mark.parametrize(
+    "order, constraints, oracle, engines_per_run",
+    [
+        (3, ("hypergroup",), False, [BT]),
+        (2, ("hypergroup",), True, [PURE]),
+        (3, ("hypergroup",), True, [COLLECT]),
+        (3, ("group",), False, [BT]),
+        (3, ("group",), True, [PURE]),
+        (4, ("qmp-hypergroup",), False, [BT] * 4),  # pruned, not the witness-map split
+        (3, ("canonical-hypergroup",), True, [COLLECT] * 3),
+        (2, ("associative",), True, [PURE]),
+    ],
+)
+def test_enumeration_engine(order, constraints, oracle, engines_per_run):
+    job = EnumerationJob(order, constraints, oracle=oracle)
+    _kind, sweeps = enumeration._single_sweeps(job)
+    assert [engine for engine, _run in sweeps] == engines_per_run
+
+
+def test_enumeration_oracle_caps():
+    with pytest.raises(ValueError, match="cap"):
+        enumeration._single_sweeps(EnumerationJob(4, ("hypergroup",), oracle=True))
+    with pytest.raises(ValueError, match="cap"):
+        enumeration._single_sweeps(EnumerationJob(4, ("group",), oracle=True))
+
+
+def test_planner_rule():
+    assoc = (("law", "associative"),)
+    strict = assoc + (("identity-at", 0), ("polysymmetry-at", 0, False))
+    weak = assoc + (("identity-at", 0), ("polysymmetry-at", 0, True))
+    reversible = assoc + (("reversibility-at", 0),)
+    plan = engines.plan_sweep
+    assert plan(2, assoc, oracle=True) == PURE
+    assert plan(3, assoc, kind="composition", oracle=True) == PURE
+    assert plan(3, assoc, oracle=True) == COLLECT
+    assert plan(3, assoc, oracle=True, counts=True, pruned=True) == COUNT
+    assert plan(3, reversible, oracle=True) == BT
+    assert plan(3, assoc) == COLLECT
+    assert plan(3, assoc, counts=True) == COUNT
+    assert plan(3, assoc, pruned=True) == BT
+    assert plan(3, reversible) == BT
+    assert plan(2, assoc) == BT
+    assert plan(4, strict) == WMAP
+    assert plan(4, strict, pruned=True) == BT
+    assert plan(4, strict, oracle=True) == BT
+    assert plan(4, weak) == BT
+
+
+def test_witness_map_split_finds_the_backtracker_model_set():
+    cs = (("law", "associative"), ("identity-at", 1), ("polysymmetry-at", 1, False))
+    found = {}
+    for engine in (WMAP, BT):
+        fn, tasks = engines.sweep_tasks(engine, 3, cs)
+        found[engine], _ = engines.merge_sweep(engine, 3, cs, [fn(t) for t in tasks])
+    assert found[WMAP] == found[BT] and found[BT]
+
+
+def _rejecting(ident, real):
+    return lambda table, i, cand: False if i == ident else real(table, i, cand)
+
+
+def test_revalidation_raises_on_a_rejected_drop_witness(monkeypatch):
+    monkeypatch.setattr(
+        theorems, "_id_holds", _rejecting("associative", theorems._id_holds)
+    )
+    with pytest.raises(RuntimeError, match="revalidation failed"):
+        theorems.verify("T3", 2, drop_premises=True)
+
+
+def test_revalidation_raises_on_a_rejected_counterexample(monkeypatch):
+    # T24's weak reading has a counterexample at order 2
+    monkeypatch.setattr(
+        theorems, "_id_holds", _rejecting("polysymmetry-weak", theorems._id_holds)
+    )
+    with pytest.raises(RuntimeError, match="revalidation failed"):
+        theorems.verify("T24", 2)
+
+
+def test_revalidation_survives_optimised_bytecode():
+    code = (
+        "from hyperlab import theorems\n"
+        "real = theorems._id_holds\n"
+        "theorems._id_holds = lambda t, i, e: i != 'associative' and real(t, i, e)\n"
+        "try:\n"
+        "    theorems.verify('T3', 2, drop_premises=True)\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class _FakePool:
+    sizes = []
+
+    def __init__(self, size):
+        self.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+class _FakeContext:
+    Pool = _FakePool
+
+
+def test_pool_size_is_bounded_by_cpus_and_tasks(monkeypatch):
+    _FakePool.sizes = []
+    monkeypatch.setattr(parallel.multiprocessing, "get_context", lambda method: _FakeContext())
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+    assert parallel.parallel_map(abs, range(-50, 50), workers=10_000) == [
+        abs(i) for i in range(-50, 50)
+    ]
+    assert parallel.parallel_map(abs, [-1, -2, -3], workers=8) == [1, 2, 3]
+    assert _FakePool.sizes == [4, 3]
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+    assert parallel.parallel_map(abs, [-1, -2], workers=8) == [1, 2]
+    assert _FakePool.sizes == [4, 3]  # one CPU: no pool at all

@@ -1,0 +1,49 @@
+"""Verifier reports reproduce the recorded snapshots byte for byte.
+
+tests/data/verify_snapshots.json holds `to_json(include_wall_time=False)` for
+every theorem id at orders 2 and 3, with and without --drop-premises, and at
+order 2 with and without --oracle (tests/make_verify_snapshots.py records
+it).  The order-3 drop cases run under `-m slow`.  Cases go through
+`verify_cached` with the argument spelling the other tests use, so no sweep
+runs twice in one session.
+"""
+
+import json
+
+import pytest
+
+from hyperlab.theorems import THEOREM_IDS
+from make_verify_snapshots import SNAPSHOT_PATH, snapshot_cases
+
+from conftest import verify_cached
+
+with open(SNAPSHOT_PATH, encoding="utf-8") as fh:
+    CASES = json.load(fh)["cases"]
+
+
+def _case_id(case):
+    flags = [f for f in ("drop_premises", "oracle") if case[f]]
+    return "-".join([case["theorem"], str(case["order"])] + flags)
+
+
+def _params():
+    for case in CASES:
+        marks = []
+        if "skipped" in case:
+            marks.append(pytest.mark.skip(reason=f"recording: {case['skipped']}"))
+        elif case["order"] == 3 and case["drop_premises"]:
+            marks.append(pytest.mark.slow)
+        yield pytest.param(case, marks=marks, id=_case_id(case))
+
+
+def test_snapshot_covers_every_case():
+    recorded = [(c["theorem"], c["order"], c["drop_premises"], c["oracle"]) for c in CASES]
+    assert recorded == snapshot_cases(THEOREM_IDS)
+
+
+@pytest.mark.parametrize("case", list(_params()))
+def test_report_matches_snapshot(case):
+    flags = {f: True for f in ("drop_premises", "oracle") if case[f]}
+    report = verify_cached(case["theorem"], case["order"], **flags)
+    got = json.dumps(report.to_json(include_wall_time=False), sort_keys=True)
+    assert got == json.dumps(case["report"], sort_keys=True)

@@ -231,14 +231,13 @@ def test_t6_order3_oracle_matches_pruned():
 
 
 def test_t6_row_engine_matches_cell_engine():
-    from hyperlab.theorems import _t6_add_tables, _t6_mul_search, _t6_mul_search_generic
+    from hyperlab.t6search import t6_search
+    from hyperlab.theorems import _t6_add_tables, _t6_mul_search_generic
 
     for order in (2, 3):
         for zero, add in _t6_add_tables(order):
-            rows = sorted(m.mul.cells for m, _ in _t6_mul_search(add, zero, order, True))
-            cells = sorted(
-                m.mul.cells for m, _ in _t6_mul_search_generic(add, zero, order, True)
-            )
+            rows = sorted(m.mul.cells for m, _ in t6_search(add, zero, True))
+            cells = sorted(m.mul.cells for m in _t6_mul_search_generic(add, zero, order))
             assert rows == cells
 
 
