@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hypermodules: inclusion reading of the scalar-sum axiom")
     _common_flags(p)
 
-    p = sub.add_parser("enumerate", help="stream all models meeting constraints")
+    p = sub.add_parser("enumerate", help="list every model meeting constraints")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--structure", default=None, metavar="ID")
     p.add_argument("--laws", default="", metavar="ID,ID,...")

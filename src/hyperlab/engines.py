@@ -32,10 +32,19 @@ Constraints are serializable descriptors:
     ("opposite-additivity-at", z) -(x+y) = -x-y elementwise
     ("scalar-zero-at", z)         x+z = z+x = {x}
     ("divisions-nonempty",)       every x/y and y\\x is non-empty
-    ("hyperring-mul-over", add, z) the table as a multiplication over the
-                                  additive group (add, z): both inclusion
-                                  distributivities, the sign rule, not
-                                  every product empty
+    ("distributive-inclusion-over", add)
+                                  the table as a multiplication over the
+                                  additive group add: a(b+c) in ab+ac and
+                                  (b+c)a in ba+ca
+    ("sign-rule-over", add, z)    a(-b) = (-a)b = -(ab), negation taken in
+                                  the additive group (add, z)
+    ("non-degenerate",)           some cell is non-empty
+
+The backtracker turns some descriptors into devices beyond the final check:
+commutativity and identity-at link mirrored cells, the sign rule links each
+cell to its row and column negations, scalar-zero, total and degenerate pin
+cells, and the triple laws, reproductivity, unique opposites, polysymmetry
+and inclusion distributivity get watchers.
 
 Every engine emits only tables that pass the authoritative axiom-module
 predicates; pruning is a conservative accelerator, never the verdict.
@@ -51,10 +60,12 @@ from .model import (
     HyperTable,
     TwoOpModel,
     cell_key,
+    complex_product,
     full_mask,
     left_division,
     mask_image,
     right_division,
+    singleton_value,
 )
 
 # -- constraint predicates (authoritative) ------------------------------------
@@ -87,13 +98,15 @@ def constraint_holds(table: HyperTable, c) -> bool:
             for x in range(n)
             for y in range(n)
         )
-    if tag == "hyperring-mul-over":
+    if tag == "distributive-inclusion-over":
+        # distributivity reads no zero; 0 only completes the model
+        model = TwoOpModel(table.order, c[1], table, 0)
+        return axioms.check_ring_axioms(model, "distributive-inclusion").holds
+    if tag == "sign-rule-over":
         model = TwoOpModel(table.order, c[1], table, c[2])
-        return (
-            axioms.check_ring_axioms(model, "distributive-inclusion").holds
-            and axioms.check_ring_axioms(model, "sign-rule").holds
-            and not axioms.check_law(table, "degenerate").holds
-        )
+        return axioms.check_ring_axioms(model, "sign-rule").holds
+    if tag == "non-degenerate":
+        return not axioms.check_law(table, "degenerate").holds
     raise ValueError(f"unknown constraint descriptor: {c!r}")
 
 
@@ -114,16 +127,16 @@ def value_order(order: int, kind: str, allow_empty: bool) -> tuple[int, ...]:
     return masks if allow_empty else masks[1:]
 
 
-def space_size(order: int, kind: str, allow_empty: bool) -> int:
-    return len(value_order(order, kind, allow_empty)) ** (order * order)
+def space_size(order: int, kind: str) -> int:
+    return len(value_order(order, kind, True)) ** (order * order)
 
 
 # -- pure engine ---------------------------------------------------------------
 
 
-def pure_sweep(order, kind, allow_empty, constraints):
+def pure_sweep(order, kind, constraints):
     """Yield every constraint-satisfying table, in canonical table order."""
-    values = value_order(order, kind, allow_empty)
+    values = value_order(order, kind, True)
     n2 = order * order
     for cells in product(values, repeat=n2):
         table = HyperTable(order, cells, kind)
@@ -162,7 +175,9 @@ def vectorizable(c) -> bool:
         "unique-opposite-at",
         "scalar-zero-at",
         "divisions-nonempty",
-        "hyperring-mul-over",
+        "distributive-inclusion-over",
+        "sign-rule-over",
+        "non-degenerate",
     }
 
 
@@ -280,8 +295,12 @@ def _v3_predicate(cells, c):
         return conj(parts)
     if tag == "divisions-nonempty":
         return v3_divisions_nonempty(cells)
-    if tag == "hyperring-mul-over":
-        return v3_mul_premises(cells, c[1], axioms.group_inverse_map(c[1], c[2]))
+    if tag == "distributive-inclusion-over":
+        return v3_distributive_inclusion(cells, c[1])
+    if tag == "sign-rule-over":
+        return v3_sign_rule(cells, axioms.group_inverse_map(c[1], c[2]))
+    if tag == "non-degenerate":
+        return ~_v3_predicate(cells, ("law", "degenerate"))
     raise ValueError(f"constraint not vectorizable: {c!r}")
 
 
@@ -331,39 +350,37 @@ def v3_divisions_nonempty(cells):
     return out
 
 
-def v3_mul_premises(cells, add: HyperTable, neg) -> object:
-    """Mask for the multiplicative-hyperring premises over a varying mul and
-    a fixed additive group: sign rule, inclusion distributivity (both sides)
-    and non-degeneracy.  Associativity comes from v3_eval separately."""
+def v3_sign_rule(cells, neg):
+    """Mask for a(-b) = (-a)b = -(ab), with `neg` the additive negation."""
     neg_lut = np.array([mask_image(m, neg) for m in range(8)], dtype=np.uint8)
-    addc = np.zeros((8, 8), dtype=np.uint8)
-    for m1 in range(8):
-        for m2 in range(8):
-            out = 0
-            for i in range(3):
-                if m1 >> i & 1:
-                    for j in range(3):
-                        if m2 >> j & 1:
-                            out |= add.cell(i, j)
-            addc[m1][m2] = out
     mask = np.True_
     for a in range(3):
         for b in range(3):
             image = neg_lut[cells[3 * a + b]]
             mask = mask & (cells[3 * a + neg[b]] == image)
             mask = mask & (cells[3 * neg[a] + b] == image)
+    return mask
+
+
+def v3_distributive_inclusion(cells, add: HyperTable):
+    """Mask for both inclusion distributivities over the additive group."""
+    addc = np.array(_complex_sums(add), dtype=np.uint8)
+    mask = np.True_
     for a in range(3):
         for b in range(3):
             for c in range(3):
-                d = (add.cell(b, c)).bit_length() - 1
+                d = singleton_value(add.cell(b, c))
                 rhs = addc[cells[3 * a + b], cells[3 * a + c]]
                 mask = mask & ((cells[3 * a + d] & ~rhs) == 0)
                 rhs = addc[cells[3 * b + a], cells[3 * c + a]]
                 mask = mask & ((cells[3 * d + a] & ~rhs) == 0)
-    nondeg = np.False_
-    for i in range(9):
-        nondeg = nondeg | (cells[i] != 0)
-    return mask & nondeg
+    return mask
+
+
+def _complex_sums(add: HyperTable):
+    """sums[m1][m2]: the complex sum of two cell sets under `add`."""
+    size = 1 << add.order
+    return [[complex_product(add, m1, m2) for m2 in range(size)] for m1 in range(size)]
 
 
 def v3_decode(head_digits, i) -> tuple:
@@ -449,9 +466,6 @@ class SearchSpec:
         constraints=(),
         link_generators=(),   # ((src, dst, perm), ...): writing src forces dst
         forced=(),            # ((pos, mask), ...)
-        required_bits=(),     # ((pos, bits), ...)
-        final_check=None,     # extra callable(HyperTable) -> bool
-        watcher_factory=None, # callable(spec) -> extra watchers {pos: [fn]}
     ):
         self.order = order
         self.kind = kind
@@ -459,9 +473,6 @@ class SearchSpec:
         self.constraints = tuple(constraints)
         self.link_generators = tuple(link_generators)
         self.forced = tuple(forced)
-        self.required_bits = tuple(required_bits)
-        self.final_check = final_check
-        self.watcher_factory = watcher_factory
 
 
 def _triple_positions(law, x, y, z, n):
@@ -493,8 +504,6 @@ class Backtracker:
 
         forced = dict(spec.forced)
         required = {}
-        for pos, bits in spec.required_bits:
-            required[pos] = required.get(pos, 0) | bits
 
         links = {}
         for c in spec.constraints:
@@ -516,6 +525,16 @@ class Backtracker:
                     bit = 1 << x
                     required[e * n + x] = required.get(e * n + x, 0) | bit
                     required[x * n + e] = required.get(x * n + e, 0) | bit
+            elif c[0] == "sign-rule-over":
+                # a(-b) = (-a)b = -(ab): each cell fixes its row and column
+                # negations
+                neg = axioms.group_inverse_map(c[1], c[2])
+                lut = _image_lut(n, neg)
+                for x in range(n):
+                    for y in range(n):
+                        links.setdefault(x * n + y, []).extend(
+                            ((neg[x] * n + y, lut), (x * n + neg[y], lut))
+                        )
             elif c[0] == "scalar-zero-at":
                 z = c[1]
                 for x in range(n):
@@ -663,10 +682,8 @@ class Backtracker:
                     r, cc = divmod(pos, n)
                     for x in {r, cc}:
                         add(pos, self._poly_watcher(x, e, weak))
-
-        if spec.watcher_factory is not None:
-            for pos, fns in spec.watcher_factory(spec).items():
-                for fn in fns:
+            elif c[0] == "distributive-inclusion-over":
+                for pos, fn in self._distributive_watchers(c[1]):
                     add(pos, fn)
 
     # watcher builders return closures over (cur) -> bool
@@ -773,6 +790,51 @@ class Backtracker:
 
         return watch
 
+    def _distributive_watchers(self, add):
+        """(pos, watcher) pairs for a(b+c) in ab+ac and (b+c)a in ba+ca,
+        plus an emptiness rule: no row or column holds both an empty and a
+        non-empty product.  The rule is sound because `add` is a group:
+        every d is b + (-b+d), so ab = {} gives ad in ab + a(-b+d) = {}, and
+        one empty product empties its whole row (its column likewise)."""
+        n = self.n
+        sums = _complex_sums(add)
+        out = []
+
+        def inclusion(lhs_pos, left_pos, right_pos):
+            def watch(cur):
+                lhs, left, right = cur[lhs_pos], cur[left_pos], cur[right_pos]
+                if lhs is None or left is None or right is None:
+                    return True
+                return not (lhs & ~sums[left][right])
+
+            return watch
+
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    d = singleton_value(add.cell(b, c))
+                    for lhs, left, right in (
+                        (a * n + d, a * n + b, a * n + c),
+                        (d * n + a, b * n + a, c * n + a),
+                    ):
+                        w = inclusion(lhs, left, right)
+                        out.extend((pos, w) for pos in {lhs, left, right})
+
+        def emptiness(r, c):
+            lines = ([r * n + i for i in range(n)], [i * n + c for i in range(n)])
+
+            def watch(cur):
+                for line in lines:
+                    vals = [cur[i] for i in line]
+                    if 0 in vals and any(vals):
+                        return False
+                return True
+
+            return watch
+
+        out.extend((pos, emptiness(*divmod(pos, n))) for pos in range(n * n))
+        return out
+
     def _poly_watcher(self, x, e, weak):
         n = self.n
         bit = 1 << e
@@ -854,11 +916,8 @@ class Backtracker:
 
     def _emit(self, cur):
         table = HyperTable(self.n, tuple(cur), self.spec.kind)
-        if not satisfies_all(table, self.spec.constraints):
-            return
-        if self.spec.final_check is not None and not self.spec.final_check(table):
-            return
-        yield table.cells
+        if satisfies_all(table, self.spec.constraints):
+            yield table.cells
 
     def first_domain_size(self) -> int:
         return len(self.domains[0]) if self.slots else 1
@@ -930,7 +989,7 @@ def merge_sweep(engine, order, constraints, results):
 
 
 def _pure_task(_task, order, kind, constraints):
-    return [t.cells for t in pure_sweep(order, kind, True, constraints)], 0
+    return [t.cells for t in pure_sweep(order, kind, constraints)], 0
 
 
 def _vector_collect_task(head_digits, constraints):

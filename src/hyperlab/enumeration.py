@@ -18,7 +18,6 @@ generator.
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
 
 from . import axioms, classify, engines
 from .model import (
@@ -279,81 +278,16 @@ def _group_action_links(mul: HyperTable, zero: int, n: int):
     return links
 
 
-def _sign_links(neg, n):
-    perm = tuple(neg)
-    if perm == tuple(range(n)):
-        return []
-    links = []
-    for x in range(n):
-        for y in range(n):
-            links.append((x * n + y, perm[x] * n + y, perm))
-            links.append((x * n + y, x * n + perm[y], perm))
-    return links
-
-
-def _distributive_watchers(spec, add: HyperTable):
-    """Inclusion-distributivity pruning over a fixed additive group, plus the
-    rule that one empty product empties its whole row and column."""
-    n = add.order
-    watchers = {}
-
-    def register(pos, fn):
-        watchers.setdefault(pos, []).append(fn)
-
-    def add_complex(ab, ac):
-        out = 0
-        m = ab
-        i = 0
-        while m:
-            if m & 1:
-                mm = ac
-                j = 0
-                while mm:
-                    if mm & 1:
-                        out |= add.cell(i, j)
-                    mm >>= 1
-                    j += 1
-            m >>= 1
-            i += 1
-        return out
-
-    def incl_watch(lhs_pos, left_pos, right_pos):
-        def watch(cur):
-            lhs, left, right = cur[lhs_pos], cur[left_pos], cur[right_pos]
-            if lhs is None or left is None or right is None:
-                return True
-            return not (lhs & ~add_complex(left, right))
-
-        return watch
-
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                d = singleton_value(add.cell(b, c))
-                w = incl_watch(a * n + d, a * n + b, a * n + c)
-                for pos in {a * n + d, a * n + b, a * n + c}:
-                    register(pos, w)
-                w = incl_watch(d * n + a, b * n + a, c * n + a)
-                for pos in {d * n + a, b * n + a, c * n + a}:
-                    register(pos, w)
-
-    def row_col_mix(pos):
-        r, c = divmod(pos, n)
-
-        def watch(cur):
-            states = [cur[r * n + i] for i in range(n)]
-            if any(v == 0 for v in states) and any(v for v in states if v is not None):
-                return False
-            states = [cur[i * n + c] for i in range(n)]
-            return not (
-                any(v == 0 for v in states) and any(v for v in states if v is not None)
-            )
-
-        return watch
-
-    for pos in range(n * n):
-        register(pos, row_col_mix(pos))
-    return watchers
+def hyperring_mul_premises(add: HyperTable, zero: int) -> tuple:
+    """Engine descriptors of the multiplicative-hyperring axioms on a
+    multiplication over the additive group (add, zero), one per axis:
+    associativity, inclusion distributivity, the sign rule, non-degeneracy."""
+    return (
+        ("law", "associative"),
+        ("distributive-inclusion-over", add),
+        ("sign-rule-over", add, zero),
+        ("non-degenerate",),
+    )
 
 
 def _abelian_group_tables(job: EnumerationJob):
@@ -408,7 +342,7 @@ def _enumerate_two_op(job: EnumerationJob, workers: int):
     if job.oracle:
         if n > 2:
             raise ValueError("two-operation oracle mode is limited to order 2")
-        tables = list(engines.pure_sweep(n, "hyper", True, ()))
+        tables = list(engines.pure_sweep(n, "hyper", ()))
         for zero in _candidates(job):
             for add in tables:
                 # every two-operation structure requires a commutative
@@ -456,13 +390,8 @@ def _enumerate_two_op(job: EnumerationJob, workers: int):
     elif any(s in _ADDGROUP_FAMILY for s in structures):
         allow_empty = "multiplicative-hyperring-def6" not in structures
         for zero, add in _abelian_group_tables(job):
-            neg = axioms.group_inverse_map(add, zero)
             spec = engines.SearchSpec(
-                n,
-                allow_empty=allow_empty,
-                constraints=(("law", "associative"),),
-                link_generators=tuple(_sign_links(neg, n)),
-                watcher_factory=partial(_distributive_watchers, add=add),
+                n, allow_empty=allow_empty, constraints=hyperring_mul_premises(add, zero)
             )
             bt = engines.Backtracker(spec)
             for mul_cells in bt.search():
@@ -495,7 +424,8 @@ def _with_detected_one(n, add, mul, zero, job):
 
 
 def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummary:
-    """Run the job, stream models to job.emit, return exact counts."""
+    """Run the job and return exact counts.  Every model is collected and
+    sorted first; only then is each one passed to job.emit."""
     _check_job(job)
     start = time.perf_counter()
     if job_is_two_op(job):

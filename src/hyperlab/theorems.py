@@ -23,13 +23,14 @@ Verifier ids:
          addition is canonical
 
 Every id but T6, T28 and T29 is a declarative `Claim` run by `_run_claim`;
-T6's row-staged search, T28's model-set comparison and T29's scalar family
-are bespoke.  Each sweep takes its engine from `engines.plan_sweep`: pure in
-oracle mode at order <= 2 and for T2's compositions, the order-3 vector
-engine (count mode for T3's oracle, T7, T9, T11; collect mode for T13, T24,
-P14-P23, T27), the backtracker at other orders, for T3's pruned order-3
-sweep and wherever a constraint is not vectorizable, and the witness-map
-split for strict polysymmetry at order >= 4.
+T6's sweep over every additive group, T28's model-set comparison and T29's
+scalar family are bespoke.  Each sweep takes its engine from
+`engines.plan_sweep`: pure in oracle mode at order <= 2 and for T2's
+compositions, the order-3 vector engine (count mode for T3's oracle, T7, T9,
+T11; collect mode for T13, T24, P14-P23, T27 and T6's oracle), the
+backtracker at other orders, for T3's and T6's pruned order-3 sweeps, for
+every drop search and wherever a constraint is not vectorizable, and the
+witness-map split for strict polysymmetry at order >= 4.
 
 Sweeps quantified over a distinguished element (identity or zero) count
 (table, element) pairs as premise models.  Every counterexample and
@@ -45,7 +46,12 @@ from itertools import product
 
 
 from . import axioms, engines
-from .enumeration import EnumerationJob, _abelian_group_tables, enumerate_models
+from .enumeration import (
+    EnumerationJob,
+    _abelian_group_tables,
+    enumerate_models,
+    hyperring_mul_premises,
+)
 from .model import (
     HyperTable,
     HypermoduleModel,
@@ -191,10 +197,8 @@ class Claim:
                    quantified element; premise models are then (table, e)
                    pairs for every candidate e
     space          "hyper" or "composition"
-    drops          droppable premises: ids, or (name, ids) for a group
-    drop_by        "element": a drop witness is the canonical first (model,
-                   element) pair, reported as "element"; "zero": the first
-                   model at the lowest zero with a witness, reported as "zero"
+    drops          droppable premises: ids, or (name, ids) for a group; a
+                   drop witness is the canonical first (model, element) pair
     counts         only the premise count and the first failure are needed
     pruned         sweep on the backtracker even where the vector engine fits
     extras         hook(Swept) -> the report's extras
@@ -206,7 +210,6 @@ class Claim:
     element: str | None = None
     space: str = "hyper"
     drops: tuple = ()
-    drop_by: str = "element"
     counts: bool = False
     pruned: bool = False
     extras: object = None
@@ -225,7 +228,12 @@ class Swept:
 
 
 def sweep_engine(theorem: str, order: int, oracle: bool = False) -> str:
-    """The engine `engines.plan_sweep` picks for a claim's premise sweep."""
+    """The engine `engines.plan_sweep` picks for a claim's premise sweep, or
+    for T6's sweep over each additive group."""
+    if theorem == "T6":
+        zero, add = _abelian_group_tables(EnumerationJob(order, ()))[0]
+        premises = hyperring_mul_premises(add, zero)
+        return engines.plan_sweep(order, premises, oracle=oracle, pruned=True)
     claim = CLAIMS[theorem]
     ids = [i for run in claim.premises for i in run]
     if claim.counts:  # the count kernel evaluates the conclusion too
@@ -245,7 +253,7 @@ def _run_claim(theorem, order, drop_premises, oracle, workers):
         models = _premise_models(claim, order, oracle, workers)
         premise_models = len(models)
         first = _first_failure(claim, models)
-    space = engines.space_size(order, claim.space, True)
+    space = engines.space_size(order, claim.space)
     report = VerificationReport(
         theorem=theorem,
         order=order,
@@ -417,8 +425,7 @@ def _drop_entries(claim, order):
             tuple(i for i in run if i not in removed) for run in claim.premises
         )
         for kept in kept_runs:
-            hits = _independence_hits(order, kept, claim)
-            hit = next(hits, None) if claim.drop_by == "zero" else _canonical_first(hits)
+            hit = _canonical_first(_independence_hits(order, kept, claim))
             if hit is not None:
                 break
         if hit is None:
@@ -427,7 +434,7 @@ def _drop_entries(claim, order):
         table, cand = hit
         entry = {"dropped": name, "model": serialize_model(table)}
         if any(_element_dependent(i) for i in kept + claim.conclusion):
-            entry[claim.drop_by] = cand
+            entry["element"] = cand
         entries.append(entry)
     return entries
 
@@ -612,7 +619,7 @@ CLAIMS = {
     "T27": Claim(
         (_CANONICAL[:3],), ("reversibility-canonical", "opposite-additivity"),
         biconditional=lambda rev, opp: {"reversibility": rev, "opposite_additivity": opp},
-        element="zero", drops=_CANONICAL[:3], drop_by="zero", extras=_t27_extras,
+        element="zero", drops=_CANONICAL[:3], extras=_t27_extras,
     ),
 }
 
@@ -627,70 +634,24 @@ _WEAK_QMP = Claim(
 # -- T6: multiplicative hyperrings ---------------------------------------------
 
 
-def _t6_add_tables(order):
-    return _abelian_group_tables(EnumerationJob(order, ()))
-
-
-def _t6_mul_search_generic(add, zero, order):
-    """Cell-level backtracking variant of the row-staged search, kept as a
-    cross-check for it."""
-    from .enumeration import _distributive_watchers, _sign_links
-
-    neg = axioms.group_inverse_map(add, zero)
-    spec = engines.SearchSpec(
-        order,
-        constraints=(("law", "associative"),),
-        link_generators=tuple(_sign_links(neg, order)),
-        watcher_factory=partial(_distributive_watchers, add=add),
-    )
-    out = []
-    for cells in engines.Backtracker(spec).search():
-        model = TwoOpModel(order, add, HyperTable(order, cells), zero)
-        if axioms.check_ring_axioms(model, "distributive-inclusion").holds and (
-            axioms.check_ring_axioms(model, "sign-rule").holds
-        ):
-            out.append(model)
-    return out
-
-
-def _t6_oracle_muls(add, zero, order, workers):
-    """Unpruned sweep for certification: every non-degenerate mul table
-    meeting the premises, on the planner's oracle engine."""
-    premises = (("law", "associative"), ("hyperring-mul-over", add, zero))
-    out = []
-    for mul in _sweep_tables(order, premises, True, workers):
-        model = TwoOpModel(order, add, mul, zero)
-        _revalidate(
-            axioms.check_ring_axioms(model, "distributive-inclusion").holds
-            and axioms.check_ring_axioms(model, "sign-rule").holds,
-            "the multiplicative premises hold",
-        )
-        out.append((model, False))
-    return out
+# report names of the `hyperring_mul_premises` descriptors, in their order
+_T6_AXES = ("mul-associative", "distributive-inclusion", "sign-rule", "non-degenerate")
 
 
 def _verify_t6(order, drop_premises, oracle, workers):
-    adds = _t6_add_tables(order)
+    adds = _abelian_group_tables(EnumerationJob(order, ()))
     premise_models = 0
     first = None
     lemma_violation = None
     for zero, add in adds:
-        if oracle:
-            swept = _t6_oracle_muls(add, zero, order, workers)
-        else:
-            from .t6search import t6_search
-
-            swept = t6_search(add, zero, include_degenerate=True)
-        for model, degenerate in swept:
-            mul = model.mul
-            n = model.order
+        premises = hyperring_mul_premises(add, zero)
+        for mul in _sweep_tables(order, premises, oracle, workers, pruned=True):
+            model = TwoOpModel(order, add, mul, zero)
             # row-emptiness coherence: one empty product empties its row
-            for w in range(n):
-                row = [mul.cell(w, z) for z in range(n)]
-                if any(c == 0 for c in row) and any(row):
+            for w in range(order):
+                row = [mul.cell(w, z) for z in range(order)]
+                if 0 in row and any(row):
                     lemma_violation = lemma_violation or model
-            if degenerate:
-                continue
             premise_models += 1
             if first is None and not axioms.check_law(mul, "cellwise-nonempty").holds:
                 first = model
@@ -708,7 +669,7 @@ def _verify_t6(order, drop_premises, oracle, workers):
     report = VerificationReport(
         theorem="T6",
         order=order,
-        space_size=len(adds) * engines.space_size(order, "hyper", True),
+        space_size=len(adds) * engines.space_size(order, "hyper"),
         premise_models=premise_models,
         conclusion_holds=counterexample is None,
         counterexample=counterexample,
@@ -718,32 +679,26 @@ def _verify_t6(order, drop_premises, oracle, workers):
         },
     )
     if drop_premises:
-        report.independence_witnesses = _t6_drops(order, adds)
+        report.independence_witnesses = _t6_drops(order, adds, workers)
     return report
 
 
-def _t6_drops(order, adds):
-    axes = {
-        "mul-associative": lambda m: axioms.check_law(m.mul, "associative").holds,
-        "distributive-inclusion": lambda m: axioms.check_ring_axioms(
-            m, "distributive-inclusion"
-        ).holds,
-        "sign-rule": lambda m: axioms.check_ring_axioms(m, "sign-rule").holds,
-        "non-degenerate": lambda m: not axioms.check_law(m.mul, "degenerate").holds,
-    }
+def _t6_drops(order, adds, workers):
+    """Per dropped axis: the first table of the first additive group where
+    the other axes hold and some product is empty, on the backtracker."""
     entries = []
-    for dropped in axes:
-        hit = next(
-            (
-                model
-                for zero, add in adds
-                for mul in engines.pure_sweep(order, "hyper", True, ())
-                for model in (TwoOpModel(order, add, mul, zero),)
-                if not axioms.check_law(mul, "cellwise-nonempty").holds
-                and all(holds(model) for axis, holds in axes.items() if axis != dropped)
-            ),
-            None,
-        )
+    for i, dropped in enumerate(_T6_AXES):
+        hit = None
+        for zero, add in adds:
+            premises = hyperring_mul_premises(add, zero)
+            kept = premises[:i] + premises[i + 1:]
+            tables = _sweep_tables(order, kept, False, workers, pruned=True)
+            empty = (t for t in tables if not axioms.check_law(t, "cellwise-nonempty").holds)
+            mul = next(empty, None)
+            if mul is not None:
+                _revalidate(engines.satisfies_all(mul, kept), f"the axes but {dropped} hold")
+                hit = TwoOpModel(order, add, mul, zero)
+                break
         entries.append(
             {"dropped": dropped, "none_at_order": order} if hit is None
             else {"dropped": dropped, "model": serialize_model(hit)}
@@ -798,7 +753,7 @@ def _verify_t28(order, drop_premises, oracle, workers):
     report = VerificationReport(
         theorem="T28",
         order=order,
-        space_size=engines.space_size(order, "hyper", True) * mul_space,
+        space_size=engines.space_size(order, "hyper") * mul_space,
         premise_models=len(def15),
         conclusion_holds=counterexample is None,
         counterexample=counterexample,

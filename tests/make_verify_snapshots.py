@@ -6,8 +6,9 @@ Every theorem id runs at orders 2 and 3, with and without --drop-premises,
 and at order 2 also in oracle mode.  Each case runs in its own process under
 a time limit; its `to_json(include_wall_time=False)` is written to
 tests/data/verify_snapshots.json, and a case that does not finish in time is
-listed there as skipped.  Reports do not depend on the worker count, so
---workers only changes how long recording takes.
+listed there as skipped, which tests/test_snapshots.py rejects.  Reports do
+not depend on the worker count, so --workers only changes how long
+recording takes.
 
 Re-record only when a change is meant to alter a report, and review the diff.
 """

@@ -1,11 +1,12 @@
-"""The sweep planner's engine choice, pinned for every spec-driven verifier,
-order and mode and for each enumeration kind, plus the runner's
+"""The sweep planner's engine choice, pinned for every spec-driven verifier
+and T6, every order and mode and for each enumeration kind, plus the runner's
 revalidation and the bounded worker pool.  Apart from one small order-3
 cross-check of the witness-map split, nothing here runs a sweep.
 
-T6, T28 and T29 are bespoke: T6 runs its row-staged search (oracle mode
-plans through `_sweep_tables`), T28 compares enumeration jobs (covered by
-the enumeration rows) and T29 searches actions over a bundled family.
+T6, T28 and T29 are bespoke: T6 sweeps its premise descriptors once per
+additive group through `_sweep_tables` (pinned below), T28 compares
+enumeration jobs (covered by the enumeration rows) and T29 searches actions
+over a bundled family.
 """
 
 import os
@@ -36,11 +37,14 @@ VERIFIER_PLANS = {
     "T25": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, BT), 4: (BT, BT)},
     "T26": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, BT), 4: (BT, BT)},
     "T27": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (BT, BT)},
+    # bespoke, but planned by the same rule; its drop searches always
+    # run on the backtracker
+    "T6": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT)},
 }
 
 
 def test_every_spec_driven_verifier_and_order_is_pinned():
-    assert set(VERIFIER_PLANS) == set(theorems.CLAIMS)
+    assert set(VERIFIER_PLANS) == set(theorems.CLAIMS) | {"T6"}
     assert set(theorems.THEOREM_IDS) - set(theorems.CLAIMS) == {"T6", "T28", "T29"}
     for theorem, plans in VERIFIER_PLANS.items():
         assert set(plans) == set(range(1, theorems._ORDER_CAPS[theorem] + 1)), theorem

@@ -28,17 +28,15 @@ def _case_id(case):
 
 def _params():
     for case in CASES:
-        marks = []
-        if "skipped" in case:
-            marks.append(pytest.mark.skip(reason=f"recording: {case['skipped']}"))
-        elif case["order"] == 3 and case["drop_premises"]:
-            marks.append(pytest.mark.slow)
+        marks = [pytest.mark.slow] if case["order"] == 3 and case["drop_premises"] else []
         yield pytest.param(case, marks=marks, id=_case_id(case))
 
 
 def test_snapshot_covers_every_case():
     recorded = [(c["theorem"], c["order"], c["drop_premises"], c["oracle"]) for c in CASES]
     assert recorded == snapshot_cases(THEOREM_IDS)
+    # a case that did not finish while recording is a hang, not a snapshot
+    assert [_case_id(c) for c in CASES if "skipped" in c] == []
 
 
 @pytest.mark.parametrize("case", list(_params()))

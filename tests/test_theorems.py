@@ -3,10 +3,12 @@ import json
 import pytest
 
 from hyperlab import axioms
+from hyperlab.enumeration import EnumerationJob, _abelian_group_tables, hyperring_mul_premises
 from hyperlab.modelio import parse_model
 from hyperlab.samples import cyclic_group_table
 from hyperlab.theorems import (
     THEOREM_IDS,
+    _sweep_tables,
     qmp_premise_pairs,
     qmp_property_checks,
     search_independence,
@@ -230,15 +232,18 @@ def test_t6_order3_oracle_matches_pruned():
     assert verify_cached("T6", 3, oracle=True, workers=8).premise_models == 120
 
 
-def test_t6_row_engine_matches_cell_engine():
-    from hyperlab.t6search import t6_search
-    from hyperlab.theorems import _t6_add_tables, _t6_mul_search_generic
-
-    for order in (2, 3):
-        for zero, add in _t6_add_tables(order):
-            rows = sorted(m.mul.cells for m, _ in t6_search(add, zero, True))
-            cells = sorted(m.mul.cells for m in _t6_mul_search_generic(add, zero, order))
-            assert rows == cells
+def test_t6_pruned_sweep_matches_pure_sweep():
+    # the full premise tuple and each drop search's tuple: every backtracker
+    # device (sign-rule links, distributivity and emptiness watchers) must
+    # keep exactly the tables the authoritative predicates accept, in order
+    for zero, add in _abelian_group_tables(EnumerationJob(2, ())):
+        premises = hyperring_mul_premises(add, zero)
+        for i in range(len(premises) + 1):
+            kept = premises[:i] + premises[i + 1:]
+            pruned = _sweep_tables(2, kept, oracle=False, workers=1, pruned=True)
+            pure = _sweep_tables(2, kept, oracle=True, workers=1)
+            assert [t.cells for t in pruned] == [t.cells for t in pure], kept
+            assert pure
 
 
 def test_t6_order4_rejected():
