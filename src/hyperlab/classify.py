@@ -1,43 +1,42 @@
-"""Compose axiom verdicts into named structure labels.
+"""Structure labels from one axiom table.
+
+`STRUCTURES` defines every label once, as a list of axioms:
+
+* a single-operation label lists engine descriptors (see `engines`), where
+  the placeholder E stands for a candidate element; its candidate rule says
+  which elements are tried (every element, or the two-sided identities) and
+  its constants key reports the first one that works;
+* a two-operation label lists descriptors of the addition at the model's
+  zero, then two-operation axiom ids (`axioms.RING_AXIOM_IDS`,
+  `mul-cellwise-nonempty` and `multiplicative-identity`);
+* a refinement is its base plus extra axioms that read no candidate;
+* partial-hypergroupoid is the complement of hypergroupoid.
+
+`classify_single` and `classify_two_op` take labels, constants and evidence
+from one trail builder, which reads `engines.constraint_result` for every
+descriptor.  Enumeration builds its search runs and final checks from the
+table (`runs_at`, `axioms_of`), and T29 picks module zeros with `holds_at`.
 
 A classification never raises on a negative verdict: every tested structure
-gets an evidence trail of axiom results, and the label set is closed under
-the implication lattice (a hypergroup is also a quasihypergroup, a
-semihypergroup and a hypergroupoid, and so on).
+gets an evidence trail of axiom results (descriptor entries carry the
+candidate they were tried at), and since the definitions nest, the label
+set is closed under the implication lattice (a hypergroup is also a
+quasihypergroup, a semihypergroup and a hypergroupoid, and so on).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import axioms
-from .axioms import PreconditionError, check_law, check_ring_axioms
-from .model import HyperTable, HypermoduleModel, TwoOpModel, members_of
+from .axioms import PreconditionError, Witness, check_law, check_ring_axioms
+from .engines import E, at, constraint_holds, constraint_result
+from .model import HyperTable, HypermoduleModel, TwoOpModel, mask_image, members_of
 
-SINGLE_LABELS = (
-    "partial-hypergroupoid",
-    "hypergroupoid",
-    "semihypergroup",
-    "quasihypergroup",
-    "hypergroup",
-    "group",
-    "hv-group",
-    "la-hypergroup",
-    "ra-hypergroup",
-    "qmp-hypergroup",
-    "m-polysymmetrical-hypergroup",
-    "normal-hypergroup",
-    "canonical-hypergroup",
-    "quasicanonical-hypergroup",
-)
-
-TWO_OP_LABELS = (
-    "krasner-hyperring",
-    "unitary-hyperring",
-    "hyperfield",
-    "hyperfield-def15",
-    "multiplicative-hyperring-def6",
-    "multiplicative-hyperring-def7",
-    "m-polysymmetrical-hyperring",
-)
+# candidate rules: the elements a structure is tried at, and the tag key
+ELEMENTS = "elements"  # every element, ascending
+IDENTITIES = "identities"  # the two-sided identities, ascending
+ZERO = "zero"  # the two-operation model's zero
+_TAG = {ELEMENTS: "zero", IDENTITIES: "identity", ZERO: "zero"}
 
 
 @dataclass(frozen=True)
@@ -54,334 +53,319 @@ class ClassificationReport:
         }
 
 
-def _entry(axiom_id: str, result, candidate=None) -> dict:
-    out = {"axiom": axiom_id, "holds": result.holds}
-    if result.witness is not None:
-        out["witness"] = result.witness.to_json()
-    if candidate is not None:
-        out.update(candidate)
+@dataclass(frozen=True)
+class Structure:
+    axioms: tuple = ()
+    candidates: str | None = None
+    constant: str | None = None  # constants key of the first working candidate
+    base: str | None = None  # a refinement: the base's axioms, then these
+    complement_of: str | None = None
+
+
+ASSOC = ("law", "associative")
+COMM = ("law", "commutative")
+REPRO = ("law", "reproductive")
+NONEMPTY = ("law", "cellwise-nonempty")
+IDENTITY = ("identity-at", E)
+POLYSYMMETRY = ("polysymmetry-at", E, False)
+UNIQUE_OPPOSITE = ("unique-opposite-at", E)
+REVERSIBILITY = ("reversibility-at", E)
+_RING_TAIL = ("absorbing-zero", "distributive-equal")
+
+STRUCTURES = {
+    "partial-hypergroupoid": Structure(complement_of="hypergroupoid"),
+    "hypergroupoid": Structure((NONEMPTY,)),
+    "semihypergroup": Structure((NONEMPTY, ASSOC)),
+    "quasihypergroup": Structure((NONEMPTY, REPRO)),
+    "hypergroup": Structure((ASSOC, REPRO)),
+    "group": Structure((("singleton-cells",),), base="hypergroup"),
+    "hv-group": Structure((REPRO, ("law", "weakly-associative"))),
+    "la-hypergroup": Structure((REPRO, ("law", "left-inverted-associative"))),
+    "ra-hypergroup": Structure((REPRO, ("law", "right-inverted-associative"))),
+    "qmp-hypergroup": Structure((ASSOC, IDENTITY, POLYSYMMETRY), IDENTITIES, "qmp-identity"),
+    "m-polysymmetrical-hypergroup": Structure((COMM,), base="qmp-hypergroup"),
+    "normal-hypergroup": Structure(
+        (ASSOC, REPRO, ("scalar-zero-at", E), UNIQUE_OPPOSITE), ELEMENTS, "normal-zero"
+    ),
+    "canonical-hypergroup": Structure(
+        (ASSOC, COMM, UNIQUE_OPPOSITE, REVERSIBILITY), ELEMENTS, "canonical-zero"
+    ),
+    "quasicanonical-hypergroup": Structure(
+        (ASSOC, UNIQUE_OPPOSITE, REVERSIBILITY), ELEMENTS, "quasicanonical-zero"
+    ),
+    # two operations: the descriptors read the addition at the zero
+    "krasner-hyperring": Structure(
+        (ASSOC, COMM, UNIQUE_OPPOSITE, REVERSIBILITY, "multiplicative-semigroup-on-H*")
+        + _RING_TAIL,
+        ZERO,
+    ),
+    "unitary-hyperring": Structure(("multiplicative-identity",), base="krasner-hyperring"),
+    "hyperfield": Structure(
+        (ASSOC, COMM, UNIQUE_OPPOSITE, REVERSIBILITY, "multiplicative-group-on-H*") + _RING_TAIL,
+        ZERO,
+    ),
+    "hyperfield-def15": Structure(
+        (ASSOC, COMM, UNIQUE_OPPOSITE, "multiplicative-group-on-H*") + _RING_TAIL, ZERO
+    ),
+    "multiplicative-hyperring-def7": Structure(
+        (
+            "additive-abelian-group",
+            "mul-nondegenerate-associative",
+            "distributive-inclusion",
+            "sign-rule",
+        ),
+        ZERO,
+    ),
+    "multiplicative-hyperring-def6": Structure(
+        ("mul-cellwise-nonempty",), base="multiplicative-hyperring-def7"
+    ),
+    "m-polysymmetrical-hyperring": Structure(
+        (ASSOC, COMM, IDENTITY, POLYSYMMETRY, "multiplicative-semigroup-on-H*") + _RING_TAIL,
+        ZERO,
+    ),
+}
+
+
+def candidate_rule(label: str):
+    s = STRUCTURES[label]
+    return candidate_rule(s.base) if s.base else s.candidates
+
+
+SINGLE_LABELS = tuple(lb for lb in STRUCTURES if candidate_rule(lb) != ZERO)
+TWO_OP_LABELS = tuple(lb for lb in STRUCTURES if candidate_rule(lb) == ZERO)
+
+
+def axioms_of(label: str) -> tuple:
+    """The label's axioms: its base's, then its own."""
+    s = STRUCTURES[label]
+    return (axioms_of(s.base) if s.base else ()) + s.axioms
+
+
+def element_free_first(descriptors) -> tuple:
+    return tuple(sorted(descriptors, key=lambda c: E in c))
+
+
+def runs_at(label: str, cand) -> tuple:
+    """Descriptor conjunctions whose models together make up the label's
+    models at the candidate: one conjunction (element-free descriptors
+    first), or for a complement one negated axiom each."""
+    s = STRUCTURES[label]
+    if s.complement_of:
+        return tuple((("not", at(c, cand)),) for c in axioms_of(s.complement_of))
+    return (tuple(at(c, cand) for c in element_free_first(axioms_of(label))),)
+
+
+def holds_at(label: str, table: HyperTable, cand) -> bool:
+    """Every axiom of a single-operation label holds at the candidate."""
+    return all(constraint_holds(table, at(a, cand)) for a in axioms_of(label))
+
+
+# -- evidence trails --------------------------------------------------------------
+
+_NAMES = {
+    "identity-at": "identity-element",
+    "unique-opposite-at": "unique-opposite",
+    "reversibility-at": "reversibility-canonical",
+    "scalar-zero-at": "scalar-zero",
+    "singleton-cells": "singleton-cells",
+}
+
+
+def axiom_name(axiom) -> str:
+    """The evidence name of an axiom of the table."""
+    if isinstance(axiom, str):
+        return axiom
+    if axiom[0] == "law":
+        return axiom[1]
+    if axiom[0] == "polysymmetry-at":
+        return "polysymmetry-weak" if axiom[2] else "polysymmetry"
+    return _NAMES[axiom[0]]
+
+
+def _result(model, axiom, cand):
+    """AxiomResult of one axiom (a bool for the detected identity, which has
+    no witness); descriptors read the table, or the model's addition."""
+    if axiom == "multiplicative-identity":
+        return axioms.multiplicative_identity(model) is not None
+    if axiom == "mul-cellwise-nonempty":
+        return check_law(model.mul, "cellwise-nonempty")
+    if isinstance(axiom, str):
+        return check_ring_axioms(model, axiom)
+    table = model.add if isinstance(model, TwoOpModel) else model
+    return constraint_result(table, at(axiom, cand))
+
+
+def axiom_holds(model, axiom, cand=None) -> bool:
+    """One axiom of the table on a table or model; a failed precondition
+    counts as a failure."""
+    try:
+        res = _result(model, axiom, cand)
+    except PreconditionError:
+        return False
+    return res if isinstance(res, bool) else res.holds
+
+
+def _evaluate(model, axiom, cand) -> dict:
+    """The untagged evidence entry of one axiom at the candidate."""
+    out = {"axiom": axiom_name(axiom)}
+    try:
+        res = _result(model, axiom, cand)
+    except PreconditionError as exc:
+        return out | {"holds": False, "precondition": str(exc)}
+    if isinstance(res, bool):
+        return out | {"holds": res}
+    out["holds"] = res.holds
+    if res.witness is not None:
+        out["witness"] = res.witness.to_json()
     return out
 
 
-def _all_hold(evidence_list) -> bool:
-    return all(e["holds"] for e in evidence_list)
+def _all_hold(trail) -> bool:
+    return all(e["holds"] for e in trail)
 
 
-def _canonical_axioms(table, zero, with_reversibility: bool):
-    """Additive axiom trail at a fixed zero: associativity, commutativity,
-    unique opposite and (optionally) reversibility."""
-    tag = {"zero": zero}
-    trail = [
-        _entry("associative", check_law(table, "associative"), tag),
-        _entry("commutative", check_law(table, "commutative"), tag),
-        _entry("unique-opposite", axioms.check_unique_opposite(table, zero), tag),
-    ]
-    if with_reversibility:
-        if trail[-1]["holds"]:
-            trail.append(
-                _entry(
-                    "reversibility-canonical",
-                    axioms.check_reversibility_canonical(table, zero),
-                    tag,
-                )
-            )
+def _trail_builder(model):
+    """entry(axiom, cand, tag): each axiom is evaluated once per model and
+    candidate; descriptor entries carry the tag, axiom ids never do."""
+    cache = {}
+
+    def entry(axiom, cand, tag):
+        key = axiom if isinstance(axiom, str) else at(axiom, cand)
+        if key not in cache:
+            cache[key] = _evaluate(model, axiom, cand)
+        return cache[key] if isinstance(axiom, str) else cache[key] | tag
+
+    return entry
+
+
+def _candidates(rule, model):
+    if rule is None:
+        return (None,)
+    if rule == ZERO:
+        return (model.zero,)
+    if rule == IDENTITIES:
+        return members_of(axioms.find_identities(model).two_sided)
+    return range(model.order)
+
+
+def _classify(model, labels) -> ClassificationReport:
+    entry = _trail_builder(model)
+    evidence, constants, verdicts = {}, {}, {}
+
+    def verdict(label):
+        """(holds, candidate) of one label; fills in its evidence."""
+        if label in verdicts:
+            return verdicts[label]
+        s = STRUCTURES[label]
+        if s.complement_of:
+            out = (not verdict(s.complement_of)[0], None)
+        elif s.base:
+            base_holds, cand = verdict(s.base)
+            extra = [entry(a, None, {}) for a in s.axioms]
+            quantified = candidate_rule(s.base) in (ELEMENTS, IDENTITIES)
+            evidence[label] = ([] if quantified else evidence[s.base]) + extra
+            out = (base_holds and _all_hold(extra), cand)
         else:
-            trail.append(
-                {
-                    "axiom": "reversibility-canonical",
-                    "holds": False,
-                    "precondition": "opposite map undefined",
-                    "zero": zero,
-                }
-            )
-    return trail
+            evidence[label] = []
+            out = (False, None)
+            for cand in _candidates(s.candidates, model):
+                tag = {_TAG[s.candidates]: cand} if s.candidates else {}
+                trail = [entry(a, cand, tag) for a in s.axioms]
+                evidence[label].extend(trail)
+                if not out[0] and _all_hold(trail):
+                    out = (True, cand)
+        if out[0] and s.constant:
+            constants[s.constant] = out[1]
+        verdicts[label] = out
+        return out
 
-
-def _quasicanonical_axioms(table, zero):
-    tag = {"zero": zero}
-    trail = [
-        _entry("associative", check_law(table, "associative"), tag),
-        _entry("unique-opposite", axioms.check_unique_opposite(table, zero), tag),
-    ]
-    if trail[-1]["holds"]:
-        trail.append(
-            _entry(
-                "reversibility-canonical",
-                axioms.check_reversibility_canonical(table, zero),
-                tag,
-            )
-        )
-    else:
-        trail.append(
-            {
-                "axiom": "reversibility-canonical",
-                "holds": False,
-                "precondition": "opposite map undefined",
-                "zero": zero,
-            }
-        )
-    return trail
-
-
-def _search_candidates(table, candidates, trail_fn, evidence, structure):
-    """Try each candidate element; the structure holds if any candidate works.
-
-    All candidates' trails are recorded (tagged with the candidate) so a
-    negative verdict still shows why each choice failed.
-    """
-    evidence.setdefault(structure, [])
-    winner = None
-    for cand in candidates:
-        trail = trail_fn(cand)
-        evidence[structure].extend(trail)
-        if winner is None and _all_hold(trail):
-            winner = cand
-    return winner
+    held = frozenset(lb for lb in labels if verdict(lb)[0])
+    return ClassificationReport(held, evidence, constants)
 
 
 def classify_single(table: HyperTable) -> ClassificationReport:
     """Full label set for one hyperoperation table."""
-    labels = set()
-    evidence = {}
-    constants = {}
-    n = table.order
-
-    law = {law_id: check_law(table, law_id) for law_id in axioms.LAW_IDS}
-    nonempty = law["cellwise-nonempty"].holds
-
-    labels.add("hypergroupoid" if nonempty else "partial-hypergroupoid")
-    evidence["hypergroupoid"] = [_entry("cellwise-nonempty", law["cellwise-nonempty"])]
-
-    if nonempty and law["associative"].holds:
-        labels.add("semihypergroup")
-    evidence["semihypergroup"] = [
-        _entry("cellwise-nonempty", law["cellwise-nonempty"]),
-        _entry("associative", law["associative"]),
-    ]
-    if nonempty and law["reproductive"].holds:
-        labels.add("quasihypergroup")
-    evidence["quasihypergroup"] = [
-        _entry("cellwise-nonempty", law["cellwise-nonempty"]),
-        _entry("reproductive", law["reproductive"]),
-    ]
-
-    is_hypergroup = law["associative"].holds and law["reproductive"].holds
-    if is_hypergroup:
-        labels.add("hypergroup")
-        labels.update(("hypergroupoid", "semihypergroup", "quasihypergroup"))
-        labels.discard("partial-hypergroupoid")
-    evidence["hypergroup"] = [
-        _entry("associative", law["associative"]),
-        _entry("reproductive", law["reproductive"]),
-    ]
-
-    all_singleton = all(c.bit_count() == 1 for c in table.cells)
-    if is_hypergroup and all_singleton:
-        labels.add("group")
-
-    if law["reproductive"].holds and law["weakly-associative"].holds:
-        labels.add("hv-group")
-    evidence["hv-group"] = [
-        _entry("reproductive", law["reproductive"]),
-        _entry("weakly-associative", law["weakly-associative"]),
-    ]
-    if law["reproductive"].holds and law["left-inverted-associative"].holds:
-        labels.add("la-hypergroup")
-    if law["reproductive"].holds and law["right-inverted-associative"].holds:
-        labels.add("ra-hypergroup")
-
-    # qMp: associative with some e satisfying the neutral and polysymmetry axioms
+    report = _classify(table, SINGLE_LABELS)
     identities = axioms.find_identities(table)
-
-    def qmp_trail(e):
-        tag = {"identity": e}
-        return [
-            _entry("associative", law["associative"], tag),
-            _entry("identity-element", axioms.check_identity_element(table, e), tag),
-            _entry("polysymmetry", axioms.check_polysymmetry(table, e), tag),
-        ]
-
-    qmp_e = _search_candidates(
-        table, members_of(identities.two_sided), qmp_trail, evidence, "qmp-hypergroup"
-    )
-    if qmp_e is not None:
-        labels.add("qmp-hypergroup")
-        constants["qmp-identity"] = qmp_e
-        if law["commutative"].holds:
-            labels.add("m-polysymmetrical-hypergroup")
-    evidence["m-polysymmetrical-hypergroup"] = [
-        _entry("commutative", law["commutative"])
-    ]
-
-    zero_candidates = range(n)
-    canonical_zero = _search_candidates(
-        table,
-        zero_candidates,
-        lambda z: _canonical_axioms(table, z, with_reversibility=True),
-        evidence,
-        "canonical-hypergroup",
-    )
-    if canonical_zero is not None:
-        labels.add("canonical-hypergroup")
-        constants["canonical-zero"] = canonical_zero
-
-    quasi_zero = _search_candidates(
-        table, zero_candidates, lambda z: _quasicanonical_axioms(table, z),
-        evidence, "quasicanonical-hypergroup",
-    )
-    if quasi_zero is not None:
-        labels.add("quasicanonical-hypergroup")
-        constants["quasicanonical-zero"] = quasi_zero
-
-    def normal_trail(z):
-        tag = {"zero": z}
-        return [
-            _entry("associative", law["associative"], tag),
-            _entry("reproductive", law["reproductive"], tag),
-            _entry("scalar-zero", axioms.check_scalar_zero(table, z), tag),
-            _entry("unique-opposite", axioms.check_unique_opposite(table, z), tag),
-        ]
-
-    normal_zero = _search_candidates(
-        table, zero_candidates, normal_trail, evidence, "normal-hypergroup"
-    )
-    if normal_zero is not None:
-        labels.add("normal-hypergroup")
-        constants["normal-zero"] = normal_zero
-
     if identities.two_sided:
-        constants["identities"] = list(members_of(identities.two_sided))
+        report.constants["identities"] = list(members_of(identities.two_sided))
     if identities.scalar:
-        constants["scalar-identities"] = list(members_of(identities.scalar))
-
-    return ClassificationReport(frozenset(labels), evidence, constants)
-
-
-def _two_op_trail(model, variants, tag=None):
-    trail = []
-    for variant in variants:
-        try:
-            trail.append(_entry(variant, check_ring_axioms(model, variant), tag))
-        except PreconditionError as exc:
-            entry = {"axiom": variant, "holds": False, "precondition": str(exc)}
-            if tag:
-                entry.update(tag)
-            trail.append(entry)
-    return trail
+        report.constants["scalar-identities"] = list(members_of(identities.scalar))
+    return report
 
 
 def classify_two_op(model: TwoOpModel) -> ClassificationReport:
     """Label set for a two-operation model with a distinguished zero."""
-    labels = set()
-    evidence = {}
-    constants = {"zero": model.zero}
-    add = model.add
-
-    krasner_trail = _canonical_axioms(add, model.zero, with_reversibility=True)
-    krasner_trail += _two_op_trail(
-        model, ("multiplicative-semigroup-on-H*", "absorbing-zero", "distributive-equal")
-    )
-    evidence["krasner-hyperring"] = krasner_trail
-    if _all_hold(krasner_trail):
-        labels.add("krasner-hyperring")
-
+    report = _classify(model, TWO_OP_LABELS)
+    report.constants["zero"] = model.zero
     one = axioms.multiplicative_identity(model)
     if one is not None:
-        constants["one"] = one
-    unitary_trail = list(krasner_trail)
-    unitary_trail.append(
-        {"axiom": "multiplicative-identity", "holds": one is not None}
-    )
-    evidence["unitary-hyperring"] = unitary_trail
-    if _all_hold(unitary_trail):
-        labels.add("unitary-hyperring")
+        report.constants["one"] = one
+    return report
 
-    field_trail = _canonical_axioms(add, model.zero, with_reversibility=True)
-    field_trail += _two_op_trail(
-        model, ("multiplicative-group-on-H*", "absorbing-zero", "distributive-equal")
-    )
-    evidence["hyperfield"] = field_trail
-    if _all_hold(field_trail):
-        labels.add("hyperfield")
 
-    field15_trail = _canonical_axioms(add, model.zero, with_reversibility=False)
-    field15_trail += _two_op_trail(
-        model, ("multiplicative-group-on-H*", "absorbing-zero", "distributive-equal")
-    )
-    evidence["hyperfield-def15"] = field15_trail
-    if _all_hold(field15_trail):
-        labels.add("hyperfield-def15")
+# -- hypermodules -------------------------------------------------------------------
 
-    def6_trail = _two_op_trail(
-        model,
-        (
-            "additive-abelian-group",
-            "mul-nondegenerate-associative",
-            "distributive-inclusion",
-            "sign-rule",
+def _distributes_over_module_add(hm):  # i: a(m + k) = am + ak
+    madd, act = hm.madd, hm.act
+    for a, row in enumerate(hm.action):
+        for m in range(madd.order):
+            for k in range(madd.order):
+                lhs = mask_image(madd.cell(m, k), row)
+                rhs = madd.cell(act(a, m), act(a, k))
+                if lhs != rhs:
+                    return (a, m, k), lhs, rhs
+    return None
+
+
+def _scalar_add_distributes(hm, weak):  # ii: (a + b)m = am + bm, or inclusion
+    madd, act, p_add = hm.madd, hm.act, hm.scalars.add
+    p_n = p_add.order
+    for a in range(p_n):
+        for b in range(p_n):
+            for m in range(madd.order):
+                lhs = mask_image(p_add.cell(a, b), [row[m] for row in hm.action])
+                rhs = madd.cell(act(a, m), act(b, m))
+                if (lhs & ~rhs) if weak else lhs != rhs:
+                    return (a, b, m), lhs, rhs
+    return None
+
+
+def _scalar_mul_associates(hm):  # iii: (ab)m = a(bm), scalar mul single-valued
+    act, p_mul = hm.act, hm.scalars.mul
+    p_n = p_mul.order
+    for a in range(p_n):
+        for b in range(p_n):
+            ab = p_mul.cell(a, b).bit_length() - 1
+            for m in range(hm.madd.order):
+                lhs, rhs = act(ab, m), act(a, act(b, m))
+                if lhs != rhs:
+                    return (a, b, m), 1 << lhs, 1 << rhs
+    return None
+
+
+def _unit_and_zero_action(hm):  # iv: 1m = m and 0m = 0
+    ones, zeros, zm = hm.action[hm.scalars.one], hm.action[hm.scalars.zero], hm.zero_m
+    for m, (one_m, zero_m) in enumerate(zip(ones, zeros)):
+        if one_m != m:
+            return (m,), 1 << one_m, 1 << m
+        if zero_m != zm:
+            return (m,), 1 << zero_m, 1 << zm
+    return None
+
+
+def action_axioms(weak: bool = False) -> dict:
+    """Axioms i-iv of a single-valued action, in order: id -> check(hm),
+    which returns the first violation (elements, lhs, rhs) in scan order or
+    None.  Axiom ii is an equality, or an inclusion for weak hypermodules."""
+    return {
+        "action-distributes-over-module-add": _distributes_over_module_add,
+        "scalar-add-distributes" + ("-inclusion" if weak else ""): partial(
+            _scalar_add_distributes, weak=weak
         ),
-    )
-    def6_trail.append(
-        _entry("mul-cellwise-nonempty", check_law(model.mul, "cellwise-nonempty"))
-    )
-    evidence["multiplicative-hyperring-def6"] = def6_trail
-    if _all_hold(def6_trail):
-        labels.add("multiplicative-hyperring-def6")
-
-    def7_trail = _two_op_trail(
-        model,
-        (
-            "additive-abelian-group",
-            "mul-nondegenerate-associative",
-            "distributive-inclusion",
-            "sign-rule",
-        ),
-    )
-    evidence["multiplicative-hyperring-def7"] = def7_trail
-    if _all_hold(def7_trail):
-        labels.add("multiplicative-hyperring-def7")
-
-    mp_trail = [
-        _entry("associative", check_law(add, "associative"), {"zero": model.zero}),
-        _entry("commutative", check_law(add, "commutative"), {"zero": model.zero}),
-        _entry(
-            "identity-element",
-            axioms.check_identity_element(add, model.zero),
-            {"zero": model.zero},
-        ),
-        _entry(
-            "polysymmetry",
-            axioms.check_polysymmetry(add, model.zero),
-            {"zero": model.zero},
-        ),
-    ]
-    mp_trail += _two_op_trail(
-        model, ("multiplicative-semigroup-on-H*", "absorbing-zero", "distributive-equal")
-    )
-    evidence["m-polysymmetrical-hyperring"] = mp_trail
-    if _all_hold(mp_trail):
-        labels.add("m-polysymmetrical-hyperring")
-
-    return ClassificationReport(frozenset(labels), evidence, constants)
-
-
-def _action_image(hm: HypermoduleModel, scalars_mask: int, m_set: int) -> int:
-    """Image set of (A)·(B) under the single-valued action, unions over both."""
-    out = 0
-    a = scalars_mask
-    ia = 0
-    while a:
-        if a & 1:
-            b = m_set
-            ib = 0
-            while b:
-                if b & 1:
-                    out |= 1 << hm.action[ia][ib]
-                b >>= 1
-                ib += 1
-        a >>= 1
-        ia += 1
-    return out
+        "scalar-mul-associates-with-action": _scalar_mul_associates,
+        "unit-and-zero-action": _unit_and_zero_action,
+    }
 
 
 def check_hypermodule(hm: HypermoduleModel, weak: bool = False) -> ClassificationReport:
@@ -392,121 +376,33 @@ def check_hypermodule(hm: HypermoduleModel, weak: bool = False) -> Classificatio
         raise PreconditionError("the scalar model is not a unitary hyperring")
 
     labels = set()
-    evidence = {}
     constants = {"zerom": hm.zero_m, "zero": hm.scalars.zero, "one": hm.scalars.one}
-    madd = hm.madd
-    p_add = hm.scalars.add
-    p_mul = hm.scalars.mul
-    p_n = hm.scalars.order
-    m_n = madd.order
-
     trail = []
-    ok = True
+    for axiom, check in action_axioms(weak).items():
+        violation = check(hm)
+        trail.append({"axiom": axiom, "holds": violation is None})
+        if violation is not None:
+            trail[-1]["witness"] = Witness(axiom, *violation).to_json()
+    evidence = {"action-axioms": trail}
 
-    def record(axiom_id, holds, elements=None, lhs=None, rhs=None):
-        nonlocal ok
-        entry = {"axiom": axiom_id, "holds": holds}
-        if not holds:
-            entry["witness"] = {
-                "axiom": axiom_id,
-                "elements": list(elements or ()),
-                "lhs": list(members_of(lhs or 0)),
-                "rhs": list(members_of(rhs or 0)),
-            }
-            ok = False
-        trail.append(entry)
-
-    # i: a(m + n) = am + an
-    holds, info = True, None
-    for a in range(p_n):
-        for m in range(m_n):
-            for k in range(m_n):
-                lhs = _action_image(hm, 1 << a, madd.cell(m, k))
-                rhs = madd.cell(hm.act(a, m), hm.act(a, k))
-                if lhs != rhs:
-                    holds, info = False, ((a, m, k), lhs, rhs)
-                    break
-            if not holds:
-                break
-        if not holds:
-            break
-    record("action-distributes-over-module-add", holds, *(info or ()))
-
-    # ii: (a + b)m = am + bm, or inclusion for the weak variant
-    axiom_ii = "scalar-add-distributes" + ("-inclusion" if weak else "")
-    holds, info = True, None
-    for a in range(p_n):
-        for b in range(p_n):
-            for m in range(m_n):
-                lhs = _action_image(hm, p_add.cell(a, b), 1 << m)
-                rhs = madd.cell(hm.act(a, m), hm.act(b, m))
-                bad = bool(lhs & ~rhs) if weak else lhs != rhs
-                if bad:
-                    holds, info = False, ((a, b, m), lhs, rhs)
-                    break
-            if not holds:
-                break
-        if not holds:
-            break
-    record(axiom_ii, holds, *(info or ()))
-
-    # iii: (ab)m = a(bm); scalar mul is single valued
-    holds, info = True, None
-    for a in range(p_n):
-        for b in range(p_n):
-            ab = p_mul.cell(a, b).bit_length() - 1
-            for m in range(m_n):
-                lhs = hm.act(ab, m)
-                rhs = hm.act(a, hm.act(b, m))
-                if lhs != rhs:
-                    holds, info = False, ((a, b, m), 1 << lhs, 1 << rhs)
-                    break
-            if not holds:
-                break
-        if not holds:
-            break
-    record("scalar-mul-associates-with-action", holds, *(info or ()))
-
-    # iv: 1m = m and 0m = 0
-    holds, info = True, None
-    for m in range(m_n):
-        if hm.act(hm.scalars.one, m) != m:
-            holds, info = False, ((m,), 1 << hm.act(hm.scalars.one, m), 1 << m)
-            break
-        if hm.act(hm.scalars.zero, m) != hm.zero_m:
-            holds, info = False, (
-                (m,),
-                1 << hm.act(hm.scalars.zero, m),
-                1 << hm.zero_m,
-            )
-            break
-    record("unit-and-zero-action", holds, *(info or ()))
-
-    evidence["action-axioms"] = trail
-
-    madd_trail = [
-        _entry("associative", check_law(madd, "associative")),
-        _entry("reproductive", check_law(madd, "reproductive")),
-        _entry("commutative", check_law(madd, "commutative")),
-        _entry("scalar-zero", axioms.check_scalar_zero(madd, hm.zero_m)),
-        _entry("unique-opposite", axioms.check_unique_opposite(madd, hm.zero_m)),
-    ]
+    entry = _trail_builder(hm.madd)
+    zm = hm.zero_m
+    normal_axioms = element_free_first(axioms_of("normal-hypergroup") + (COMM,))
+    madd_trail = [entry(a, zm, {}) for a in normal_axioms]
     evidence["madd-normal-hypergroup"] = madd_trail
-    normal = all(
-        e["holds"] for e in madd_trail if e["axiom"] != "commutative"
-    )
-    commutative = madd_trail[2]["holds"]
+    normal = all(e["holds"] for a, e in zip(normal_axioms, madd_trail) if a != COMM)
+    commutative = entry(COMM, zm, {})["holds"]
     if normal:
         labels.add("madd-normal-hypergroup")
     if normal and commutative:
         labels.add("madd-commutative-normal-hypergroup")
 
-    canonical_trail = _canonical_axioms(madd, hm.zero_m, with_reversibility=True)
+    canonical_trail = [entry(a, zm, {"zero": zm}) for a in axioms_of("canonical-hypergroup")]
     evidence["madd-canonical-hypergroup"] = canonical_trail
     if _all_hold(canonical_trail):
         labels.add("madd-canonical-hypergroup")
 
-    if ok and normal and commutative:
+    if _all_hold(trail) and normal and commutative:
         labels.add("weak-hypermodule" if weak else "hypermodule")
 
     return ClassificationReport(frozenset(labels), evidence, constants)

@@ -39,6 +39,17 @@ Constraints are serializable descriptors:
     ("sign-rule-over", add, z)    a(-b) = (-a)b = -(ab), negation taken in
                                   the additive group (add, z)
     ("non-degenerate",)           some cell is non-empty
+    ("reversibility-poly-at", e, weak)
+                                  z in x*y forces z' in y'*x' for every
+                                  symmetric pick wrt e
+    ("singleton-cells",)          every cell is a singleton (a composition)
+    ("not", c)                    descriptor c fails
+
+A descriptor may name the candidate element with the placeholder `E`;
+`at(c, e)` fills it in.  `constraint_result` is the one authoritative
+verdict of a descriptor, an `AxiomResult` with its witness; the
+classification trails, the emission checks and the verifiers' witnesses all
+read it.
 
 The backtracker turns some descriptors into devices beyond the final check:
 commutativity and identity-at link mirrored cells, the sign rule links each
@@ -56,6 +67,7 @@ from itertools import product
 import numpy as np
 
 from . import axioms
+from .axioms import AxiomResult, PreconditionError, Witness
 from .model import (
     HyperTable,
     TwoOpModel,
@@ -71,43 +83,101 @@ from .model import (
 # -- constraint predicates (authoritative) ------------------------------------
 
 
+class _Candidate:
+    """The placeholder `E` for the candidate element in a descriptor."""
+
+    def __repr__(self):
+        return "E"
+
+
+E = _Candidate()
+
+
+def at(c, e):
+    """Descriptor `c` with the candidate placeholder E replaced by e."""
+    return tuple(e if arg is E else arg for arg in c)
+
+
+def _divisions_nonempty(table: HyperTable) -> AxiomResult:
+    n = table.order
+    for x in range(n):
+        for y in range(n):
+            if not (right_division(table, x, y) and left_division(table, y, x)):
+                return AxiomResult(False, Witness("divisions-nonempty", (x, y), 0, 0))
+    return AxiomResult(True)
+
+
+def _singleton_cells(table: HyperTable) -> AxiomResult:
+    n = table.order
+    for x in range(n):
+        for y in range(n):
+            cell = table.cell(x, y)
+            if cell.bit_count() != 1:
+                return AxiomResult(False, Witness("singleton-cells", (x, y), cell, cell))
+    return AxiomResult(True)
+
+
+def _with_opposites(check):
+    """A check that needs the opposite map; an undefined map is a failed
+    precondition, not a failed axiom."""
+
+    def result(table, zero):
+        if axioms.opposite_map(table, zero) is None:
+            raise PreconditionError("opposite map undefined")
+        return check(table, zero)
+
+    return result
+
+
+def _over(variant):
+    """The table as the multiplication over an additive group, checked
+    against one ring axiom (distributivity reads no zero; 0 only completes
+    the model)."""
+    return lambda t, add, zero=0: axioms.check_ring_axioms(
+        TwoOpModel(t.order, add, t, zero), variant
+    )
+
+
+def _negation(table, c) -> AxiomResult:
+    if constraint_holds(table, c):
+        return AxiomResult(False, Witness("not", (), 0, 0))
+    return AxiomResult(True)
+
+
+# descriptor tag -> check(table, *arguments) -> AxiomResult
+_RESULTS = {
+    # looked up per call, so a wrapper installed on axioms.check_law sees it
+    "law": lambda t, law: axioms.check_law(t, law),
+    "identity-at": axioms.check_identity_element,
+    "polysymmetry-at": axioms.check_polysymmetry,
+    "unique-opposite-at": axioms.check_unique_opposite,
+    "reversibility-at": _with_opposites(axioms.check_reversibility_canonical),
+    "opposite-additivity-at": _with_opposites(axioms.check_opposite_additivity),
+    "scalar-zero-at": axioms.check_scalar_zero,
+    "reversibility-poly-at": axioms.check_reversibility_poly,
+    "divisions-nonempty": _divisions_nonempty,
+    "singleton-cells": _singleton_cells,
+    "distributive-inclusion-over": _over("distributive-inclusion"),
+    "sign-rule-over": _over("sign-rule"),
+    "non-degenerate": lambda t: _negation(t, ("law", "degenerate")),
+    "not": _negation,
+}
+
+
+def constraint_result(table: HyperTable, c) -> AxiomResult:
+    """The verdict of one descriptor, with its witness on failure; raises
+    PreconditionError when the descriptor's precondition fails."""
+    check = _RESULTS.get(c[0])
+    if check is None:
+        raise ValueError(f"unknown constraint descriptor: {c!r}")
+    return check(table, *c[1:])
+
+
 def constraint_holds(table: HyperTable, c) -> bool:
-    tag = c[0]
-    if tag == "law":
-        return axioms.check_law(table, c[1]).holds
-    if tag == "identity-at":
-        return axioms.check_identity_element(table, c[1]).holds
-    if tag == "polysymmetry-at":
-        return axioms.check_polysymmetry(table, c[1], weak=c[2]).holds
-    if tag == "unique-opposite-at":
-        return axioms.check_unique_opposite(table, c[1]).holds
-    if tag == "reversibility-at":
-        if axioms.opposite_map(table, c[1]) is None:
-            return False
-        return axioms.check_reversibility_canonical(table, c[1]).holds
-    if tag == "opposite-additivity-at":
-        if axioms.opposite_map(table, c[1]) is None:
-            return False
-        return axioms.check_opposite_additivity(table, c[1]).holds
-    if tag == "scalar-zero-at":
-        return axioms.check_scalar_zero(table, c[1]).holds
-    if tag == "divisions-nonempty":
-        n = table.order
-        return all(
-            right_division(table, x, y) and left_division(table, y, x)
-            for x in range(n)
-            for y in range(n)
-        )
-    if tag == "distributive-inclusion-over":
-        # distributivity reads no zero; 0 only completes the model
-        model = TwoOpModel(table.order, c[1], table, 0)
-        return axioms.check_ring_axioms(model, "distributive-inclusion").holds
-    if tag == "sign-rule-over":
-        model = TwoOpModel(table.order, c[1], table, c[2])
-        return axioms.check_ring_axioms(model, "sign-rule").holds
-    if tag == "non-degenerate":
-        return not axioms.check_law(table, "degenerate").holds
-    raise ValueError(f"unknown constraint descriptor: {c!r}")
+    try:
+        return constraint_result(table, c).holds
+    except PreconditionError:
+        return False
 
 
 def satisfies_all(table: HyperTable, constraints) -> bool:

@@ -1,23 +1,31 @@
 """Exhaustive enumeration of models satisfying a constraint set.
 
 A job names its constraints with public ids: any law id from
-axioms.LAW_IDS, or a structure id from the classify module.  Structures
-quantified over a candidate element (canonical-hypergroup and friends) sweep
-every candidate unless the job pins one.  Models are emitted exactly once, in
-canonical table order; with up_to_iso each isomorphism class is emitted once,
-represented by its canonical form.
+axioms.LAW_IDS, or a structure label of `classify.STRUCTURES`.  The search
+comes from that axiom table: a single-operation job sweeps the conjunction of
+its laws and its structures' descriptors, once per candidate element when a
+structure is quantified over one (every element, or only the pinned zero);
+a two-operation job searches the multiplication first when its axioms make
+it a semigroup or group on H* (then the addition at the zero), and
+otherwise the multiplication over every abelian additive group.  Models are
+emitted exactly once, in canonical table order; with up_to_iso each
+isomorphism class is emitted once, represented by its canonical form.
 
 Single-operation sweeps take their engine from `engines.plan_sweep`.  By
 default that is the sharded backtracker, whose pruned-node count the summary
 reports.  Oracle mode ignores every pruning device and filters the raw space
 (pure Python at order <= 2 and for compositions, the vectorized full-space
 engine at order 3); it is the certification path for the backtracking
-generator.
+generator.  Either way a final check evaluates, on each swept table, the
+descriptors of the job's runs that the engine did not, at the run's own
+candidate, so a pinned element holds in oracle mode too.  Two-operation
+models pass `classify.classify_two_op` before they are kept.
 """
 
 import json
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from . import axioms, classify, engines
 from .model import (
@@ -33,50 +41,8 @@ from .parallel import parallel_map
 
 SINGLE_OP_CAP = 5
 TWO_OP_CAP = 4
-
-SINGLE_STRUCTURES = {
-    "partial-hypergroupoid": (),  # final label check only
-    "hypergroupoid": (("law", "cellwise-nonempty"),),
-    "semihypergroup": (("law", "cellwise-nonempty"), ("law", "associative")),
-    "quasihypergroup": (("law", "cellwise-nonempty"), ("law", "reproductive")),
-    "hypergroup": (("law", "associative"), ("law", "reproductive")),
-    "group": (("law", "associative"), ("law", "reproductive")),
-    "hv-group": (("law", "reproductive"), ("law", "weakly-associative")),
-    "la-hypergroup": (("law", "reproductive"), ("law", "left-inverted-associative")),
-    "ra-hypergroup": (("law", "reproductive"), ("law", "right-inverted-associative")),
-}
-
-# structures quantified over a candidate element: id -> constraints(candidate)
-SINGLE_QUANTIFIED = {
-    "qmp-hypergroup": lambda e: (
-        ("law", "associative"),
-        ("identity-at", e),
-        ("polysymmetry-at", e, False),
-    ),
-    "m-polysymmetrical-hypergroup": lambda e: (
-        ("law", "associative"),
-        ("law", "commutative"),
-        ("identity-at", e),
-        ("polysymmetry-at", e, False),
-    ),
-    "canonical-hypergroup": lambda z: (
-        ("law", "associative"),
-        ("law", "commutative"),
-        ("unique-opposite-at", z),
-        ("reversibility-at", z),
-    ),
-    "quasicanonical-hypergroup": lambda z: (
-        ("law", "associative"),
-        ("unique-opposite-at", z),
-        ("reversibility-at", z),
-    ),
-    "normal-hypergroup": lambda z: (
-        ("law", "associative"),
-        ("law", "reproductive"),
-        ("scalar-zero-at", z),
-        ("unique-opposite-at", z),
-    ),
-}
+# def6/def7 (and T6): the order-4 premise space holds about a billion models
+MUL_HYPERRING_CAP = 3
 
 TWO_OP_STRUCTURES = frozenset(classify.TWO_OP_LABELS)
 
@@ -123,18 +89,19 @@ def _check_job(job: EnumerationJob):
     if not 1 <= job.order <= cap:
         raise ValueError(f"order {job.order} above the cap {cap} for this job")
     for c in job.constraints:
-        known = (
-            c in axioms.LAW_IDS
-            or c in SINGLE_STRUCTURES
-            or c in SINGLE_QUANTIFIED
-            or c in TWO_OP_STRUCTURES
-        )
-        if not known:
+        if c not in axioms.LAW_IDS and c not in classify.STRUCTURES:
             raise ValueError(f"unknown constraint id: {c!r}")
-    if two_op and any(
-        c in SINGLE_STRUCTURES or c in SINGLE_QUANTIFIED for c in job.constraints
-    ):
-        raise ValueError("cannot mix single-operation and two-operation structures")
+        if two_op and c in classify.SINGLE_LABELS:
+            raise ValueError("cannot mix single-operation and two-operation structures")
+        if (
+            c in TWO_OP_STRUCTURES
+            and "additive-abelian-group" in classify.axioms_of(c)
+            and job.order > MUL_HYPERRING_CAP
+        ):
+            raise ValueError(
+                f"order {job.order} above the cap {MUL_HYPERRING_CAP} for {c} (and T6): the "
+                "order-4 premise space holds about a billion models"
+            )
     for pin in (job.zero, job.one):
         if pin is not None and not 0 <= pin < job.order:
             raise ValueError("pinned constant out of range")
@@ -142,46 +109,32 @@ def _check_job(job: EnumerationJob):
         raise ValueError("contradictory constant pins: zero = one")
 
 
-# -- single-operation jobs -------------------------------------------------------
-
-
-def _single_final_predicate(job: EnumerationJob):
-    struct_ids = [
-        c for c in job.constraints if c in SINGLE_STRUCTURES or c in SINGLE_QUANTIFIED
-    ]
-    law_ids = [c for c in job.constraints if c in axioms.LAW_IDS]
-
-    def ok(table: HyperTable) -> bool:
-        for law in law_ids:
-            if not axioms.check_law(table, law).holds:
-                return False
-        if struct_ids:
-            labels = classify.classify_single(table).labels
-            if any(s not in labels for s in struct_ids):
-                return False
-        return True
-
-    return ok
-
-
 def _candidates(job: EnumerationJob):
     return range(job.order) if job.zero is None else (job.zero,)
 
 
+# -- single-operation jobs -------------------------------------------------------
+
+_SINGLETON_CELLS = ("singleton-cells",)
+
+
 def _single_runs(job: EnumerationJob):
-    """(constraint-descriptor sets, singleton_only): the union of the runs'
-    model sets covers the job's model set."""
-    base = [("law", c) for c in job.constraints if c in axioms.LAW_IDS]
-    singleton_only = "group" in job.constraints
-    for c in job.constraints:
-        if c in SINGLE_STRUCTURES:
-            base.extend(SINGLE_STRUCTURES[c])
-    quantified = [c for c in job.constraints if c in SINGLE_QUANTIFIED]
-    if not quantified:
-        return [tuple(base)], singleton_only
-    return [
-        tuple(base) + SINGLE_QUANTIFIED[quantified[0]](cand) for cand in _candidates(job)
-    ], singleton_only
+    """(runs, kind): descriptor conjunctions from the axiom table whose model
+    sets together make up the job's.  Structures quantified over a candidate
+    element share it: every element, or the pinned zero."""
+    laws = tuple(("law", c) for c in job.constraints if c in axioms.LAW_IDS)
+    structures = [c for c in job.constraints if c in classify.STRUCTURES]
+    quantified = any(
+        classify.candidate_rule(s) in (classify.ELEMENTS, classify.IDENTITIES) for s in structures
+    )
+    runs = [
+        laws + sum(parts, ())
+        for cand in (_candidates(job) if quantified else (None,))
+        for parts in product(*(classify.runs_at(s, cand) for s in structures))
+    ]
+    # singleton cells are a composition search, which enforces them itself
+    kind = "composition" if any(_SINGLETON_CELLS in run for run in runs) else "hyper"
+    return [tuple(c for c in run if c != _SINGLETON_CELLS) for run in runs], kind
 
 
 def _cells_key(cells):
@@ -189,38 +142,45 @@ def _cells_key(cells):
 
 
 def _single_sweeps(job: EnumerationJob):
-    """(kind, [(engine, run), ...]): each run with the planner's engine."""
-    runs, singleton_only = _single_runs(job)
-    kind = "composition" if singleton_only else "hyper"
+    """(kind, [(engine, swept run, the job runs it covers), ...]), each swept
+    run on the planner's engine."""
+    runs, kind = _single_runs(job)
+    sweeps = [(run, [run]) for run in runs]
     if job.oracle:
         if kind == "composition" and job.order > 3:
             raise ValueError("oracle mode caps composition jobs at order 3")
         if kind == "hyper" and job.order > 3:
             raise ValueError("oracle mode caps single-operation jobs at order 3")
         # the oracle leans on no pruning device: the raw space where the pure
-        # engine reaches, else each run's vectorizable part; final_ok decides
+        # engine reaches, else each run's vectorizable part
         if engines.plan_sweep(job.order, (), kind, oracle=True) == engines.PURE:
-            runs = [()]
+            sweeps = [((), runs)]
         else:
-            runs = [tuple(c for c in run if engines.vectorizable(c)) for run in runs]
-    plans = [engines.plan_sweep(job.order, run, kind, job.oracle, pruned=True) for run in runs]
-    return kind, list(zip(plans, runs))
+            sweeps = [(tuple(c for c in run if engines.vectorizable(c)), [run]) for run in runs]
+    return kind, [
+        (engines.plan_sweep(job.order, swept, kind, job.oracle, pruned=True), swept, covered)
+        for swept, covered in sweeps
+    ]
 
 
 def _enumerate_single(job: EnumerationJob, workers: int):
-    final_ok = _single_final_predicate(job)
     kind, sweeps = _single_sweeps(job)
     pruned_total = 0
     seen = set()
-    for engine, run in sweeps:
-        fn, tasks = engines.sweep_tasks(engine, job.order, run, kind)
+    for engine, swept, covered in sweeps:
+        fn, tasks = engines.sweep_tasks(engine, job.order, swept, kind)
         cells, pruned = engines.merge_sweep(
-            engine, job.order, run, parallel_map(fn, tasks, workers)
+            engine, job.order, swept, parallel_map(fn, tasks, workers)
         )
         pruned_total += pruned
-        for cc in cells:
-            if cc not in seen and final_ok(HyperTable(job.order, cc, kind)):
-                seen.add(cc)
+        # the final check: of each covered run, what the engine did not evaluate
+        rests = [tuple(c for c in run if c not in swept) for run in covered]
+        if all(rests):
+            cells = [
+                cc for cc in cells
+                if any(engines.satisfies_all(HyperTable(job.order, cc, kind), r) for r in rests)
+            ]
+        seen.update(cells)
 
     tables = [HyperTable(job.order, cc, kind) for cc in sorted(seen, key=_cells_key)]
     return tables, pruned_total
@@ -228,38 +188,46 @@ def _enumerate_single(job: EnumerationJob, workers: int):
 
 # -- two-operation jobs -----------------------------------------------------------
 
+# two-operation axiom ids that read only the multiplication
+_MUL_ONLY = {"multiplicative-group-on-H*", "multiplicative-semigroup-on-H*", "absorbing-zero"}
+_ON_H_STAR = {"multiplicative-group-on-H*", "multiplicative-semigroup-on-H*"}
 
-def _mul_candidates(job: EnumerationJob, want_group: bool):
-    """(zero, mul) pairs: composition tables with absorbing zero and a
-    semigroup (or group) on the nonzero elements."""
-    n = job.order
-    out = []
-    for zero in _candidates(job):
-        forced = {}
+# two-operation axiom ids as engine descriptors on the multiplication over
+# an additive group (add, zero)
+_MUL_DESCRIPTORS = {
+    "mul-nondegenerate-associative": lambda add, zero: (
+        ("law", "associative"),
+        ("non-degenerate",),
+    ),
+    "distributive-inclusion": lambda add, zero: (("distributive-inclusion-over", add),),
+    "sign-rule": lambda add, zero: (("sign-rule-over", add, zero),),
+}
+
+
+def mul_compositions(n: int, zero: int, one, ring_ids):
+    """Associative composition tables for the multiplication that pass the
+    ids in `ring_ids` that read only it.  An absorbing zero pins its row and
+    column, and so does a pinned `one` when a semigroup or group on H* is
+    asked for."""
+    forced = {}
+    if "absorbing-zero" in ring_ids:
         for x in range(n):
-            forced[x * n + zero] = 1 << zero
-            forced[zero * n + x] = 1 << zero
-        if job.one is not None and n > 1:
-            for x in range(n):
-                if x != zero:
-                    forced[job.one * n + x] = 1 << x
-                    forced[x * n + job.one] = 1 << x
-        spec = engines.SearchSpec(
-            n,
-            kind="composition",
-            constraints=(("law", "associative"),),
-            forced=tuple(forced.items()),
-        )
-        variant = (
-            "multiplicative-group-on-H*" if want_group
-            else "multiplicative-semigroup-on-H*"
-        )
-        for cells in engines.Backtracker(spec).search():
-            mul = HyperTable(n, cells, "composition")
-            probe = TwoOpModel(n, mul, mul, zero)  # star checks read only mul
-            if axioms.check_ring_axioms(probe, variant).holds:
-                out.append((zero, mul))
-    return out
+            forced[x * n + zero] = forced[zero * n + x] = 1 << zero
+    if one is not None and n > 1 and _ON_H_STAR.intersection(ring_ids):
+        for x in range(n):
+            if x != zero:
+                forced[one * n + x] = forced[x * n + one] = 1 << x
+    spec = engines.SearchSpec(
+        n,
+        kind="composition",
+        constraints=(("law", "associative"),),
+        forced=tuple(forced.items()),
+    )
+    for cells in engines.Backtracker(spec).search():
+        mul = HyperTable(n, cells, "composition")
+        probe = TwoOpModel(n, mul, mul, zero)  # these checks read only mul
+        if all(axioms.check_ring_axioms(probe, r).holds for r in ring_ids if r in _MUL_ONLY):
+            yield mul
 
 
 def _group_action_links(mul: HyperTable, zero: int, n: int):
@@ -279,14 +247,15 @@ def _group_action_links(mul: HyperTable, zero: int, n: int):
 
 
 def hyperring_mul_premises(add: HyperTable, zero: int) -> tuple:
-    """Engine descriptors of the multiplicative-hyperring axioms on a
-    multiplication over the additive group (add, zero), one per axis:
-    associativity, inclusion distributivity, the sign rule, non-degeneracy."""
-    return (
-        ("law", "associative"),
-        ("distributive-inclusion-over", add),
-        ("sign-rule-over", add, zero),
-        ("non-degenerate",),
+    """Engine descriptors of the multiplicative-hyperring axioms (Def. 7) on
+    a multiplication over the additive group (add, zero): associativity,
+    non-degeneracy, inclusion distributivity and the sign rule."""
+    return _mul_descriptors(classify.axioms_of("multiplicative-hyperring-def7"), add, zero)
+
+
+def _mul_descriptors(ring_ids, add, zero) -> tuple:
+    return tuple(
+        d for a in ring_ids if a in _MUL_DESCRIPTORS for d in _MUL_DESCRIPTORS[a](add, zero)
     )
 
 
@@ -315,15 +284,6 @@ def _abelian_group_tables(job: EnumerationJob):
     return out
 
 
-_GROUP_FAMILY = {"hyperfield", "hyperfield-def15"}
-_SEMIGROUP_FAMILY = {
-    "krasner-hyperring",
-    "unitary-hyperring",
-    "m-polysymmetrical-hyperring",
-}
-_ADDGROUP_FAMILY = {"multiplicative-hyperring-def6", "multiplicative-hyperring-def7"}
-
-
 def _enumerate_two_op(job: EnumerationJob, workers: int):
     structures = [c for c in job.constraints if c in TWO_OP_STRUCTURES]
     extra_laws = [c for c in job.constraints if c in axioms.LAW_IDS]
@@ -337,7 +297,11 @@ def _enumerate_two_op(job: EnumerationJob, workers: int):
         return all(s in labels for s in structures)
 
     seen = {}
-    pruned_total = 0
+
+    def keep(add, mul, zero):
+        model = with_detected_one(n, add, mul, zero, job.one)
+        if model is not None and final_ok(model):
+            seen[two_op_key(model)] = model
 
     if job.oracle:
         if n > 2:
@@ -348,72 +312,60 @@ def _enumerate_two_op(job: EnumerationJob, workers: int):
                 # every two-operation structure requires a commutative
                 # associative addition; screening here keeps the inner loop
                 # honest (same predicates) but 20x cheaper
-                if structures and not (
+                if not (
                     axioms.check_law(add, "associative").holds
                     and axioms.check_law(add, "commutative").holds
                 ):
                     continue
                 for mul in tables:
-                    model = _with_detected_one(n, add, mul, zero, job)
-                    if model is not None and final_ok(model):
-                        seen[two_op_key(model)] = model
+                    keep(add, mul, zero)
         return [seen[k] for k in sorted(seen)], 0
 
-    want_group = any(s in _GROUP_FAMILY for s in structures)
-    if want_group or any(s in _SEMIGROUP_FAMILY for s in structures):
-        for zero, mul in _mul_candidates(job, want_group):
-            links = _group_action_links(mul, zero, n) if want_group else ()
-            if "m-polysymmetrical-hyperring" in structures:
-                add_constraints = (
-                    ("law", "associative"),
-                    ("law", "commutative"),
-                    ("identity-at", zero),
-                    ("polysymmetry-at", zero, False),
+    # the search comes from the structures' axioms in the table
+    table_axioms = dict.fromkeys(a for s in structures for a in classify.axioms_of(s))
+    ring = [a for a in table_axioms if isinstance(a, str)]
+    additive = [a for a in table_axioms if not isinstance(a, str)]
+    pruned_total = 0
+    if _ON_H_STAR.intersection(ring):
+        # the multiplication is a composition: search it first, then the
+        # addition at the zero
+        group = "multiplicative-group-on-H*" in ring and "distributive-equal" in ring
+        for zero in _candidates(job):
+            for mul in mul_compositions(n, zero, job.one, ring):
+                spec = engines.SearchSpec(
+                    n,
+                    constraints=tuple(engines.at(c, zero) for c in additive),
+                    link_generators=tuple(_group_action_links(mul, zero, n) if group else ()),
                 )
-            else:
-                add_constraints = (
-                    ("law", "associative"),
-                    ("law", "commutative"),
-                    ("unique-opposite-at", zero),
-                )
-            spec = engines.SearchSpec(
-                n,
-                constraints=add_constraints,
-                link_generators=tuple(links),
-            )
-            bt = engines.Backtracker(spec)
-            for add_cells in bt.search():
-                model = _with_detected_one(n, HyperTable(n, add_cells), mul, zero, job)
-                if model is not None and final_ok(model):
-                    seen[two_op_key(model)] = model
-            pruned_total += bt.pruned
-    elif any(s in _ADDGROUP_FAMILY for s in structures):
-        allow_empty = "multiplicative-hyperring-def6" not in structures
+                bt = engines.Backtracker(spec)
+                for add_cells in bt.search():
+                    keep(HyperTable(n, add_cells), mul, zero)
+                pruned_total += bt.pruned
+    else:
+        # an abelian additive group: search the multiplication over each
         for zero, add in _abelian_group_tables(job):
             spec = engines.SearchSpec(
-                n, allow_empty=allow_empty, constraints=hyperring_mul_premises(add, zero)
+                n,
+                allow_empty="mul-cellwise-nonempty" not in ring,
+                constraints=_mul_descriptors(ring, add, zero),
             )
             bt = engines.Backtracker(spec)
             for mul_cells in bt.search():
-                model = _with_detected_one(n, add, HyperTable(n, mul_cells), zero, job)
-                if model is not None and final_ok(model):
-                    seen[two_op_key(model)] = model
+                keep(add, HyperTable(n, mul_cells), zero)
             pruned_total += bt.pruned
-    else:
-        raise ValueError("two-operation jobs need at least one structure id")
 
     return [seen[k] for k in sorted(seen)], pruned_total
 
 
-def _with_detected_one(n, add, mul, zero, job):
+def with_detected_one(n, add, mul, zero, pinned_one=None):
     """Assemble the model with `one` = the detected multiplicative identity.
 
     The identity is derived data, so two-operation models are counted by
     (add, mul, zero) alone; a pinned `one` filters to models whose detected
-    identity matches it.
+    identity matches it (None is returned for the others).
     """
     one = axioms.multiplicative_identity(TwoOpModel(n, add, mul, zero))
-    if job.one is not None and one != job.one:
+    if pinned_one is not None and one != pinned_one:
         return None
     if one is not None and one == zero and n > 1:
         one = None

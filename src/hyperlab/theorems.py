@@ -45,19 +45,22 @@ from functools import partial
 from itertools import product
 
 
-from . import axioms, engines
+from . import axioms, classify, engines
+from .engines import E, at
 from .enumeration import (
+    MUL_HYPERRING_CAP,
     EnumerationJob,
     _abelian_group_tables,
     enumerate_models,
     hyperring_mul_premises,
+    mul_compositions,
+    with_detected_one,
 )
 from .model import (
     HyperTable,
     HypermoduleModel,
     TwoOpModel,
     apply_permutation,
-    mask_image,
     members_of,
     table_key,
 )
@@ -68,7 +71,7 @@ from .samples import krasner_hyperfield, sign_hyperfield
 _ORDER_CAPS = {
     "T2": 3,
     "T3": 3,
-    "T6": 3,  # the order-4 premise space holds ~1e9 models; see the ledger
+    "T6": MUL_HYPERRING_CAP,
     "T7": 3,
     "T9": 3,
     "T11": 3,
@@ -111,33 +114,33 @@ class VerificationReport:
 
 # -- premise and conclusion vocabulary -------------------------------------------
 
-# ids with an engine descriptor, given the quantified element
-_DESCRIPTOR_IDS = {law: (lambda e, law=law: ("law", law)) for law in axioms.LAW_IDS} | {
-    "identity": lambda e: ("identity-at", e),
-    "polysymmetry": lambda e: ("polysymmetry-at", e, False),
-    "polysymmetry-weak": lambda e: ("polysymmetry-at", e, True),
-    "unique-opposite": lambda e: ("unique-opposite-at", e),
-    "reversibility-canonical": lambda e: ("reversibility-at", e),
-    "opposite-additivity": lambda e: ("opposite-additivity-at", e),
-    "scalar-zero": lambda e: ("scalar-zero-at", e),
-    "divisions-nonempty": lambda e: ("divisions-nonempty",),
+# ids with an engine descriptor; E stands for the quantified element
+_DESCRIPTOR_IDS = {law: ("law", law) for law in axioms.LAW_IDS} | {
+    "identity": ("identity-at", E),
+    "polysymmetry": ("polysymmetry-at", E, False),
+    "polysymmetry-weak": ("polysymmetry-at", E, True),
+    "unique-opposite": ("unique-opposite-at", E),
+    "reversibility-canonical": ("reversibility-at", E),
+    "opposite-additivity": ("opposite-additivity-at", E),
+    "scalar-zero": ("scalar-zero-at", E),
+    "divisions-nonempty": ("divisions-nonempty",),
+    "reversibility-poly": ("reversibility-poly-at", E, False),
+    "reversibility-poly-weak": ("reversibility-poly-at", E, True),
 }
+_ID_OF = {c: ident for ident, c in _DESCRIPTOR_IDS.items()}
 
-# ids that only serve as conclusions: id -> predicate(table, element)
-_CONCLUSION_ONLY_IDS = {
-    "reversibility-poly": lambda t, e: axioms.check_reversibility_poly(t, e).holds,
-    "reversibility-poly-weak": lambda t, e: axioms.check_reversibility_poly(
-        t, e, weak=True
-    ).holds,
+# ids without a descriptor: id -> predicate(table, element)
+_PREDICATE_IDS = {
     "qmp-properties": lambda t, e: all(ok for _, ok in qmp_property_checks(t, e)),
     "identity-and-inverses": lambda t, e: _identity_and_inverses(t),
 }
+_CONCLUSION_ONLY_IDS = {"reversibility-poly", "reversibility-poly-weak", *_PREDICATE_IDS}
 
 _ELEMENT_FREE_IDS = {"divisions-nonempty", "identity-and-inverses"}
 
 
 def _id_known(ident: str) -> bool:
-    return ident in _DESCRIPTOR_IDS or ident in _CONCLUSION_ONLY_IDS
+    return ident in _DESCRIPTOR_IDS or ident in _PREDICATE_IDS
 
 
 def _element_dependent(ident) -> bool:
@@ -148,14 +151,19 @@ def _descriptors_at(ids, cand):
     for ident in ids:
         if ident not in _DESCRIPTOR_IDS:
             raise ValueError(f"unknown premise id: {ident!r}")
-    return tuple(_DESCRIPTOR_IDS[ident](cand) for ident in ids)
+    return tuple(at(_DESCRIPTOR_IDS[ident], cand) for ident in ids)
+
+
+def _ids_of(label):
+    """The premise ids of a single-operation label of the axiom table."""
+    return tuple(_ID_OF[c] for c in classify.axioms_of(label))
 
 
 def _id_holds(table, ident, cand) -> bool:
     if ident in _DESCRIPTOR_IDS:
-        return engines.constraint_holds(table, _DESCRIPTOR_IDS[ident](cand))
-    if ident in _CONCLUSION_ONLY_IDS:
-        return _CONCLUSION_ONLY_IDS[ident](table, cand)
+        return engines.constraint_holds(table, at(_DESCRIPTOR_IDS[ident], cand))
+    if ident in _PREDICATE_IDS:
+        return _PREDICATE_IDS[ident](table, cand)
     raise ValueError(f"unknown id: {ident!r}")
 
 
@@ -164,14 +172,9 @@ def _witness(table, ident, cand):
     if ident == "qmp-properties":
         _revalidate(not _id_holds(table, ident, cand), "a qMp property fails")
         return {"check": next(cid for cid, ok in qmp_property_checks(table, cand) if not ok)}
-    if ident in axioms.LAW_IDS:
-        res = axioms.check_law(table, ident)
-    elif ident == "scalar-zero":
-        res = axioms.check_scalar_zero(table, cand)
-    elif ident == "reversibility-poly":
-        res = axioms.check_reversibility_poly(table, cand)
-    else:
+    if ident not in _DESCRIPTOR_IDS:
         raise ValueError(f"no witness for {ident!r}")
+    res = engines.constraint_result(table, at(_DESCRIPTOR_IDS[ident], cand))
     _revalidate(not res.holds, f"{ident} fails")
     return res.witness.to_json()
 
@@ -571,8 +574,8 @@ def _t27_extras(s: Swept):
     }
 
 
-_QMP = ("associative", "identity", "polysymmetry")
-_CANONICAL = ("associative", "commutative", "unique-opposite", "reversibility-canonical")
+_QMP = _ids_of("qmp-hypergroup")
+_CANONICAL = _ids_of("canonical-hypergroup")
 
 CLAIMS = {
     "T2": Claim(
@@ -634,8 +637,13 @@ _WEAK_QMP = Claim(
 # -- T6: multiplicative hyperrings ---------------------------------------------
 
 
-# report names of the `hyperring_mul_premises` descriptors, in their order
-_T6_AXES = ("mul-associative", "distributive-inclusion", "sign-rule", "non-degenerate")
+# report names of the `hyperring_mul_premises` descriptors by tag, in report order
+_T6_AXES = {
+    "law": "mul-associative",
+    "distributive-inclusion-over": "distributive-inclusion",
+    "sign-rule-over": "sign-rule",
+    "non-degenerate": "non-degenerate",
+}
 
 
 def _verify_t6(order, drop_premises, oracle, workers):
@@ -687,11 +695,10 @@ def _t6_drops(order, adds, workers):
     """Per dropped axis: the first table of the first additive group where
     the other axes hold and some product is empty, on the backtracker."""
     entries = []
-    for i, dropped in enumerate(_T6_AXES):
+    for tag, dropped in _T6_AXES.items():
         hit = None
         for zero, add in adds:
-            premises = hyperring_mul_premises(add, zero)
-            kept = premises[:i] + premises[i + 1:]
+            kept = tuple(c for c in hyperring_mul_premises(add, zero) if c[0] != tag)
             tables = _sweep_tables(order, kept, False, workers, pruned=True)
             empty = (t for t in tables if not axioms.check_law(t, "cellwise-nonempty").holds)
             mul = next(empty, None)
@@ -710,14 +717,10 @@ def _t6_drops(order, adds, workers):
 # -- T28: hyperfields --------------------------------------------------------------
 
 
-_T28_PREMISES = (
-    "additive-associative",
-    "additive-commutative",
-    "unique-opposite",
-    "multiplicative-group-on-H*",
-    "absorbing-zero",
-    "distributive-equal",
-)
+def _t28_name(axiom) -> str:
+    """Report name of a Def-15 axiom: additive laws are prefixed."""
+    name = classify.axiom_name(axiom)
+    return "additive-" + name if axiom == ("law", name) else name
 
 
 def _enumerated(workers, order, structure, **job_fields):
@@ -764,65 +767,37 @@ def _verify_t28(order, drop_premises, oracle, workers):
         },
     )
     if drop_premises:
-        for dropped in _T28_PREMISES:
+        for dropped in classify.axioms_of("hyperfield-def15"):
             hit = _t28_drop_search(order, dropped)
+            name = _t28_name(dropped)
             report.independence_witnesses.append(
-                {"dropped": dropped, "none_at_order": order} if hit is None
-                else {"dropped": dropped, "model": serialize_model(hit)}
+                {"dropped": name, "none_at_order": order} if hit is None
+                else {"dropped": name, "model": serialize_model(hit)}
             )
     return report
 
 
 def _t28_drop_search(order, dropped):
-    """First model with the Def-15 premises minus `dropped` holding and
-    reversibility failing; zero = 0, one = 1."""
-    n = order
-    one = 1 if n > 1 else None
-
-    mul_forced = {}
-    if dropped != "absorbing-zero":
-        for x in range(n):
-            mul_forced[x * n] = 1
-            mul_forced[x] = 1
-    if one is not None and dropped != "multiplicative-group-on-H*":
-        for x in range(1, n):
-            mul_forced[one * n + x] = 1 << x
-            mul_forced[x * n + one] = 1 << x
-
-    mul_spec = engines.SearchSpec(
-        n, kind="composition",
-        constraints=(("law", "associative"),),
-        forced=tuple(mul_forced.items()),
-    )
-    add_constraints = []
-    if dropped != "additive-associative":
-        add_constraints.append(("law", "associative"))
-    if dropped != "additive-commutative":
-        add_constraints.append(("law", "commutative"))
-    if dropped != "unique-opposite":
-        add_constraints.append(("unique-opposite-at", 0))
-
-    for mul_cells in engines.Backtracker(mul_spec).search():
-        mul = HyperTable(n, mul_cells, "composition")
-        probe = TwoOpModel(n, mul, mul, 0, one)
-        if any(
-            name != dropped and not axioms.check_ring_axioms(probe, name).holds
-            for name in ("multiplicative-group-on-H*", "absorbing-zero")
-        ):
-            continue
-        add_spec = engines.SearchSpec(n, constraints=tuple(add_constraints))
-        for add_cells in engines.Backtracker(add_spec).search():
-            add = HyperTable(n, add_cells)
-            model = TwoOpModel(n, add, mul, 0, one)
-            if dropped != "distributive-equal" and not axioms.check_ring_axioms(
-                model, "distributive-equal"
-            ).holds:
-                continue
+    """First model, zero 0 and (for the multiplication search) one 1 pinned
+    as in T28's sweeps, where every Def-15 axiom but `dropped` holds and
+    reversibility fails.  Its `one` is the detected multiplicative identity,
+    if it has one."""
+    kept = [a for a in classify.axioms_of("hyperfield-def15") if a != dropped]
+    ring = [a for a in kept if isinstance(a, str)]
+    spec = engines.SearchSpec(order, constraints=tuple(at(a, 0) for a in kept if a not in ring))
+    for mul in mul_compositions(order, 0, 1 if order > 1 else None, ring):
+        for add_cells in engines.Backtracker(spec).search():
+            model = with_detected_one(order, HyperTable(order, add_cells), mul, 0)
             # an undefined opposite map (unique-opposite dropped) counts as
             # failed reversibility
-            if axioms.opposite_map(add, 0) is None or not (
-                axioms.check_reversibility_canonical(add, 0).holds
+            if all(classify.axiom_holds(model, a, 0) for a in ring) and not (
+                classify.axiom_holds(model, classify.REVERSIBILITY, 0)
             ):
+                _revalidate(
+                    all(classify.axiom_holds(model, a, 0) for a in kept)
+                    and not classify.axiom_holds(model, classify.REVERSIBILITY, 0),
+                    f"the Def-15 axioms but {_t28_name(dropped)} hold, reversibility fails",
+                )
                 return model
     return None
 
@@ -842,19 +817,21 @@ def _t29_scalar_family(workers):
 
 
 def _t29_module_tables(max_order, workers):
-    """(table, zero, commutative) candidates: normal hypergroups of small order."""
+    """(table, zero, commutative) candidates: normal hypergroups of small
+    order, at every zero where the table's normal-hypergroup axioms hold."""
     out = []
     for order in range(1, max_order + 1):
         for t in _enumerated(workers, order, "normal-hypergroup"):
-            scalars = axioms.find_identities(t).scalar
-            for z in members_of(scalars):
-                if axioms.check_unique_opposite(t, z).holds:
+            for z in range(order):
+                if classify.holds_at("normal-hypergroup", t, z):
                     out.append((t, z, axioms.check_law(t, "commutative").holds))
     return out
 
 
 def _actions_satisfying(p_model, madd, zero_m):
-    """Yield single-valued actions passing axioms i-iv (ii as equality)."""
+    """Yield single-valued actions passing axioms i-iv (ii as equality),
+    checked cheapest first (iv) up to the first failure."""
+    i, ii, iii, iv = classify.action_axioms().values()
     p_n = p_model.order
     m_n = madd.order
     for flat in product(range(m_n), repeat=p_n * m_n):
@@ -862,37 +839,8 @@ def _actions_satisfying(p_model, madd, zero_m):
             tuple(flat[a * m_n + m] for m in range(m_n)) for a in range(p_n)
         )
         hm = HypermoduleModel(p_model, madd, zero_m, action)
-        if _action_axioms_hold(hm):
+        if iv(hm) is None and i(hm) is None and ii(hm) is None and iii(hm) is None:
             yield hm
-
-
-def _action_axioms_hold(hm: HypermoduleModel) -> bool:
-    p_n = hm.scalars.order
-    m_n = hm.madd.order
-    madd = hm.madd
-    p_add = hm.scalars.add
-    p_mul = hm.scalars.mul
-    for m in range(m_n):
-        if hm.act(hm.scalars.one, m) != m:
-            return False
-        if hm.act(hm.scalars.zero, m) != hm.zero_m:
-            return False
-    for a in range(p_n):
-        for m in range(m_n):
-            for k in range(m_n):
-                lhs = mask_image(madd.cell(m, k), hm.action[a])
-                if lhs != madd.cell(hm.act(a, m), hm.act(a, k)):
-                    return False
-    for a in range(p_n):
-        for b in range(p_n):
-            for m in range(m_n):
-                lhs = mask_image(p_add.cell(a, b), [row[m] for row in hm.action])
-                if lhs != madd.cell(hm.act(a, m), hm.act(b, m)):
-                    return False
-                ab = p_mul.cell(a, b).bit_length() - 1
-                if hm.act(ab, m) != hm.act(a, hm.act(b, m)):
-                    return False
-    return True
 
 
 def _verify_t29(order, drop_premises, oracle, workers):
@@ -908,10 +856,10 @@ def _verify_t29(order, drop_premises, oracle, workers):
         for madd, zero_m, commutative in modules:
             space += madd.order ** (p_model.order * madd.order)
             m_opp = axioms.opposite_map(madd, zero_m)
+            canonical = classify.holds_at("canonical-hypergroup", madd, zero_m)
             for hm in _actions_satisfying(p_model, madd, zero_m):
                 if commutative:
                     premise_models += 1
-                    canonical = engines.satisfies_all(madd, _descriptors_at(_CANONICAL, zero_m))
                     if not canonical and first is None:
                         first = hm
                     # acting by the opposite of the scalar unit must negate

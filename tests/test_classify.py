@@ -6,6 +6,10 @@ import pytest
 from hyperlab.axioms import PreconditionError
 from hyperlab.classify import (
     SINGLE_LABELS,
+    STRUCTURES,
+    TWO_OP_LABELS,
+    axioms_of,
+    axiom_name,
     check_hypermodule,
     classify_single,
     classify_two_op,
@@ -283,3 +287,19 @@ def test_sign_hyperfield_self_module_and_opposite_action():
     assert minus_one == 2
     for m in range(3):
         assert hm.act(minus_one, m) == opp[m]
+
+
+def test_table_states_the_minimised_definitions():
+    # Def. 15 is the hyperfield of Def. 14 without reversibility, and Def. 7
+    # is Def. 6 without non-empty products
+    def14 = axioms_of("hyperfield")
+    without = [a for a in def14 if axiom_name(a) != "reversibility-canonical"]
+    assert len(without) == len(def14) - 1
+    assert tuple(without) == axioms_of("hyperfield-def15")
+    def6 = axioms_of("multiplicative-hyperring-def6")
+    assert def6 == axioms_of("multiplicative-hyperring-def7") + ("mul-cellwise-nonempty",)
+
+
+def test_table_defines_every_label_once():
+    assert set(STRUCTURES) == set(SINGLE_LABELS) | set(TWO_OP_LABELS)
+    assert len(SINGLE_LABELS) == 14 and len(TWO_OP_LABELS) == 7

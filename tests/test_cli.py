@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from hyperlab.cli import default_catalog_path, main
 from hyperlab.modelio import parse_model
 
@@ -170,6 +172,18 @@ def test_enumerate_validation_error():
     code, _, err = run(["enumerate", "--order", "9", "--structure", "hypergroup"])
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "structure", ["multiplicative-hyperring-def6", "multiplicative-hyperring-def7"]
+)
+def test_enumerate_refuses_order4_multiplicative_hyperrings(structure):
+    # the order-4 premise space holds about a billion models: refuse up
+    # front, at the cap T6 uses
+    code, out, err = run(["enumerate", "--order", "4", "--structure", structure,
+                          "--zero", "0", "--workers", "1"])
+    assert code == 1 and out == ""
+    assert f"above the cap 3 for {structure}" in err
 
 
 def test_dorroh_text_and_exit():

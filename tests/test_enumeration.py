@@ -45,6 +45,31 @@ def test_order2_hypergroup_oracle_equals_pruned():
     assert oracle_summary.canonical_count == 8
 
 
+@pytest.mark.parametrize("zero", [0, 1])
+@pytest.mark.parametrize(
+    "structure",
+    [
+        "qmp-hypergroup",
+        "m-polysymmetrical-hypergroup",
+        "canonical-hypergroup",
+        "quasicanonical-hypergroup",
+        "normal-hypergroup",
+    ],
+)
+def test_oracle_honours_pinned_element(structure, zero):
+    _, pruned = run_job(order=2, constraints=[structure], zero=zero)
+    _, oracle = run_job(order=2, constraints=[structure], zero=zero, oracle=True)
+    assert [m.cells for m in oracle] == [m.cells for m in pruned]
+
+
+def test_oracle_honours_pinned_element_order3():
+    # about 3 s: one vector sweep, reversibility in the final check
+    summary, pruned = run_job(order=3, constraints=["canonical-hypergroup"], zero=1)
+    _, oracle = run_job(order=3, constraints=["canonical-hypergroup"], zero=1, oracle=True)
+    assert summary.raw_count == 15
+    assert [m.cells for m in oracle] == [m.cells for m in pruned]
+
+
 def test_emission_is_strictly_increasing():
     _, models = run_job(order=2, constraints=["hypergroup"])
     keys = [table_key(m) for m in models]
@@ -157,12 +182,11 @@ def test_order4_hyperfield_matches_linkless_search():
     # re-derive the model set without it
     from hyperlab import engines
     from hyperlab.classify import classify_two_op
-    from hyperlab.enumeration import _mul_candidates
+    from hyperlab.enumeration import mul_compositions
     from hyperlab.model import HyperTable, two_op_key
 
-    job = EnumerationJob(4, ("hyperfield",), zero=0, one=1)
     found = set()
-    for zero, mul in _mul_candidates(job, want_group=True):
+    for mul in mul_compositions(4, 0, 1, ("multiplicative-group-on-H*", "absorbing-zero")):
         spec = engines.SearchSpec(
             4,
             constraints=(

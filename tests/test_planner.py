@@ -86,7 +86,7 @@ def test_order3_oracle_counts_without_materialising_tables(theorem):
 def test_enumeration_engine(order, constraints, oracle, engines_per_run):
     job = EnumerationJob(order, constraints, oracle=oracle)
     _kind, sweeps = enumeration._single_sweeps(job)
-    assert [engine for engine, _run in sweeps] == engines_per_run
+    assert [engine for engine, _swept, _covered in sweeps] == engines_per_run
 
 
 def test_enumeration_oracle_caps():
