@@ -14,13 +14,10 @@ Three engines with one constraint vocabulary:
               only engine that scales past toy spaces for strongly
               constrained jobs).
 
-`plan_sweep` is the one place that picks an engine for a sweep: pure for
-oracle runs at order <= 2 and for compositions, vector for order-3 runs
-whose constraints all vectorize (count mode if only counts are needed), the
-backtracker for pruned-generator requests, other orders and constraints
-the vector engine cannot evaluate, and a witness-map split of the
-backtracker for strict polysymmetry at order >= 4.  `sweep_tasks` and
-`merge_sweep` run a planned table sweep as independent tasks.
+`plan_sweep` is the one place that picks an engine for a sweep, oracle
+sweeps included.  `sweep_tasks` and `merge_sweep` run a planned table sweep
+as independent tasks; `first_hit_task` runs one backtracker shard up to its
+first accepted table.
 
 Constraints are serializable descriptors:
 
@@ -61,6 +58,7 @@ Every engine emits only tables that pass the authoritative axiom-module
 predicates; pruning is a conservative accelerator, never the verdict.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 
@@ -525,24 +523,16 @@ def identity_lut(order: int) -> tuple[int, ...]:
     return tuple(range(1 << order))
 
 
+@dataclass
 class SearchSpec:
     """Declarative input to the backtracker; picklable for worker processes."""
 
-    def __init__(
-        self,
-        order,
-        kind="hyper",
-        allow_empty=True,
-        constraints=(),
-        link_generators=(),   # ((src, dst, perm), ...): writing src forces dst
-        forced=(),            # ((pos, mask), ...)
-    ):
-        self.order = order
-        self.kind = kind
-        self.allow_empty = allow_empty
-        self.constraints = tuple(constraints)
-        self.link_generators = tuple(link_generators)
-        self.forced = tuple(forced)
+    order: int
+    kind: str = "hyper"
+    allow_empty: bool = True
+    constraints: tuple = ()
+    link_generators: tuple = ()  # ((src, dst, perm), ...): writing src forces dst
+    forced: tuple = ()  # ((pos, mask), ...)
 
 
 def _triple_positions(law, x, y, z, n):
@@ -1005,8 +995,10 @@ WITNESS_MAP = "witness-map"
 def plan_sweep(order, constraints, kind="hyper", oracle=False, counts=False, pruned=False):
     """The engine for one sweep; every verifier and enumeration sweep asks here.
 
-    * oracle: pure at order <= 2 and for compositions, vector at order 3
-      when every constraint is vectorizable, the backtracker otherwise;
+    * oracle: pure at order <= 2 and for compositions; at order 3 vector
+      count when only counts are needed and every constraint vectorizes,
+      else vector collect, which filters its survivors through the
+      constraints it cannot vectorize; the backtracker above order 3;
     * strict polysymmetry at order >= 4, unless the caller asks for the
       pruned generator: the witness-map split;
     * the backtracker when the caller asks for the pruned generator, at
@@ -1014,14 +1006,18 @@ def plan_sweep(order, constraints, kind="hyper", oracle=False, counts=False, pru
     * otherwise at order 3: vector count when only the premise count and
       the first failure are needed, vector collect when the tables are.
     """
-    vector = order == 3 and kind == "hyper" and all(vectorizable(c) for c in constraints)
-    if oracle and (order <= 2 or kind == "composition"):
-        return PURE
-    if not (oracle or pruned) and order >= 4 and any(
+    vector = all(vectorizable(c) for c in constraints)
+    if oracle:
+        if order <= 2 or kind == "composition":
+            return PURE
+        if order > 3:
+            return BACKTRACK
+        return VECTOR_COUNT if counts and vector else VECTOR_COLLECT
+    if not pruned and order >= 4 and any(
         c[0] == "polysymmetry-at" and not c[2] for c in constraints
     ):
         return WITNESS_MAP
-    if not vector or (pruned and not oracle):
+    if pruned or order != 3 or kind != "hyper" or not vector:
         return BACKTRACK
     return VECTOR_COUNT if counts else VECTOR_COLLECT
 
@@ -1070,6 +1066,16 @@ def _backtrack_task(args):
     spec_args, first_index = args
     bt = Backtracker(SearchSpec(**spec_args))
     return list(bt.search(first_index)), bt.pruned
+
+
+def first_hit_task(args, accept=None):
+    """The first cell tuple of one backtracker shard (a `sweep_tasks` task)
+    whose table `accept` takes (None takes every table), or None."""
+    spec_args, first_index = args
+    for cells in Backtracker(SearchSpec(**spec_args)).search(first_index):
+        if accept is None or accept(HyperTable(spec_args["order"], cells, spec_args["kind"])):
+            return cells
+    return None
 
 
 def _witness_map_tasks(order, constraints):

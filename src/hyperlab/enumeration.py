@@ -11,20 +11,21 @@ otherwise the multiplication over every abelian additive group.  Models are
 emitted exactly once, in canonical table order; with up_to_iso each
 isomorphism class is emitted once, represented by its canonical form.
 
-Single-operation sweeps take their engine from `engines.plan_sweep`.  By
-default that is the sharded backtracker, whose pruned-node count the summary
-reports.  Oracle mode ignores every pruning device and filters the raw space
-(pure Python at order <= 2 and for compositions, the vectorized full-space
-engine at order 3); it is the certification path for the backtracking
-generator.  Either way a final check evaluates, on each swept table, the
-descriptors of the job's runs that the engine did not, at the run's own
-candidate, so a pinned element holds in oracle mode too.  Two-operation
-models pass `classify.classify_two_op` before they are kept.
+Single-operation jobs, the verifiers' premise sweeps and T6 share one
+sweep, `sweep`, which plans each descriptor run with `engines.plan_sweep`.
+By default that is the sharded backtracker, whose pruned-node count the
+summary reports.  Oracle mode ignores every pruning device and filters the
+raw space (pure Python at order <= 2 and for compositions, the vectorized
+full-space engine at order 3, capped there); it is the certification path
+for the backtracking generator.  Two-operation models pass
+`classify.classify_two_op` before they are kept.  `search_first` is the one
+first-hit search behind every drop and independence search.
 """
 
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from . import axioms, classify, engines
@@ -37,11 +38,13 @@ from .model import (
     table_key,
     two_op_key,
 )
-from .parallel import parallel_map
+from .parallel import first_hit, parallel_map
 
 SINGLE_OP_CAP = 5
 TWO_OP_CAP = 4
-# def6/def7 (and T6): the order-4 premise space holds about a billion models
+# two-operation labels without a multiplicative group on H* (and T6): the
+# def6/def7 order-4 premise space holds about a billion models, and the
+# Krasner family's order-4 searches ran past 45 s each
 MUL_HYPERRING_CAP = 3
 
 TWO_OP_STRUCTURES = frozenset(classify.TWO_OP_LABELS)
@@ -95,13 +98,15 @@ def _check_job(job: EnumerationJob):
             raise ValueError("cannot mix single-operation and two-operation structures")
         if (
             c in TWO_OP_STRUCTURES
-            and "additive-abelian-group" in classify.axioms_of(c)
+            and "multiplicative-group-on-H*" not in classify.axioms_of(c)
             and job.order > MUL_HYPERRING_CAP
         ):
             raise ValueError(
-                f"order {job.order} above the cap {MUL_HYPERRING_CAP} for {c} (and T6): the "
-                "order-4 premise space holds about a billion models"
+                f"order {job.order} above the cap {MUL_HYPERRING_CAP} for {c}: without a "
+                "multiplicative group on H* the order-4 search does not finish in bounded time"
             )
+    if job.oracle and not two_op and job.order > 3:
+        raise ValueError("oracle mode caps single-operation jobs at order 3")
     for pin in (job.zero, job.one):
         if pin is not None and not 0 <= pin < job.order:
             raise ValueError("pinned constant out of range")
@@ -137,53 +142,50 @@ def _single_runs(job: EnumerationJob):
     return [tuple(c for c in run if c != _SINGLETON_CELLS) for run in runs], kind
 
 
-def _cells_key(cells):
-    return tuple(engines.cell_key(m) for m in cells)
+# -- shared sweeps ------------------------------------------------------------------
 
 
-def _single_sweeps(job: EnumerationJob):
-    """(kind, [(engine, swept run, the job runs it covers), ...]), each swept
-    run on the planner's engine."""
-    runs, kind = _single_runs(job)
-    sweeps = [(run, [run]) for run in runs]
-    if job.oracle:
-        if kind == "composition" and job.order > 3:
-            raise ValueError("oracle mode caps composition jobs at order 3")
-        if kind == "hyper" and job.order > 3:
-            raise ValueError("oracle mode caps single-operation jobs at order 3")
-        # the oracle leans on no pruning device: the raw space where the pure
-        # engine reaches, else each run's vectorizable part
-        if engines.plan_sweep(job.order, (), kind, oracle=True) == engines.PURE:
-            sweeps = [((), runs)]
-        else:
-            sweeps = [(tuple(c for c in run if engines.vectorizable(c)), [run]) for run in runs]
-    return kind, [
-        (engines.plan_sweep(job.order, swept, kind, job.oracle, pruned=True), swept, covered)
-        for swept, covered in sweeps
-    ]
+def sweep(order, runs, kind="hyper", oracle=False, workers=1, pruned=False):
+    """(tables satisfying some descriptor run, in canonical order; pruned
+    nodes).  Each run goes to its `engines.plan_sweep` engine, whose tasks
+    fan out over `workers`."""
+    found, pruned_nodes = [], 0
+    for run in runs:
+        engine = engines.plan_sweep(order, run, kind, oracle, pruned=pruned)
+        fn, tasks = engines.sweep_tasks(engine, order, run, kind)
+        cells, nodes = engines.merge_sweep(engine, order, run, parallel_map(fn, tasks, workers))
+        found.append(cells)
+        pruned_nodes += nodes
+    if len(found) == 1:  # every engine emits in canonical order
+        return [HyperTable(order, cc, kind) for cc in found[0]], pruned_nodes
+    union = (HyperTable(order, cc, kind) for cc in set().union(*found))
+    return sorted(union, key=table_key), pruned_nodes
 
 
-def _enumerate_single(job: EnumerationJob, workers: int):
-    kind, sweeps = _single_sweeps(job)
-    pruned_total = 0
-    seen = set()
-    for engine, swept, covered in sweeps:
-        fn, tasks = engines.sweep_tasks(engine, job.order, swept, kind)
-        cells, pruned = engines.merge_sweep(
-            engine, job.order, swept, parallel_map(fn, tasks, workers)
-        )
-        pruned_total += pruned
-        # the final check: of each covered run, what the engine did not evaluate
-        rests = [tuple(c for c in run if c not in swept) for run in covered]
-        if all(rests):
-            cells = [
-                cc for cc in cells
-                if any(engines.satisfies_all(HyperTable(job.order, cc, kind), r) for r in rests)
-            ]
-        seen.update(cells)
+def count_sweep(runs, conclusion, biconditional, workers=1):
+    """Order-3 count mode: (tables satisfying some run, the first of them
+    where the conclusion fails, or None); see `engines.v3_count_chunk`."""
+    fn = partial(
+        engines.v3_count_chunk, runs=runs, conclusion=conclusion, biconditional=biconditional
+    )
+    results = parallel_map(fn, engines.vector_sweep3_tasks(), workers)
+    first = next((cells for _, cells in results if cells is not None), None)
+    return sum(count for count, _ in results), None if first is None else HyperTable(3, first)
 
-    tables = [HyperTable(job.order, cc, kind) for cc in sorted(seen, key=_cells_key)]
-    return tables, pruned_total
+
+def search_first(order, searches, kind="hyper", workers=1):
+    """The canonical first (table, i) where the table satisfies the
+    descriptors of searches[i] = (constraints, accept) and `accept(table)`
+    holds (None accepts every table), ties to the lower i; None if no search
+    has a hit.  Each search runs on the backtracker's shards in canonical
+    order and stops at its first shard with a hit."""
+    hits = []
+    for i, (constraints, accept) in enumerate(searches):
+        _, tasks = engines.sweep_tasks(engines.BACKTRACK, order, constraints, kind)
+        cells = first_hit(partial(engines.first_hit_task, accept=accept), tasks, workers)
+        if cells is not None:
+            hits.append((HyperTable(order, cells, kind), i))
+    return min(hits, key=lambda hit: (table_key(hit[0]), hit[1]), default=None)
 
 
 # -- two-operation jobs -----------------------------------------------------------
@@ -261,19 +263,9 @@ def _mul_descriptors(ring_ids, add, zero) -> tuple:
 
 def _abelian_group_tables(job: EnumerationJob):
     """(zero, add) for every labeled abelian group table of the job's order."""
-    n = job.order
     out = []
-    spec = engines.SearchSpec(
-        n,
-        kind="composition",
-        constraints=(
-            ("law", "associative"),
-            ("law", "reproductive"),
-            ("law", "commutative"),
-        ),
-    )
-    for cells in engines.Backtracker(spec).search():
-        add = HyperTable(n, cells, "composition")
+    laws = (("law", "associative"), ("law", "reproductive"), ("law", "commutative"))
+    for add in sweep(job.order, [laws], "composition", pruned=True)[0]:
         scalars = axioms.find_identities(add).scalar
         if not scalars:
             continue
@@ -388,7 +380,8 @@ def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummar
             canonical.setdefault(two_op_key(cm), cm)
         reps = [canonical[k] for k in sorted(canonical)]
     else:
-        models, pruned = _enumerate_single(job, workers)
+        runs, kind = _single_runs(job)
+        models, pruned = sweep(job.order, runs, kind, job.oracle, workers, pruned=True)
         fixed = [p for p in (job.zero, job.one) if p is not None]
         canonical = {}
         for m in models:

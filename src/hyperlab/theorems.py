@@ -24,13 +24,11 @@ Verifier ids:
 
 Every id but T6, T28 and T29 is a declarative `Claim` run by `_run_claim`;
 T6's sweep over every additive group, T28's model-set comparison and T29's
-scalar family are bespoke.  Each sweep takes its engine from
-`engines.plan_sweep`: pure in oracle mode at order <= 2 and for T2's
-compositions, the order-3 vector engine (count mode for T3's oracle, T7, T9,
-T11; collect mode for T13, T24, P14-P23, T27 and T6's oracle), the
-backtracker at other orders, for T3's and T6's pruned order-3 sweeps, for
-every drop search and wherever a constraint is not vectorizable, and the
-witness-map split for strict polysymmetry at order >= 4.
+scalar family are bespoke.  No verifier runs an engine itself: premise
+sweeps go through `enumeration.sweep` or `count_sweep` (each engine from
+`engines.plan_sweep`), and every drop and independence search is one
+first-hit search, `enumeration.search_first`, at orders <= DROP_CAP
+(above it each drop is reported as `not_searched`).
 
 Sweeps quantified over a distinguished element (identity or zero) count
 (table, element) pairs as premise models.  Every counterexample and
@@ -51,9 +49,12 @@ from .enumeration import (
     MUL_HYPERRING_CAP,
     EnumerationJob,
     _abelian_group_tables,
+    count_sweep,
     enumerate_models,
     hyperring_mul_premises,
     mul_compositions,
+    search_first,
+    sweep,
     with_detected_one,
 )
 from .model import (
@@ -67,6 +68,9 @@ from .model import (
 from .modelio import serialize_model
 from .parallel import parallel_map
 from .samples import krasner_hyperfield, sign_hyperfield
+
+DROP_CAP = 3
+NOT_SEARCHED = f"drop searches run at orders <= {DROP_CAP}"
 
 _ORDER_CAPS = {
     "T2": 3,
@@ -251,7 +255,7 @@ def _run_claim(theorem, order, drop_premises, oracle, workers):
     claim = CLAIMS[theorem]
     if sweep_engine(theorem, order, oracle) == engines.VECTOR_COUNT:
         models = None
-        premise_models, first = _count_sweep(claim, workers)
+        premise_models, first = _count_premises(claim, workers)
     else:
         models = _premise_models(claim, order, oracle, workers)
         premise_models = len(models)
@@ -268,13 +272,17 @@ def _run_claim(theorem, order, drop_premises, oracle, workers):
     if claim.extras is not None:
         report.extras = claim.extras(Swept(claim, order, oracle, workers, models, first))
     if drop_premises and claim.drops:
-        report.independence_witnesses = _drop_entries(claim, order)
+        report.independence_witnesses = _drop_entries(claim, order, workers)
     return report
 
 
+def _conclusion_fails(conclusion, biconditional, cand, table) -> bool:
+    holds = [_id_holds(table, i, cand) for i in conclusion]
+    return holds[0] != holds[1] if biconditional else not all(holds)
+
+
 def _fails(claim, table, cand) -> bool:
-    holds = [_id_holds(table, i, cand) for i in claim.conclusion]
-    return holds[0] != holds[1] if claim.biconditional is not None else not all(holds)
+    return _conclusion_fails(claim.conclusion, claim.biconditional is not None, cand, table)
 
 
 def _confirm(claim, runs, table, cand):
@@ -306,32 +314,18 @@ def _counterexample(claim, table, cand):
     return out
 
 
-def _count_sweep(claim, workers):
+def _count_premises(claim, workers):
     """Order-3 count mode: (premise models, first failure or None)."""
-    fn = partial(
-        engines.v3_count_chunk,
-        runs=tuple(_descriptors_at(run, None) for run in claim.premises),
-        conclusion=_descriptors_at(claim.conclusion, None),
-        biconditional=claim.biconditional is not None,
+    premise_models, table = count_sweep(
+        tuple(_descriptors_at(run, None) for run in claim.premises),
+        _descriptors_at(claim.conclusion, None),
+        claim.biconditional is not None,
+        workers,
     )
-    premise_models, first = 0, None
-    for count, cells in parallel_map(fn, engines.vector_sweep3_tasks(), workers):
-        premise_models += count
-        if first is None and cells is not None:
-            first = cells
-    if first is None:
+    if table is None:
         return premise_models, None
-    table = HyperTable(3, first)
     _confirm(claim, claim.premises, table, None)
     return premise_models, (table, None)
-
-
-def _sweep_tables(order, constraints, oracle, workers, kind="hyper", pruned=False):
-    """Every table satisfying the constraints, in canonical order."""
-    engine = engines.plan_sweep(order, constraints, kind, oracle, pruned=pruned)
-    fn, tasks = engines.sweep_tasks(engine, order, constraints, kind)
-    cells, _ = engines.merge_sweep(engine, order, constraints, parallel_map(fn, tasks, workers))
-    return [HyperTable(order, cc, kind) for cc in cells]
 
 
 def _premise_models(claim, order, oracle, workers):
@@ -339,16 +333,8 @@ def _premise_models(claim, order, oracle, workers):
     None when the claim quantifies none."""
 
     def tables(e):
-        swept = [
-            _sweep_tables(
-                order, _descriptors_at(run, e), oracle, workers, claim.space, claim.pruned
-            )
-            for run in claim.premises
-        ]
-        if len(swept) == 1:
-            return swept[0]
-        union = {t.cells: t for part in swept for t in part}
-        return sorted(union.values(), key=table_key)
+        runs = [_descriptors_at(run, e) for run in claim.premises]
+        return sweep(order, runs, claim.space, oracle, workers, claim.pruned)[0]
 
     if claim.element is None:
         return [(t, None) for t in tables(0)]
@@ -370,26 +356,28 @@ def _premise_models(claim, order, oracle, workers):
 # -- independence witnesses ------------------------------------------------------
 
 
-def _independence_hits(order, premise_ids, claim):
-    """For each candidate element, ascending: the first (table, candidate)
-    in canonical order where the premises hold and the claim's conclusion
-    fails.  Element-dependent ids share the candidate."""
-    ids = tuple(premise_ids) + tuple(claim.conclusion)
-    cands = range(order) if any(_element_dependent(i) for i in ids) else (0,)
-    for cand in cands:
-        spec = engines.SearchSpec(
-            order, kind=claim.space, constraints=_descriptors_at(premise_ids, cand)
-        )
-        for cells in engines.Backtracker(spec).search():
-            table = HyperTable(order, cells, claim.space)
-            if _fails(claim, table, cand):
-                _confirm(claim, (premise_ids,), table, cand)
-                yield table, cand
-                break  # emission is ordered, the first hit is minimal for this cand
-
-
-def _canonical_first(hits):
-    return min(hits, key=lambda h: (table_key(h[0]), h[1]), default=None)
+def _independence(claim, runs, order, workers):
+    """The canonical first (table, element) where some premise run holds and
+    the claim's conclusion fails, as a witness entry, or none_at_order.
+    Element-dependent ids share the element, tried at every candidate."""
+    quantified = any(_element_dependent(i) for run in runs for i in run + claim.conclusion)
+    cands = range(order) if quantified else (0,)
+    biconditional = claim.biconditional is not None
+    searches = [
+        (_descriptors_at(run, e), partial(_conclusion_fails, claim.conclusion, biconditional, e))
+        for e in cands
+        for run in runs
+    ]
+    hit = search_first(order, searches, claim.space, workers)
+    if hit is None:
+        return {"none_at_order": order}
+    table, i = hit
+    cand = cands[i // len(runs)]
+    _confirm(claim, (runs[i % len(runs)],), table, cand)
+    out = {"model": serialize_model(table)}
+    if quantified:
+        out["element"] = cand
+    return out
 
 
 def search_independence(premises, conclusion, order: int, workers: int = 1):
@@ -400,45 +388,29 @@ def search_independence(premises, conclusion, order: int, workers: int = 1):
     when some element satisfies every element-dependent premise while the
     conclusion fails at that same element.
     """
-    if order > 4:
-        raise ValueError("independence searches cap at order 4")
+    if order > DROP_CAP:
+        raise ValueError(f"independence searches cap at order {DROP_CAP}")
     for ident in list(premises) + [conclusion]:
         if not _id_known(ident):
             raise ValueError(f"unknown id: {ident!r}")
         if ident in _CONCLUSION_ONLY_IDS and ident != conclusion:
             raise ValueError(f"{ident!r} can only be used as a conclusion")
-
     claim = Claim(premises=(tuple(premises),), conclusion=(conclusion,))
-    hit = _canonical_first(_independence_hits(order, tuple(premises), claim))
-    if hit is None:
-        return {"none_at_order": order}
-    table, cand = hit
-    out = {"model": serialize_model(table)}
-    if any(_element_dependent(i) for i in list(premises) + [conclusion]):
-        out["element"] = cand
-    return out
+    return _independence(claim, claim.premises, order, workers)
 
 
-def _drop_entries(claim, order):
+def _drop_entries(claim, order, workers):
     """One independence entry per droppable premise (or premise group)."""
     entries = []
     for drop in claim.drops:
         name, removed = drop if isinstance(drop, tuple) else (drop, (drop,))
+        if order > DROP_CAP:
+            entries.append({"dropped": name, "not_searched": NOT_SEARCHED})
+            continue
         kept_runs = dict.fromkeys(
             tuple(i for i in run if i not in removed) for run in claim.premises
         )
-        for kept in kept_runs:
-            hit = _canonical_first(_independence_hits(order, kept, claim))
-            if hit is not None:
-                break
-        if hit is None:
-            entries.append({"dropped": name, "none_at_order": order})
-            continue
-        table, cand = hit
-        entry = {"dropped": name, "model": serialize_model(table)}
-        if any(_element_dependent(i) for i in kept + claim.conclusion):
-            entry["element"] = cand
-        entries.append(entry)
+        entries.append({"dropped": name, **_independence(claim, list(kept_runs), order, workers)})
     return entries
 
 
@@ -653,7 +625,7 @@ def _verify_t6(order, drop_premises, oracle, workers):
     lemma_violation = None
     for zero, add in adds:
         premises = hyperring_mul_premises(add, zero)
-        for mul in _sweep_tables(order, premises, oracle, workers, pruned=True):
+        for mul in sweep(order, [premises], oracle=oracle, workers=workers, pruned=True)[0]:
             model = TwoOpModel(order, add, mul, zero)
             # row-emptiness coherence: one empty product empties its row
             for w in range(order):
@@ -693,18 +665,19 @@ def _verify_t6(order, drop_premises, oracle, workers):
 
 def _t6_drops(order, adds, workers):
     """Per dropped axis: the first table of the first additive group where
-    the other axes hold and some product is empty, on the backtracker."""
+    the other axes hold and some product is empty, found by a first-hit
+    search that rejects tables without an empty product first."""
     entries = []
     for tag, dropped in _T6_AXES.items():
         hit = None
         for zero, add in adds:
-            kept = tuple(c for c in hyperring_mul_premises(add, zero) if c[0] != tag)
-            tables = _sweep_tables(order, kept, False, workers, pruned=True)
-            empty = (t for t in tables if not axioms.check_law(t, "cellwise-nonempty").holds)
-            mul = next(empty, None)
-            if mul is not None:
-                _revalidate(engines.satisfies_all(mul, kept), f"the axes but {dropped} hold")
-                hit = TwoOpModel(order, add, mul, zero)
+            kept = (("not", ("law", "cellwise-nonempty")),) + tuple(
+                c for c in hyperring_mul_premises(add, zero) if c[0] != tag
+            )
+            found = search_first(order, [(kept, None)], workers=workers)
+            if found is not None:
+                _revalidate(engines.satisfies_all(found[0], kept), f"the axes but {dropped} hold")
+                hit = TwoOpModel(order, add, found[0], zero)
                 break
         entries.append(
             {"dropped": dropped, "none_at_order": order} if hit is None
@@ -737,11 +710,9 @@ def _verify_t28(order, drop_premises, oracle, workers):
     texts14 = [serialize_model(m) for m in def14]
     sets_equal = set(texts15) == set(texts14)
 
-    first = None
-    for m in def15:
-        if not axioms.check_reversibility_canonical(m.add, m.zero).holds:
-            first = m
-            break
+    first = next(
+        (m for m in def15 if not axioms.check_reversibility_canonical(m.add, m.zero).holds), None
+    )
     counterexample = None
     if not sets_equal:
         diff = sorted(set(texts15) ^ set(texts14))[0]
@@ -768,38 +739,41 @@ def _verify_t28(order, drop_premises, oracle, workers):
     )
     if drop_premises:
         for dropped in classify.axioms_of("hyperfield-def15"):
-            hit = _t28_drop_search(order, dropped)
             name = _t28_name(dropped)
-            report.independence_witnesses.append(
-                {"dropped": name, "none_at_order": order} if hit is None
-                else {"dropped": name, "model": serialize_model(hit)}
-            )
+            if order > DROP_CAP:
+                entry = {"not_searched": NOT_SEARCHED}
+            else:
+                hit = _t28_drop_search(order, dropped, workers)
+                entry = {"none_at_order": order} if hit is None else {"model": serialize_model(hit)}
+            report.independence_witnesses.append({"dropped": name, **entry})
     return report
 
 
-def _t28_drop_search(order, dropped):
-    """First model, zero 0 and (for the multiplication search) one 1 pinned
-    as in T28's sweeps, where every Def-15 axiom but `dropped` holds and
-    reversibility fails.  Its `one` is the detected multiplicative identity,
-    if it has one."""
+def _t28_drop_search(order, dropped, workers):
+    """First model (zero 0, and one 1 pinned for the multiplications, as in
+    T28's sweeps) where every Def-15 axiom but `dropped` holds and
+    reversibility fails; its `one` is the detected identity, if any."""
     kept = [a for a in classify.axioms_of("hyperfield-def15") if a != dropped]
-    ring = [a for a in kept if isinstance(a, str)]
-    spec = engines.SearchSpec(order, constraints=tuple(at(a, 0) for a in kept if a not in ring))
+    ring = tuple(a for a in kept if isinstance(a, str))
+    additive = tuple(at(a, 0) for a in kept if a not in ring)
     for mul in mul_compositions(order, 0, 1 if order > 1 else None, ring):
-        for add_cells in engines.Backtracker(spec).search():
-            model = with_detected_one(order, HyperTable(order, add_cells), mul, 0)
-            # an undefined opposite map (unique-opposite dropped) counts as
-            # failed reversibility
-            if all(classify.axiom_holds(model, a, 0) for a in ring) and not (
-                classify.axiom_holds(model, classify.REVERSIBILITY, 0)
-            ):
-                _revalidate(
-                    all(classify.axiom_holds(model, a, 0) for a in kept)
-                    and not classify.axiom_holds(model, classify.REVERSIBILITY, 0),
-                    f"the Def-15 axioms but {_t28_name(dropped)} hold, reversibility fails",
-                )
-                return model
+        hit = search_first(order, [(additive, partial(_t28_fails, mul, ring))], workers=workers)
+        if hit is not None:
+            _revalidate(
+                engines.satisfies_all(hit[0], additive) and _t28_fails(mul, ring, hit[0]),
+                f"the Def-15 axioms but {_t28_name(dropped)} hold, reversibility fails",
+            )
+            return with_detected_one(order, hit[0], mul, 0)
     return None
+
+
+def _t28_fails(mul, ring, add) -> bool:
+    """The ring axioms hold on (add, mul) at zero 0 and reversibility fails
+    (an undefined opposite map counts as failed reversibility)."""
+    model = with_detected_one(add.order, add, mul, 0)
+    return all(classify.axiom_holds(model, a, 0) for a in ring) and not (
+        classify.axiom_holds(model, classify.REVERSIBILITY, 0)
+    )
 
 
 # -- T29: hypermodules ---------------------------------------------------------
@@ -843,35 +817,36 @@ def _actions_satisfying(p_model, madd, zero_m):
             yield hm
 
 
+def _t29_pair(task):
+    """(actions passing axioms i-iv, the first if the module addition is not
+    canonical, whether the opposite scalar unit negates in each one)."""
+    p_model, madd, zero_m = task
+    p_opp = axioms.opposite_map(p_model.add, p_model.zero)
+    m_opp = axioms.opposite_map(madd, zero_m)
+    canonical = classify.holds_at("canonical-hypergroup", madd, zero_m)
+    count, first, negates = 0, None, True
+    for hm in _actions_satisfying(p_model, madd, zero_m):
+        count += 1
+        if not canonical and first is None:
+            first = hm
+        if p_opp is not None and m_opp is not None:
+            minus_one = p_opp[p_model.one]
+            negates &= all(hm.act(minus_one, m) == m_opp[m] for m in range(madd.order))
+    return count, first, negates
+
+
 def _verify_t29(order, drop_premises, oracle, workers):
     scalars = _t29_scalar_family(workers)
     modules = _t29_module_tables(order, workers)
-    space = 0
-    premise_models = 0
-    noncomm_premise_models = 0
-    first = None
-    opp_scalar_action_ok = True
-    for _name, p_model in scalars:
-        p_opp = axioms.opposite_map(p_model.add, p_model.zero)
-        for madd, zero_m, commutative in modules:
-            space += madd.order ** (p_model.order * madd.order)
-            m_opp = axioms.opposite_map(madd, zero_m)
-            canonical = classify.holds_at("canonical-hypergroup", madd, zero_m)
-            for hm in _actions_satisfying(p_model, madd, zero_m):
-                if commutative:
-                    premise_models += 1
-                    if not canonical and first is None:
-                        first = hm
-                    # acting by the opposite of the scalar unit must negate
-                    if p_opp is not None and m_opp is not None:
-                        minus_one = p_opp[p_model.one]
-                        if any(
-                            hm.act(minus_one, m) != m_opp[m]
-                            for m in range(madd.order)
-                        ):
-                            opp_scalar_action_ok = False
-                else:
-                    noncomm_premise_models += 1
+    triples = [(p, madd, z) for _, p in scalars for madd, z, _ in modules]
+    space = sum(madd.order ** (p.order * madd.order) for p, madd, _ in triples)
+    results = parallel_map(_t29_pair, triples, workers)
+    commutative = [comm for _ in scalars for _, _, comm in modules]
+    premise = [r for r, comm in zip(results, commutative) if comm]
+    premise_models = sum(count for count, _, _ in premise)
+    noncomm_premise_models = sum(r[0] for r in results) - premise_models
+    first = next((hm for _, hm, _ in premise if hm is not None), None)
+    opp_scalar_action_ok = all(negates for _, _, negates in premise)
     counterexample = None
     if first is not None:
         counterexample = {

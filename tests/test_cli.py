@@ -175,11 +175,19 @@ def test_enumerate_validation_error():
 
 
 @pytest.mark.parametrize(
-    "structure", ["multiplicative-hyperring-def6", "multiplicative-hyperring-def7"]
+    "structure",
+    [
+        "multiplicative-hyperring-def6",
+        "multiplicative-hyperring-def7",
+        "krasner-hyperring",
+        "unitary-hyperring",
+        "m-polysymmetrical-hyperring",
+    ],
 )
 def test_enumerate_refuses_order4_multiplicative_hyperrings(structure):
-    # the order-4 premise space holds about a billion models: refuse up
-    # front, at the cap T6 uses
+    # a two-operation label without a multiplicative group on H* caps at
+    # order 3, the cap T6 uses: the def6/def7 order-4 premise space holds
+    # about a billion models, and the Krasner family's searches ran open-ended
     code, out, err = run(["enumerate", "--order", "4", "--structure", structure,
                           "--zero", "0", "--workers", "1"])
     assert code == 1 and out == ""

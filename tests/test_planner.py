@@ -4,9 +4,10 @@ revalidation and the bounded worker pool.  Apart from one small order-3
 cross-check of the witness-map split, nothing here runs a sweep.
 
 T6, T28 and T29 are bespoke: T6 sweeps its premise descriptors once per
-additive group through `_sweep_tables` (pinned below), T28 compares
+additive group through `enumeration.sweep` (pinned below), T28 compares
 enumeration jobs (covered by the enumeration rows) and T29 searches actions
-over a bundled family.
+over a bundled family.  Drop searches always run on the backtracker's shards
+(`enumeration.search_first`), so they have no row here.
 """
 
 import os
@@ -34,11 +35,12 @@ VERIFIER_PLANS = {
     "T13": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (WMAP, BT)},
     "T24": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (WMAP, BT)},
     "P14-P23": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (WMAP, BT)},
-    "T25": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, BT), 4: (BT, BT)},
-    "T26": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, BT), 4: (BT, BT)},
+    # canonical reversibility does not vectorize: the oracle's vector
+    # collect filters the survivors through its predicate
+    "T25": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
+    "T26": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
     "T27": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (BT, BT)},
-    # bespoke, but planned by the same rule; its drop searches always
-    # run on the backtracker
+    # bespoke, but planned by the same rule
     "T6": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT)},
 }
 
@@ -84,16 +86,16 @@ def test_order3_oracle_counts_without_materialising_tables(theorem):
     ],
 )
 def test_enumeration_engine(order, constraints, oracle, engines_per_run):
-    job = EnumerationJob(order, constraints, oracle=oracle)
-    _kind, sweeps = enumeration._single_sweeps(job)
-    assert [engine for engine, _swept, _covered in sweeps] == engines_per_run
+    # enumeration.sweep plans each run of the job exactly like this
+    runs, kind = enumeration._single_runs(EnumerationJob(order, constraints, oracle=oracle))
+    plans = [engines.plan_sweep(order, run, kind, oracle, pruned=True) for run in runs]
+    assert plans == engines_per_run
 
 
 def test_enumeration_oracle_caps():
-    with pytest.raises(ValueError, match="cap"):
-        enumeration._single_sweeps(EnumerationJob(4, ("hypergroup",), oracle=True))
-    with pytest.raises(ValueError, match="cap"):
-        enumeration._single_sweeps(EnumerationJob(4, ("group",), oracle=True))
+    for structure in ("hypergroup", "group"):
+        with pytest.raises(ValueError, match="cap"):
+            enumeration.enumerate_models(EnumerationJob(4, (structure,), oracle=True))
 
 
 def test_planner_rule():
@@ -106,7 +108,9 @@ def test_planner_rule():
     assert plan(3, assoc, kind="composition", oracle=True) == PURE
     assert plan(3, assoc, oracle=True) == COLLECT
     assert plan(3, assoc, oracle=True, counts=True, pruned=True) == COUNT
-    assert plan(3, reversible, oracle=True) == BT
+    assert plan(3, reversible, oracle=True) == COLLECT
+    assert plan(3, reversible, oracle=True, counts=True) == COLLECT
+    assert plan(4, assoc, oracle=True) == BT
     assert plan(3, assoc) == COLLECT
     assert plan(3, assoc, counts=True) == COUNT
     assert plan(3, assoc, pruned=True) == BT
@@ -182,6 +186,9 @@ class _FakePool:
     def map(self, fn, tasks):
         return [fn(t) for t in tasks]
 
+    def imap(self, fn, tasks):
+        return (fn(t) for t in tasks)
+
 
 class _FakeContext:
     Pool = _FakePool
@@ -199,3 +206,23 @@ def test_pool_size_is_bounded_by_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
     assert parallel.parallel_map(abs, [-1, -2], workers=8) == [1, 2]
     assert _FakePool.sizes == [4, 3]  # one CPU: no pool at all
+
+
+def test_first_hit_keeps_task_order_and_stops_at_the_hit(monkeypatch):
+    _FakePool.sizes = []
+    monkeypatch.setattr(parallel.multiprocessing, "get_context", lambda method: _FakeContext())
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+    seen = []
+
+    def odd(t):
+        seen.append(t)
+        return t if t % 2 else None
+
+    for workers in (1, 8):
+        seen.clear()
+        assert parallel.first_hit(odd, [2, 4, 5, 6, 7], workers=workers) == 5
+        assert seen == [2, 4, 5]  # the later hit 7 is never computed
+    assert _FakePool.sizes == [4]  # capped by the CPUs; one worker needs no pool
+    assert parallel.first_hit(odd, [2, 4], workers=8) is None
+    assert parallel.first_hit(odd, [], workers=8) is None
+    assert _FakePool.sizes == [4, 2]

@@ -1,14 +1,19 @@
 import json
+import time
 
 import pytest
 
-from hyperlab import axioms
-from hyperlab.enumeration import EnumerationJob, _abelian_group_tables, hyperring_mul_premises
+from hyperlab import axioms, engines, theorems
+from hyperlab.enumeration import (
+    EnumerationJob,
+    _abelian_group_tables,
+    hyperring_mul_premises,
+    sweep,
+)
 from hyperlab.modelio import parse_model
 from hyperlab.samples import cyclic_group_table
 from hyperlab.theorems import (
     THEOREM_IDS,
-    _sweep_tables,
     qmp_premise_pairs,
     qmp_property_checks,
     search_independence,
@@ -165,8 +170,6 @@ def test_qmp_suite_order4():
 
 
 def test_qmp_spread_matches_direct_per_element_sweep():
-    from hyperlab.theorems import _sweep_tables
-
     for order in (2, 3):
         direct = []
         for e in range(order):
@@ -175,7 +178,7 @@ def test_qmp_spread_matches_direct_per_element_sweep():
                 ("identity-at", e),
                 ("polysymmetry-at", e, False),
             )
-            direct.extend((t.cells, e) for t in _sweep_tables(order, cs, False, 1))
+            direct.extend((t.cells, e) for t in sweep(order, [cs])[0])
         spread = [(t.cells, e) for t, e in qmp_premise_pairs(order)]
         assert sorted(direct) == sorted(spread)
 
@@ -240,8 +243,8 @@ def test_t6_pruned_sweep_matches_pure_sweep():
         premises = hyperring_mul_premises(add, zero)
         for i in range(len(premises) + 1):
             kept = premises[:i] + premises[i + 1:]
-            pruned = _sweep_tables(2, kept, oracle=False, workers=1, pruned=True)
-            pure = _sweep_tables(2, kept, oracle=True, workers=1)
+            pruned, _ = sweep(2, [kept], pruned=True)
+            pure, _ = sweep(2, [kept], oracle=True)
             assert [t.cells for t in pruned] == [t.cells for t in pure], kept
             assert pure
 
@@ -324,3 +327,79 @@ def test_verify_deterministic_across_workers():
             include_wall_time=False
         )
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# -- drop searches: bounded, sharded, worker-invariant ---------------------------------
+
+
+def _recorded_witnesses(theorem, order):
+    from make_verify_snapshots import SNAPSHOT_PATH
+
+    with open(SNAPSHOT_PATH, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    (case,) = [
+        c for c in cases
+        if (c["theorem"], c["order"], c["drop_premises"], c["oracle"]) == (theorem, order, True, False)
+    ]
+    return case["report"]["independence_witnesses"]
+
+
+@pytest.mark.parametrize("theorem", ["T25", "T27"])
+def test_drop_witnesses_equal_at_one_and_two_workers(theorem):
+    claim = theorems.CLAIMS[theorem]
+    one = theorems._drop_entries(claim, 3, workers=1)
+    assert one == theorems._drop_entries(claim, 3, workers=2)
+    assert one == _recorded_witnesses(theorem, 3)
+
+
+@pytest.mark.slow
+def test_t6_drop_witnesses_equal_at_one_and_two_workers():
+    adds = _abelian_group_tables(EnumerationJob(3, ()))
+    one = theorems._t6_drops(3, adds, workers=1)
+    assert one == theorems._t6_drops(3, adds, workers=2)
+    assert one == _recorded_witnesses("T6", 3)
+
+
+def test_order4_drops_are_not_searched():
+    for theorem in ("T13", "T24", "T25", "T26", "T27"):
+        claim = theorems.CLAIMS[theorem]
+        entries = theorems._drop_entries(claim, 4, workers=1)
+        assert [e["dropped"] for e in entries] == list(claim.drops), theorem
+        assert all(e["not_searched"] == theorems.NOT_SEARCHED for e in entries), theorem
+    r = verify_cached("T28", 4, drop_premises=True)
+    assert len(r.independence_witnesses) == 6
+    assert all(set(e) == {"dropped", "not_searched"} for e in r.independence_witnesses)
+    with pytest.raises(ValueError, match="cap"):
+        search_independence(["associative"], "reproductive", 4)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("theorem", ["T25", "T26"])
+def test_order3_oracle_report_equals_default(theorem):
+    # the oracle sweeps the raw space on the vector engine and filters its
+    # survivors through canonical reversibility, which does not vectorize
+    assert theorems.sweep_engine(theorem, 3, oracle=True) == engines.VECTOR_COLLECT
+    default = verify_cached(theorem, 3).to_json(include_wall_time=False)
+    assert verify_cached(theorem, 3, oracle=True).to_json(include_wall_time=False) == default
+
+
+# Every (id, order <= cap) with --drop-premises, at one worker, finishes within
+# this many seconds; the slowest cases (T25/4, T26/4, T27/4, T29/3, all main
+# sweeps) took 52-60 s on a 2-vCPU Xeon VM, every other case under 18 s.
+DROP_CASE_BOUND_S = 180
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "theorem, order",
+    [(t, o) for t in THEOREM_IDS for o in range(1, theorems._ORDER_CAPS[t] + 1)],
+)
+def test_every_drop_run_finishes_in_bounded_time(theorem, order):
+    start = time.perf_counter()
+    report = verify(theorem, order, drop_premises=True, workers=1)
+    assert time.perf_counter() - start < DROP_CASE_BOUND_S
+    for entry in report.independence_witnesses:
+        (outcome,) = set(entry) - {"dropped", "element"}
+        assert outcome in ("model", "none_at_order", "not_searched"), entry
+        if order > theorems.DROP_CAP:
+            assert outcome == "not_searched", entry
