@@ -8,7 +8,10 @@ Three engines with one constraint vocabulary:
 * vector    - numpy sweep of the full order-3 cell-set space (8^9 tables),
               unpruned; scan order equals the canonical table order.  Count
               mode returns premise counts and the first failure, collect
-              mode the satisfying tables.
+              mode the satisfying tables.  Each chunk fixes the first row;
+              its six tail cells are broadcast views on six factored axes,
+              so a predicate costs the size of the axes it reads, and the
+              triple laws run last on the surviving tails alone.
 * backtrack - row-major cell assignment with constraint propagation,
               sharded over the first slot's values from order 3 on (the
               only engine that scales past toy spaces for strongly
@@ -213,19 +216,30 @@ def pure_sweep(order, kind, constraints):
 
 
 # -- vector engine (order 3, hyper kind, empty cells allowed) ------------------
+#
+# A chunk fixes the first row (head) of the table; its 8^6 tails are the last
+# six cells.  Tail cell k is a broadcast view of the cell-set codes on axis k
+# of an (8,)*6 shape, so tail digit k is axis k and the C order of a full mask
+# is the canonical tail order.  Each intermediate is only as large as the
+# axes it reads; a conjunction broadcasts to the full shape last.
 
 _V3_CODE_TO_MASK = np.array(key_sorted_masks(3), dtype=np.uint8)  # digit -> mask
-_V3_DIGITS = np.arange(8 ** 6, dtype=np.int64)
+_V3_TAILS = 8 ** 6
+_V3_TAIL_SHAPE = (8,) * 6
 _V3_TAIL_CELLS = tuple(
-    _V3_CODE_TO_MASK[(_V3_DIGITS >> (3 * (5 - k))) & 7] for k in range(6)
+    _V3_CODE_TO_MASK.reshape(tuple(8 if j == k else 1 for j in range(6))) for k in range(6)
 )
 
-_VECTOR_LAWS = {
+_TRIPLE_LAW_IDS = (
     "associative",
-    "reproductive",
     "weakly-associative",
     "left-inverted-associative",
     "right-inverted-associative",
+)
+_TRIPLE_LAWS = {("law", law) for law in _TRIPLE_LAW_IDS}
+_VECTOR_LAWS = {
+    *_TRIPLE_LAW_IDS,
+    "reproductive",
     "commutative",
     "cellwise-nonempty",
     "total",
@@ -249,42 +263,63 @@ def vectorizable(c) -> bool:
     }
 
 
-def _v3_union_row(cells, mask, z):
-    """Union over a in mask of cell[a][z]; mask and cells may be arrays."""
-    out = 0
-    for a in range(3):
-        out = out | ((mask >> a) & 1) * cells[3 * a + z]
-    return out
+def _v3_triple_law(cells, law):
+    """Mask of a triple law.  (xy)z is the union over a in xy of az and
+    x(yz) the union over b in yz of xb, built from the element bits of
+    every cell; each side is computed once per triple."""
+    bit = [[(cell >> a) & 1 for a in range(3)] for cell in cells]
+
+    def xy_z(x, y, z):
+        xy = bit[3 * x + y]
+        return xy[0] * cells[z] | xy[1] * cells[3 + z] | xy[2] * cells[6 + z]
+
+    def x_yz(x, y, z):
+        yz = bit[3 * y + z]
+        return yz[0] * cells[3 * x] | yz[1] * cells[3 * x + 1] | yz[2] * cells[3 * x + 2]
+
+    triples = list(product(range(3), repeat=3))
+    if law in ("left-inverted-associative", "right-inverted-associative"):
+        # (xy)z = (zy)x, or x(yz) = z(yx): symmetric in x and z
+        side = xy_z if law == "left-inverted-associative" else x_yz
+        pairs = [(t, t[::-1]) for t in triples if t[0] < t[2]]
+        memo = {t: side(*t) for t in triples if t[0] != t[2]}
+        return _v3_conj([memo[a] == memo[b] for a, b in pairs])
+    lhs = [xy_z(*t) for t in triples]
+    rhs = [x_yz(*t) for t in triples]
+    if law == "associative":
+        return _v3_conj([a == b for a, b in zip(lhs, rhs)])
+    return _v3_conj([(a & b) != 0 for a, b in zip(lhs, rhs)])
 
 
-def _v3_union_col(cells, x, mask):
-    out = 0
-    for b in range(3):
-        out = out | ((mask >> b) & 1) * cells[3 * x + b]
+def _v3_conj(parts):
+    """Conjunction of masks, smallest first, so only the last steps broadcast
+    to the widest shape.  Among equal sizes a mask on later axes goes first:
+    the masks combined last then broadcast over leading axes, which keeps the
+    innermost loops long."""
+    out = np.True_
+    for p in sorted(parts, key=lambda p: (np.size(p), np.shape(p))):
+        if np.ndim(p) == 0:
+            if not p:
+                return np.False_
+        else:
+            out = p if np.ndim(out) == 0 else out & p
     return out
 
 
 def _v3_predicate(cells, c):
-    """Boolean array (or scalar) for one vectorizable constraint."""
+    """Boolean array (or scalar) for one vectorizable constraint; its shape
+    broadcasts over the tail axes that the constraint reads."""
     tag = c[0]
-    true = np.True_
-
-    def conj(parts):
-        out = true
-        for p in parts:
-            out = out & p
-        return out
-
     if tag == "law":
         law = c[1]
         if law == "cellwise-nonempty":
-            return conj([cells[i] != 0 for i in range(9)])
+            return _v3_conj([cells[i] != 0 for i in range(9)])
         if law == "total":
-            return conj([cells[i] == 7 for i in range(9)])
+            return _v3_conj([cells[i] == 7 for i in range(9)])
         if law == "degenerate":
-            return conj([cells[i] == 0 for i in range(9)])
+            return _v3_conj([cells[i] == 0 for i in range(9)])
         if law == "commutative":
-            return conj(
+            return _v3_conj(
                 [cells[3 * x + y] == cells[3 * y + x] for x in range(3) for y in range(x + 1, 3)]
             )
         if law == "reproductive":
@@ -294,42 +329,16 @@ def _v3_predicate(cells, c):
                 col = cells[x] | cells[3 + x] | cells[6 + x]
                 parts.append(row == 7)
                 parts.append(col == 7)
-            return conj(parts)
-        if law == "associative":
-            parts = []
-            for x, y, z in product(range(3), repeat=3):
-                lhs = _v3_union_row(cells, cells[3 * x + y], z)
-                rhs = _v3_union_col(cells, x, cells[3 * y + z])
-                parts.append(lhs == rhs)
-            return conj(parts)
-        if law == "weakly-associative":
-            parts = []
-            for x, y, z in product(range(3), repeat=3):
-                lhs = _v3_union_row(cells, cells[3 * x + y], z)
-                rhs = _v3_union_col(cells, x, cells[3 * y + z])
-                parts.append((lhs & rhs) != 0)
-            return conj(parts)
-        if law == "left-inverted-associative":
-            parts = []
-            for x, y, z in product(range(3), repeat=3):
-                lhs = _v3_union_row(cells, cells[3 * x + y], z)
-                rhs = _v3_union_row(cells, cells[3 * z + y], x)
-                parts.append(lhs == rhs)
-            return conj(parts)
-        if law == "right-inverted-associative":
-            parts = []
-            for x, y, z in product(range(3), repeat=3):
-                lhs = _v3_union_col(cells, x, cells[3 * y + z])
-                rhs = _v3_union_col(cells, z, cells[3 * y + x])
-                parts.append(lhs == rhs)
-            return conj(parts)
+            return _v3_conj(parts)
+        if law in _TRIPLE_LAW_IDS:
+            return _v3_triple_law(cells, law)
     if tag == "identity-at":
         e = c[1]
         parts = []
         for x in range(3):
             parts.append(cells[3 * e + x] == cells[3 * x + e])
             parts.append(((cells[3 * e + x] >> x) & 1) != 0)
-        return conj(parts)
+        return _v3_conj(parts)
     if tag == "polysymmetry-at":
         e, weak = c[1], c[2]
         bit = 1 << e
@@ -344,7 +353,7 @@ def _v3_predicate(cells, c):
                     ok = (a == bit) & (b == bit)
                 found = found | ok
             parts.append(found)
-        return conj(parts)
+        return _v3_conj(parts)
     if tag == "unique-opposite-at":
         z = c[1]
         parts = []
@@ -353,14 +362,14 @@ def _v3_predicate(cells, c):
             for xp in range(3):
                 cnt = cnt + ((cells[3 * x + xp] >> z) & 1)
             parts.append(cnt == 1)
-        return conj(parts)
+        return _v3_conj(parts)
     if tag == "scalar-zero-at":
         z = c[1]
         parts = []
         for x in range(3):
             parts.append(cells[3 * x + z] == 1 << x)
             parts.append(cells[3 * z + x] == 1 << x)
-        return conj(parts)
+        return _v3_conj(parts)
     if tag == "divisions-nonempty":
         return v3_divisions_nonempty(cells)
     if tag == "distributive-inclusion-over":
@@ -372,41 +381,50 @@ def _v3_predicate(cells, c):
     raise ValueError(f"constraint not vectorizable: {c!r}")
 
 
-_TRIPLE_LAWS = {
-    ("law", law)
-    for law in (
-        "associative",
-        "weakly-associative",
-        "left-inverted-associative",
-        "right-inverted-associative",
-    )
-}
-
-
 def v3_chunk_cells(head_digits):
-    """Cell views for one chunk: the first row as ints, 8^6 vectorized tails."""
+    """Cell views for one chunk: the first row as ints, the six tail cells as
+    broadcast views on the factored tail axes."""
     head = tuple(int(_V3_CODE_TO_MASK[d]) for d in head_digits)
     return list(head) + list(_V3_TAIL_CELLS)
 
 
+def _v3_tails_at(idx):
+    """The six tail cells of the flat tail indices `idx`: digit k of an index
+    in base 8, most significant first, is tail cell k."""
+    return [_V3_CODE_TO_MASK[(idx >> (3 * (5 - k))) & 7] for k in range(6)]
+
+
 def v3_eval(cells, constraints):
-    """Conjunction of vectorizable constraints; triple laws evaluated last."""
+    """Conjunction of vectorizable constraints over one chunk: a flat mask of
+    its 8^6 tails in canonical order, or a numpy scalar for all of them.
+
+    The constraints other than the triple laws run on the factored tail axes.
+    The triple laws run last, and when the mask is already an array only on
+    the surviving tails: their indices are decoded into flat cell arrays.
+    """
     ordered = [c for c in constraints if c not in _TRIPLE_LAWS] + [
         c for c in constraints if c in _TRIPLE_LAWS
     ]
-    mask = np.True_
+    mask, idx = np.True_, None
     for c in ordered:
-        mask = mask & _v3_predicate(cells, c)
-        dead = (not mask.any()) if isinstance(mask, np.ndarray) else not mask
-        if dead:
+        if c in _TRIPLE_LAWS and idx is None and isinstance(mask, np.ndarray):
+            idx = np.flatnonzero(np.broadcast_to(mask, _V3_TAIL_SHAPE))
+            cells, mask = list(cells[:3]) + _v3_tails_at(idx), np.True_
+        mask = _v3_conj([mask, _v3_predicate(cells, c)])
+        if not mask.any():
             return np.False_
+    if idx is not None:
+        survivors, mask = mask, np.zeros(_V3_TAILS, dtype=bool)
+        mask[idx] = survivors
+    elif isinstance(mask, np.ndarray):
+        mask = np.broadcast_to(mask, _V3_TAIL_SHAPE).reshape(-1)
     return mask
 
 
 def v3_divisions_nonempty(cells):
     """Every right and left division non-empty, computed membership-wise
     (independent of the reproductive row/column-union formulation)."""
-    out = np.True_
+    parts = []
     for x in range(3):
         for y in range(3):
             rd = np.False_
@@ -414,35 +432,35 @@ def v3_divisions_nonempty(cells):
             for z in range(3):
                 rd = rd | (((cells[3 * z + y] >> x) & 1) != 0)
                 ld = ld | (((cells[3 * y + z] >> x) & 1) != 0)
-            out = out & rd & ld
-    return out
+            parts += [rd, ld]
+    return _v3_conj(parts)
 
 
 def v3_sign_rule(cells, neg):
     """Mask for a(-b) = (-a)b = -(ab), with `neg` the additive negation."""
     neg_lut = np.array([mask_image(m, neg) for m in range(8)], dtype=np.uint8)
-    mask = np.True_
+    parts = []
     for a in range(3):
         for b in range(3):
             image = neg_lut[cells[3 * a + b]]
-            mask = mask & (cells[3 * a + neg[b]] == image)
-            mask = mask & (cells[3 * neg[a] + b] == image)
-    return mask
+            parts.append(cells[3 * a + neg[b]] == image)
+            parts.append(cells[3 * neg[a] + b] == image)
+    return _v3_conj(parts)
 
 
 def v3_distributive_inclusion(cells, add: HyperTable):
     """Mask for both inclusion distributivities over the additive group."""
     addc = np.array(_complex_sums(add), dtype=np.uint8)
-    mask = np.True_
+    parts = []
     for a in range(3):
         for b in range(3):
             for c in range(3):
                 d = singleton_value(add.cell(b, c))
                 rhs = addc[cells[3 * a + b], cells[3 * a + c]]
-                mask = mask & ((cells[3 * a + d] & ~rhs) == 0)
+                parts.append((cells[3 * a + d] & ~rhs) == 0)
                 rhs = addc[cells[3 * b + a], cells[3 * c + a]]
-                mask = mask & ((cells[3 * d + a] & ~rhs) == 0)
-    return mask
+                parts.append((cells[3 * d + a] & ~rhs) == 0)
+    return _v3_conj(parts)
 
 
 def _complex_sums(add: HyperTable):
@@ -452,8 +470,9 @@ def _complex_sums(add: HyperTable):
 
 
 def v3_decode(head_digits, i) -> tuple:
+    """The cell tuple of tail index i in the chunk with the given head."""
     head = tuple(int(_V3_CODE_TO_MASK[d]) for d in head_digits)
-    return head + tuple(int(_V3_TAIL_CELLS[k][i]) for k in range(6))
+    return head + tuple(int(cell) for cell in _v3_tails_at(i))
 
 
 def _v3_first(mask):
@@ -480,7 +499,7 @@ def v3_count_chunk(head_digits, runs, conclusion, biconditional=False):
         bad = premise & (a ^ b)
     else:
         bad = premise & ~v3_eval(cells, list(conclusion))
-    count = int(np.count_nonzero(premise)) * (1 if np.ndim(premise) else 8 ** 6)
+    count = int(np.count_nonzero(premise)) * (1 if np.ndim(premise) else _V3_TAILS)
     first = _v3_first(bad)
     return count, None if first is None else v3_decode(head_digits, first)
 
@@ -496,10 +515,10 @@ def v3_collect_chunk(head_digits, constraints):
     if isinstance(mask, np.ndarray):
         idx = np.flatnonzero(mask)
     else:
-        idx = np.arange(8 ** 6) if mask else np.arange(0)
+        idx = np.arange(_V3_TAILS if mask else 0)
     out = []
-    for i in idx:
-        cell_tuple = head + tuple(int(_V3_TAIL_CELLS[k][i]) for k in range(6))
+    for tail in np.stack(_v3_tails_at(idx), axis=1).tolist():
+        cell_tuple = head + tuple(tail)
         if final and not satisfies_all(HyperTable(3, cell_tuple), final):
             continue
         out.append(cell_tuple)

@@ -105,6 +105,11 @@ def _check_job(job: EnumerationJob):
                 f"order {job.order} above the cap {MUL_HYPERRING_CAP} for {c}: without a "
                 "multiplicative group on H* the order-4 search does not finish in bounded time"
             )
+        if c in classify.STRUCTURES and classify.STRUCTURES[c].complement_of and job.order > 2:
+            raise ValueError(
+                f"order {job.order} above the cap 2 for {c}: its complement runs neither "
+                "vectorize nor prune, and order 3 alone has 8^9 - 7^9 = 94,805,465 such tables"
+            )
     if job.oracle and not two_op and job.order > 3:
         raise ValueError("oracle mode caps single-operation jobs at order 3")
     for pin in (job.zero, job.one):

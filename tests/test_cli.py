@@ -194,6 +194,16 @@ def test_enumerate_refuses_order4_multiplicative_hyperrings(structure):
     assert f"above the cap 3 for {structure}" in err
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_enumerate_refuses_order3_partial_hypergroupoid(oracle):
+    # the complement of hypergroupoid: its runs neither vectorize nor prune,
+    # and order 3 has 94,805,465 such tables
+    code, out, err = run(["enumerate", "--order", "3", "--structure",
+                          "partial-hypergroupoid", "--workers", "1", *oracle])
+    assert code == 1 and out == ""
+    assert "above the cap 2 for partial-hypergroupoid" in err
+
+
 def test_dorroh_text_and_exit():
     code, out, _ = run(
         ["dorroh", "--base", f"{MODELS}/krasner.model", "--range", "1"]
