@@ -12,6 +12,9 @@
 * a refinement is its base plus extra axioms that read no candidate;
 * partial-hypergroupoid is the complement of hypergroupoid.
 
+Every label also carries the largest order an enumeration job runs at
+(`max_order`); a refinement inherits its base's.
+
 `classify_single` and `classify_two_op` take labels, constants and evidence
 from one trail builder, which reads `engines.constraint_result` for every
 descriptor.  Enumeration builds its search runs and final checks from the
@@ -60,6 +63,7 @@ class Structure:
     constant: str | None = None  # constants key of the first working candidate
     base: str | None = None  # a refinement: the base's axioms, then these
     complement_of: str | None = None
+    max_order: int = 5  # ignored on a refinement, which inherits its base's
 
 
 ASSOC = ("law", "associative")
@@ -73,13 +77,14 @@ REVERSIBILITY = ("reversibility-at", E)
 _RING_TAIL = ("absorbing-zero", "distributive-equal")
 
 STRUCTURES = {
-    "partial-hypergroupoid": Structure(complement_of="hypergroupoid"),
-    "hypergroupoid": Structure((NONEMPTY,)),
+    # the caps of 2 refuse order-3 model sets of 6 to 95 million tables
+    "partial-hypergroupoid": Structure(complement_of="hypergroupoid", max_order=2),
+    "hypergroupoid": Structure((NONEMPTY,), max_order=2),
     "semihypergroup": Structure((NONEMPTY, ASSOC)),
-    "quasihypergroup": Structure((NONEMPTY, REPRO)),
+    "quasihypergroup": Structure((NONEMPTY, REPRO), max_order=2),
     "hypergroup": Structure((ASSOC, REPRO)),
     "group": Structure((("singleton-cells",),), base="hypergroup"),
-    "hv-group": Structure((REPRO, ("law", "weakly-associative"))),
+    "hv-group": Structure((REPRO, ("law", "weakly-associative")), max_order=2),
     "la-hypergroup": Structure((REPRO, ("law", "left-inverted-associative"))),
     "ra-hypergroup": Structure((REPRO, ("law", "right-inverted-associative"))),
     "qmp-hypergroup": Structure((ASSOC, IDENTITY, POLYSYMMETRY), IDENTITIES, "qmp-identity"),
@@ -93,19 +98,22 @@ STRUCTURES = {
     "quasicanonical-hypergroup": Structure(
         (ASSOC, UNIQUE_OPPOSITE, REVERSIBILITY), ELEMENTS, "quasicanonical-zero"
     ),
-    # two operations: the descriptors read the addition at the zero
+    # two operations: the descriptors read the addition at the zero; without a
+    # multiplicative group on H* the order-4 searches do not finish in bounded time
     "krasner-hyperring": Structure(
         (ASSOC, COMM, UNIQUE_OPPOSITE, REVERSIBILITY, "multiplicative-semigroup-on-H*")
         + _RING_TAIL,
         ZERO,
+        max_order=3,
     ),
     "unitary-hyperring": Structure(("multiplicative-identity",), base="krasner-hyperring"),
     "hyperfield": Structure(
         (ASSOC, COMM, UNIQUE_OPPOSITE, REVERSIBILITY, "multiplicative-group-on-H*") + _RING_TAIL,
         ZERO,
+        max_order=4,
     ),
     "hyperfield-def15": Structure(
-        (ASSOC, COMM, UNIQUE_OPPOSITE, "multiplicative-group-on-H*") + _RING_TAIL, ZERO
+        (ASSOC, COMM, UNIQUE_OPPOSITE, "multiplicative-group-on-H*") + _RING_TAIL, ZERO, max_order=4
     ),
     "multiplicative-hyperring-def7": Structure(
         (
@@ -115,6 +123,7 @@ STRUCTURES = {
             "sign-rule",
         ),
         ZERO,
+        max_order=3,
     ),
     "multiplicative-hyperring-def6": Structure(
         ("mul-cellwise-nonempty",), base="multiplicative-hyperring-def7"
@@ -122,6 +131,7 @@ STRUCTURES = {
     "m-polysymmetrical-hyperring": Structure(
         (ASSOC, COMM, IDENTITY, POLYSYMMETRY, "multiplicative-semigroup-on-H*") + _RING_TAIL,
         ZERO,
+        max_order=3,
     ),
 }
 
@@ -133,6 +143,12 @@ def candidate_rule(label: str):
 
 SINGLE_LABELS = tuple(lb for lb in STRUCTURES if candidate_rule(lb) != ZERO)
 TWO_OP_LABELS = tuple(lb for lb in STRUCTURES if candidate_rule(lb) == ZERO)
+
+
+def max_order(label: str) -> int:
+    """The largest order an enumeration job with the label runs at."""
+    s = STRUCTURES[label]
+    return max_order(s.base) if s.base else s.max_order
 
 
 def axioms_of(label: str) -> tuple:

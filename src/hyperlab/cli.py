@@ -194,11 +194,6 @@ def _cmd_enumerate(args, out, err):
     if args.structure:
         constraints.append(args.structure)
     constraints.extend(s for s in args.laws.split(",") if s)
-    if not constraints and args.order > 2 and not args.oracle:
-        print(
-            "note: unconstrained enumeration above order 2 is enormous",
-            file=err,
-        )
     sink = open(args.out, "w", encoding="utf-8") if args.out else out
     emitted = []
 

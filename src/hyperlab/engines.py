@@ -43,6 +43,8 @@ Constraints are serializable descriptors:
                                   z in x*y forces z' in y'*x' for every
                                   symmetric pick wrt e
     ("singleton-cells",)          every cell is a singleton (a composition)
+    ("forced", pos, mask)         cell number pos (row-major) equals mask
+    ("equivariant-under", perm)   cell(perm x, perm y) = perm(cell(x, y))
     ("not", c)                    descriptor c fails
 
 A descriptor may name the candidate element with the placeholder `E`;
@@ -53,9 +55,11 @@ read it.
 
 The backtracker turns some descriptors into devices beyond the final check:
 commutativity and identity-at link mirrored cells, the sign rule links each
-cell to its row and column negations, scalar-zero, total and degenerate pin
-cells, and the triple laws, reproductivity, unique opposites, polysymmetry
-and inclusion distributivity get watchers.
+cell to its row and column negations, equivariance links each cell to its
+relabeled image, forced, scalar-zero, total and degenerate pin cells,
+cellwise non-emptiness keeps the empty value out of every domain, and the
+triple laws, reproductivity, unique opposites, polysymmetry and inclusion
+distributivity get watchers.
 
 Every engine emits only tables that pass the authoritative axiom-module
 predicates; pruning is a conservative accelerator, never the verdict.
@@ -139,6 +143,24 @@ def _over(variant):
     )
 
 
+def _forced(table, pos, mask) -> AxiomResult:
+    cell = table.cells[pos]
+    if cell != mask:
+        return AxiomResult(False, Witness("forced", divmod(pos, table.order), cell, mask))
+    return AxiomResult(True)
+
+
+def _equivariant(table, perm) -> AxiomResult:
+    n = table.order
+    for x in range(n):
+        for y in range(n):
+            lhs = table.cell(perm[x], perm[y])
+            rhs = mask_image(table.cell(x, y), perm)
+            if lhs != rhs:
+                return AxiomResult(False, Witness("equivariant-under", (x, y), lhs, rhs))
+    return AxiomResult(True)
+
+
 def _negation(table, c) -> AxiomResult:
     if constraint_holds(table, c):
         return AxiomResult(False, Witness("not", (), 0, 0))
@@ -158,6 +180,8 @@ _RESULTS = {
     "reversibility-poly-at": axioms.check_reversibility_poly,
     "divisions-nonempty": _divisions_nonempty,
     "singleton-cells": _singleton_cells,
+    "forced": _forced,
+    "equivariant-under": _equivariant,
     "distributive-inclusion-over": _over("distributive-inclusion"),
     "sign-rule-over": _over("sign-rule"),
     "non-degenerate": lambda t: _negation(t, ("law", "degenerate")),
@@ -191,28 +215,24 @@ def key_sorted_masks(order: int) -> tuple[int, ...]:
     return tuple(sorted(range(1 << order), key=cell_key))
 
 
-def value_order(order: int, kind: str, allow_empty: bool) -> tuple[int, ...]:
+def value_order(order: int, kind: str) -> tuple[int, ...]:
     if kind == "composition":
         return tuple(1 << i for i in range(order))
-    masks = key_sorted_masks(order)
-    return masks if allow_empty else masks[1:]
+    return key_sorted_masks(order)
 
 
 def space_size(order: int, kind: str) -> int:
-    return len(value_order(order, kind, True)) ** (order * order)
+    return len(value_order(order, kind)) ** (order * order)
 
 
 # -- pure engine ---------------------------------------------------------------
 
 
-def pure_sweep(order, kind, constraints):
-    """Yield every constraint-satisfying table, in canonical table order."""
-    values = value_order(order, kind, True)
-    n2 = order * order
-    for cells in product(values, repeat=n2):
-        table = HyperTable(order, cells, kind)
-        if satisfies_all(table, constraints):
-            yield table
+def _pure_task(_task, order, kind, constraints):
+    """Every constraint-satisfying table of the raw space, in canonical order."""
+    cells = product(value_order(order, kind), repeat=order * order)
+    tables = (HyperTable(order, cc, kind) for cc in cells)
+    return [t.cells for t in tables if satisfies_all(t, constraints)], 0
 
 
 # -- vector engine (order 3, hyper kind, empty cells allowed) ------------------
@@ -548,10 +568,7 @@ class SearchSpec:
 
     order: int
     kind: str = "hyper"
-    allow_empty: bool = True
     constraints: tuple = ()
-    link_generators: tuple = ()  # ((src, dst, perm), ...): writing src forces dst
-    forced: tuple = ()  # ((pos, mask), ...)
 
 
 def _triple_positions(law, x, y, z, n):
@@ -578,10 +595,10 @@ class Backtracker:
         n = spec.order
         self.n = n
         self.n2 = n * n
-        self.values = value_order(n, spec.kind, spec.allow_empty)
+        self.values = value_order(n, spec.kind)
         self.full = full_mask(n)
 
-        forced = dict(spec.forced)
+        forced = {}
         required = {}
 
         links = {}
@@ -614,6 +631,14 @@ class Backtracker:
                         links.setdefault(x * n + y, []).extend(
                             ((neg[x] * n + y, lut), (x * n + neg[y], lut))
                         )
+            elif c[0] == "equivariant-under":
+                perm = c[1]
+                lut = _image_lut(n, perm)
+                for x in range(n):
+                    for y in range(n):
+                        links.setdefault(x * n + y, []).append((perm[x] * n + perm[y], lut))
+            elif c[0] == "forced":
+                forced[c[1]] = c[2]
             elif c[0] == "scalar-zero-at":
                 z = c[1]
                 for x in range(n):
@@ -626,8 +651,6 @@ class Backtracker:
             elif c == ("law", "degenerate"):
                 for pos in range(self.n2):
                     forced[pos] = 0
-        for src, dst, perm in spec.link_generators:
-            links.setdefault(src, []).append((dst, _image_lut(n, tuple(perm))))
 
         # orbit closure: every position reachable from its representative
         self.orbits = self._close_orbits(links)
@@ -674,6 +697,7 @@ class Backtracker:
         return members
 
     def _build_domains(self):
+        nonempty = ("law", "cellwise-nonempty") in self.spec.constraints
         self.slots = []
         self.slot_writes = []  # per slot: list of (pos, lut)
         self.domains = []
@@ -703,7 +727,7 @@ class Backtracker:
                     if self.spec.kind == "composition" and w.bit_count() != 1:
                         ok = False
                         break
-                    if not self.spec.allow_empty and w == 0:
+                    if nonempty and w == 0:
                         ok = False
                         break
                 if ok:
@@ -998,9 +1022,6 @@ class Backtracker:
         if satisfies_all(table, self.spec.constraints):
             yield table.cells
 
-    def first_domain_size(self) -> int:
-        return len(self.domains[0]) if self.slots else 1
-
 
 # -- sweep planner -------------------------------------------------------------
 
@@ -1056,8 +1077,9 @@ def sweep_tasks(engine, order, constraints, kind="hyper"):
     spec_args = dict(order=order, kind=kind, constraints=constraints)
     if order <= 2:  # at most 256 tables: one in-process task beats a worker pool
         return _backtrack_task, [(spec_args, None)]
-    probe = Backtracker(SearchSpec(**spec_args))
-    return _backtrack_task, [(spec_args, i) for i in range(probe.first_domain_size())]
+    bt = _backtracker(**spec_args)  # the shards split its first slot's domain
+    shards = len(bt.domains[0]) if bt.slots else 1
+    return _backtrack_task, [(spec_args, i) for i in range(shards)]
 
 
 def merge_sweep(engine, order, constraints, results):
@@ -1073,17 +1095,19 @@ def merge_sweep(engine, order, constraints, results):
     return cells, sum(p for _, p in results)
 
 
-def _pure_task(_task, order, kind, constraints):
-    return [t.cells for t in pure_sweep(order, kind, constraints)], 0
-
-
 def _vector_collect_task(head_digits, constraints):
     return v3_collect_chunk(head_digits, constraints), 0
 
 
+@lru_cache(maxsize=1)
+def _backtracker(order, kind, constraints):
+    """One build per sweep, shared by its probe and shards (and forked workers)."""
+    return Backtracker(SearchSpec(order, kind, constraints))
+
+
 def _backtrack_task(args):
     spec_args, first_index = args
-    bt = Backtracker(SearchSpec(**spec_args))
+    bt = _backtracker(**spec_args)
     return list(bt.search(first_index)), bt.pruned
 
 
@@ -1091,7 +1115,7 @@ def first_hit_task(args, accept=None):
     """The first cell tuple of one backtracker shard (a `sweep_tasks` task)
     whose table `accept` takes (None takes every table), or None."""
     spec_args, first_index = args
-    for cells in Backtracker(SearchSpec(**spec_args)).search(first_index):
+    for cells in _backtracker(**spec_args).search(first_index):
         if accept is None or accept(HyperTable(spec_args["order"], cells, spec_args["kind"])):
             return cells
     return None
@@ -1109,6 +1133,6 @@ def _witness_map_tasks(order, constraints):
     tasks = []
     for witness in product(range(n), repeat=n):
         skeleton = {pos for x, xp in enumerate(witness) for pos in (x * n + xp, xp * n + x)}
-        forced = tuple((pos, 1 << e) for pos in sorted(skeleton))
-        tasks.append((dict(order=n, constraints=rest, forced=forced), None))
+        forced = tuple(("forced", pos, 1 << e) for pos in sorted(skeleton))
+        tasks.append((dict(order=n, kind="hyper", constraints=forced + rest), None))
     return tasks

@@ -11,15 +11,24 @@ otherwise the multiplication over every abelian additive group.  Models are
 emitted exactly once, in canonical table order; with up_to_iso each
 isomorphism class is emitted once, represented by its canonical form.
 
-Single-operation jobs, the verifiers' premise sweeps and T6 share one
-sweep, `sweep`, which plans each descriptor run with `engines.plan_sweep`.
-By default that is the sharded backtracker, whose pruned-node count the
-summary reports.  Oracle mode ignores every pruning device and filters the
-raw space (pure Python at order <= 2 and for compositions, the vectorized
-full-space engine at order 3, capped there); it is the certification path
-for the backtracking generator.  Two-operation models pass
-`classify.classify_two_op` before they are kept.  `search_first` is the one
-first-hit search behind every drop and independence search.
+Every enumeration job, the verifiers' premise sweeps and T6 share one
+sweep, `sweep`, which plans each descriptor run with `engines.plan_sweep`
+and fans its tasks out over the workers.  By default that is the sharded
+backtracker, whose pruned-node count the summary reports (for a
+two-operation job, that of the searches after the multiplication's).  A
+two-operation search states its pins and links as descriptors too: the
+multiplication's pinned rows and columns as `forced` cells, the group
+action on the addition as `equivariant-under` relabelings.  Oracle mode
+ignores every pruning device and filters the raw space (pure Python at
+order <= 2 and for compositions, the vectorized full-space engine at order
+3, capped there; a two-operation job pairs every commutative associative
+addition with every multiplication, at order 2 only); it is the
+certification path for the backtracking generator.  Two-operation models
+pass `classify.classify_two_op` before they are kept.  `search_first` is the
+one first-hit search behind every drop and independence search.
+
+Every label caps the order of its jobs (`classify.max_order`); a job with
+laws only stops at LAWS_CAP, and one with no constraint at order 2.
 """
 
 import json
@@ -40,14 +49,7 @@ from .model import (
 )
 from .parallel import first_hit, parallel_map
 
-SINGLE_OP_CAP = 5
-TWO_OP_CAP = 4
-# two-operation labels without a multiplicative group on H* (and T6): the
-# def6/def7 order-4 premise space holds about a billion models, and the
-# Krasner family's order-4 searches ran past 45 s each
-MUL_HYPERRING_CAP = 3
-
-TWO_OP_STRUCTURES = frozenset(classify.TWO_OP_LABELS)
+LAWS_CAP = 5  # a job with a structure label is capped by `classify.max_order`
 
 
 @dataclass
@@ -83,35 +85,27 @@ class EnumerationSummary:
 
 
 def job_is_two_op(job: EnumerationJob) -> bool:
-    return any(c in TWO_OP_STRUCTURES for c in job.constraints)
+    return any(c in classify.TWO_OP_LABELS for c in job.constraints)
 
 
 def _check_job(job: EnumerationJob):
     two_op = job_is_two_op(job)
-    cap = TWO_OP_CAP if two_op else SINGLE_OP_CAP
-    if not 1 <= job.order <= cap:
-        raise ValueError(f"order {job.order} above the cap {cap} for this job")
     for c in job.constraints:
         if c not in axioms.LAW_IDS and c not in classify.STRUCTURES:
             raise ValueError(f"unknown constraint id: {c!r}")
         if two_op and c in classify.SINGLE_LABELS:
             raise ValueError("cannot mix single-operation and two-operation structures")
-        if (
-            c in TWO_OP_STRUCTURES
-            and "multiplicative-group-on-H*" not in classify.axioms_of(c)
-            and job.order > MUL_HYPERRING_CAP
-        ):
-            raise ValueError(
-                f"order {job.order} above the cap {MUL_HYPERRING_CAP} for {c}: without a "
-                "multiplicative group on H* the order-4 search does not finish in bounded time"
-            )
-        if c in classify.STRUCTURES and classify.STRUCTURES[c].complement_of and job.order > 2:
-            raise ValueError(
-                f"order {job.order} above the cap 2 for {c}: its complement runs neither "
-                "vectorize nor prune, and order 3 alone has 8^9 - 7^9 = 94,805,465 such tables"
-            )
-    if job.oracle and not two_op and job.order > 3:
-        raise ValueError("oracle mode caps single-operation jobs at order 3")
+    labels = [c for c in job.constraints if c in classify.STRUCTURES]
+    if labels:
+        cap, owner = min((classify.max_order(c), c) for c in labels)
+    elif job.constraints:
+        cap, owner = LAWS_CAP, "a law-only job"
+    else:  # order 3 alone has 8^9 = 134,217,728 tables
+        cap, owner = 2, "an unconstrained job"
+    if not 1 <= job.order <= cap:
+        raise ValueError(f"order {job.order} above the cap {cap} for {owner}")
+    if job.oracle and job.order > (2 if two_op else 3):
+        raise ValueError("oracle mode caps two-operation jobs at order 2, the others at 3")
     for pin in (job.zero, job.one):
         if pin is not None and not 0 <= pin < job.order:
             raise ValueError("pinned constant out of range")
@@ -208,10 +202,11 @@ _MUL_DESCRIPTORS = {
     ),
     "distributive-inclusion": lambda add, zero: (("distributive-inclusion-over", add),),
     "sign-rule": lambda add, zero: (("sign-rule-over", add, zero),),
+    "mul-cellwise-nonempty": lambda add, zero: (("law", "cellwise-nonempty"),),
 }
 
 
-def mul_compositions(n: int, zero: int, one, ring_ids):
+def mul_compositions(n: int, zero: int, one, ring_ids, workers=1):
     """Associative composition tables for the multiplication that pass the
     ids in `ring_ids` that read only it.  An absorbing zero pins its row and
     column, and so does a pinned `one` when a semigroup or group on H* is
@@ -224,33 +219,19 @@ def mul_compositions(n: int, zero: int, one, ring_ids):
         for x in range(n):
             if x != zero:
                 forced[one * n + x] = forced[x * n + one] = 1 << x
-    spec = engines.SearchSpec(
-        n,
-        kind="composition",
-        constraints=(("law", "associative"),),
-        forced=tuple(forced.items()),
-    )
-    for cells in engines.Backtracker(spec).search():
-        mul = HyperTable(n, cells, "composition")
+    run = (("law", "associative"),) + tuple(("forced", *pin) for pin in forced.items())
+    for mul in sweep(n, [run], "composition", workers=workers, pruned=True)[0]:
         probe = TwoOpModel(n, mul, mul, zero)  # these checks read only mul
         if all(axioms.check_ring_axioms(probe, r).holds for r in ring_ids if r in _MUL_ONLY):
             yield mul
 
 
-def _group_action_links(mul: HyperTable, zero: int, n: int):
-    """Left-multiplication relabelings: distributive equality forces the
-    additive table to be equivariant under every invertible g."""
-    links = []
-    for g in range(n):
-        if g == zero:
-            continue
-        perm = tuple(singleton_value(mul.cell(g, x)) for x in range(n))
-        if sorted(perm) != list(range(n)):
-            continue
-        for x in range(n):
-            for y in range(n):
-                links.append((x * n + y, perm[x] * n + perm[y], perm))
-    return links
+def _group_action_links(mul: HyperTable, zero: int, n: int) -> tuple:
+    """Left-multiplication relabelings: distributive equality makes the
+    additive table equivariant under every invertible g."""
+    perms = [tuple(singleton_value(mul.cell(g, x)) for x in range(n)) for g in range(n)]
+    invertible = [p for g, p in enumerate(perms) if g != zero and sorted(p) == list(range(n))]
+    return tuple(("equivariant-under", p) for p in invertible)
 
 
 def hyperring_mul_premises(add: HyperTable, zero: int) -> tuple:
@@ -282,75 +263,45 @@ def _abelian_group_tables(job: EnumerationJob):
 
 
 def _enumerate_two_op(job: EnumerationJob, workers: int):
-    structures = [c for c in job.constraints if c in TWO_OP_STRUCTURES]
+    structures = [c for c in job.constraints if c in classify.TWO_OP_LABELS]
     extra_laws = [c for c in job.constraints if c in axioms.LAW_IDS]
-    n = job.order
-
-    def final_ok(model: TwoOpModel) -> bool:
-        for law in extra_laws:
-            if not axioms.check_law(model.add, law).holds:
-                return False
-        labels = classify.classify_two_op(model).labels
-        return all(s in labels for s in structures)
-
-    seen = {}
-
-    def keep(add, mul, zero):
-        model = with_detected_one(n, add, mul, zero, job.one)
-        if model is not None and final_ok(model):
-            seen[two_op_key(model)] = model
-
-    if job.oracle:
-        if n > 2:
-            raise ValueError("two-operation oracle mode is limited to order 2")
-        tables = list(engines.pure_sweep(n, "hyper", ()))
-        for zero in _candidates(job):
-            for add in tables:
-                # every two-operation structure requires a commutative
-                # associative addition; screening here keeps the inner loop
-                # honest (same predicates) but 20x cheaper
-                if not (
-                    axioms.check_law(add, "associative").holds
-                    and axioms.check_law(add, "commutative").holds
-                ):
-                    continue
-                for mul in tables:
-                    keep(add, mul, zero)
-        return [seen[k] for k in sorted(seen)], 0
-
     # the search comes from the structures' axioms in the table
     table_axioms = dict.fromkeys(a for s in structures for a in classify.axioms_of(s))
     ring = [a for a in table_axioms if isinstance(a, str)]
     additive = [a for a in table_axioms if not isinstance(a, str)]
-    pruned_total = 0
-    if _ON_H_STAR.intersection(ring):
+    n, triples, pruned_total = job.order, [], 0
+    if job.oracle:
+        # every two-operation structure requires a commutative associative
+        # addition; screening for it leaves 20x fewer pairs to classify
+        adds = sweep(n, [(("law", "associative"), ("law", "commutative"))], oracle=True)[0]
+        muls = sweep(n, [()], oracle=True)[0]
+        triples = [(add, mul, zero) for zero in _candidates(job) for add in adds for mul in muls]
+    elif _ON_H_STAR.intersection(ring):
         # the multiplication is a composition: search it first, then the
         # addition at the zero
         group = "multiplicative-group-on-H*" in ring and "distributive-equal" in ring
         for zero in _candidates(job):
-            for mul in mul_compositions(n, zero, job.one, ring):
-                spec = engines.SearchSpec(
-                    n,
-                    constraints=tuple(engines.at(c, zero) for c in additive),
-                    link_generators=tuple(_group_action_links(mul, zero, n) if group else ()),
-                )
-                bt = engines.Backtracker(spec)
-                for add_cells in bt.search():
-                    keep(HyperTable(n, add_cells), mul, zero)
-                pruned_total += bt.pruned
+            for mul in mul_compositions(n, zero, job.one, ring, workers):
+                run = tuple(engines.at(c, zero) for c in additive)
+                run += _group_action_links(mul, zero, n) if group else ()
+                adds, pruned = sweep(n, [run], workers=workers, pruned=True)
+                triples += [(add, mul, zero) for add in adds]
+                pruned_total += pruned
     else:
         # an abelian additive group: search the multiplication over each
         for zero, add in _abelian_group_tables(job):
-            spec = engines.SearchSpec(
-                n,
-                allow_empty="mul-cellwise-nonempty" not in ring,
-                constraints=_mul_descriptors(ring, add, zero),
-            )
-            bt = engines.Backtracker(spec)
-            for mul_cells in bt.search():
-                keep(add, HyperTable(n, mul_cells), zero)
-            pruned_total += bt.pruned
+            run = _mul_descriptors(ring, add, zero)
+            muls, pruned = sweep(n, [run], workers=workers, pruned=True)
+            triples += [(add, mul, zero) for mul in muls]
+            pruned_total += pruned
 
+    seen = {}
+    for add, mul, zero in triples:
+        model = with_detected_one(n, add, mul, zero, job.one)
+        if model is None or not all(axioms.check_law(add, law).holds for law in extra_laws):
+            continue
+        if set(structures) <= classify.classify_two_op(model).labels:
+            seen[two_op_key(model)] = model
     return [seen[k] for k in sorted(seen)], pruned_total
 
 

@@ -6,6 +6,8 @@ the same value for one worker as for many.
 
 import multiprocessing
 import os
+import threading
+from itertools import takewhile
 
 
 def default_workers() -> int:
@@ -28,12 +30,24 @@ def parallel_map(fn, tasks, workers: int = 1) -> list:
 
 
 def first_hit(fn, tasks, workers: int = 1):
-    """The first `fn(t)` in task order that is not None, or None.  One
-    process computes no task after the hit; a pool (bounded like
-    `parallel_map`'s) is consumed in task order and terminated at the hit."""
+    """The first `fn(t)` in task order that is not None, or None.  One process
+    computes no task after the hit; a pool (bounded like `parallel_map`'s) gets
+    a task per free worker and lets those in flight finish after the hit, as a
+    worker killed mid-send would leave the result queue locked for good."""
     tasks = list(tasks)
     size = _pool_size(workers, tasks)
     if size <= 1:
         return next((r for r in map(fn, tasks) if r is not None), None)
+    free, hit = threading.Semaphore(size), []
+    # read on the pool's task thread, which blocks here until a worker is free
+    feed = takewhile(lambda _: free.acquire() and not hit, tasks)
     with multiprocessing.get_context("fork").Pool(size) as pool:
-        return next((r for r in pool.imap(fn, tasks) if r is not None), None)
+        try:
+            for r in pool.imap(fn, feed):
+                if r is not None and not hit:
+                    hit.append(r)
+                free.release()
+        finally:  # on an error too: end the feed, which may be waiting
+            hit.append(None)
+            free.release()
+    return hit[0]

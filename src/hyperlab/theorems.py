@@ -46,7 +46,6 @@ from itertools import product
 from . import axioms, classify, engines
 from .engines import E, at
 from .enumeration import (
-    MUL_HYPERRING_CAP,
     EnumerationJob,
     _abelian_group_tables,
     count_sweep,
@@ -75,7 +74,7 @@ NOT_SEARCHED = f"drop searches run at orders <= {DROP_CAP}"
 _ORDER_CAPS = {
     "T2": 3,
     "T3": 3,
-    "T6": MUL_HYPERRING_CAP,
+    "T6": classify.max_order("multiplicative-hyperring-def7"),
     "T7": 3,
     "T9": 3,
     "T11": 3,
@@ -756,7 +755,7 @@ def _t28_drop_search(order, dropped, workers):
     kept = [a for a in classify.axioms_of("hyperfield-def15") if a != dropped]
     ring = tuple(a for a in kept if isinstance(a, str))
     additive = tuple(at(a, 0) for a in kept if a not in ring)
-    for mul in mul_compositions(order, 0, 1 if order > 1 else None, ring):
+    for mul in mul_compositions(order, 0, 1 if order > 1 else None, ring, workers):
         hit = search_first(order, [(additive, partial(_t28_fails, mul, ring))], workers=workers)
         if hit is not None:
             _revalidate(

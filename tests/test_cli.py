@@ -194,14 +194,45 @@ def test_enumerate_refuses_order4_multiplicative_hyperrings(structure):
     assert f"above the cap 3 for {structure}" in err
 
 
-@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
-def test_enumerate_refuses_order3_partial_hypergroupoid(oracle):
-    # the complement of hypergroupoid: its runs neither vectorize nor prune,
-    # and order 3 has 94,805,465 such tables
-    code, out, err = run(["enumerate", "--order", "3", "--structure",
-                          "partial-hypergroupoid", "--workers", "1", *oracle])
+@pytest.mark.parametrize(
+    "structure, oracle",
+    [
+        pytest.param("partial-hypergroupoid", [], id="oracle0"),
+        pytest.param("partial-hypergroupoid", ["--oracle"], id="oracle1"),
+        *(
+            pytest.param(structure, oracle, id=f"{structure}-oracle{len(oracle)}")
+            for structure in ("hypergroupoid", "quasihypergroup", "hv-group", None)
+            for oracle in ([], ["--oracle"])
+        ),
+    ],
+)
+def test_enumerate_refuses_order3_partial_hypergroupoid(structure, oracle):
+    # order-3 model sets (counted with the vector kernel): 94,805,465 partial
+    # hypergroupoids, 40,353,607 hypergroupoids, 10,323,979 quasihypergroups,
+    # 6,151,108 Hv-groups, and 8^9 = 134,217,728 tables without a constraint
+    label = ["--structure", structure] if structure else []
+    code, out, err = run(["enumerate", "--order", "3", *label, "--workers", "1", *oracle])
     assert code == 1 and out == ""
-    assert "above the cap 2 for partial-hypergroupoid" in err
+    assert f"above the cap 2 for {structure or 'an unconstrained job'}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--structure", "hyperfield", "--order", "4", "--zero", "0", "--one", "1"],
+        ["enumerate", "--structure", "krasner-hyperring", "--order", "3", "--zero", "0"],
+        ["verify", "--theorem", "T28", "--order", "3", "--drop-premises"],
+    ],
+)
+def test_two_operation_searches_are_worker_invariant(argv):
+    outputs = []
+    for workers in ("1", "2"):
+        code, out, err = run(argv + ["--format", "json", "--workers", workers])
+        assert code == 0, err
+        report = json.loads(err.strip().splitlines()[-1] if argv[0] == "enumerate" else out)
+        report.pop("wall_time")
+        outputs.append((out if argv[0] == "enumerate" else None, report))
+    assert outputs[0] == outputs[1]
 
 
 def test_dorroh_text_and_exit():

@@ -1,20 +1,29 @@
 import json
 import random
 from importlib import resources
+from itertools import product
 
 import pytest
 
+from hyperlab.axioms import check_law
+from hyperlab.classify import TWO_OP_LABELS, classify_two_op
+from hyperlab.engines import key_sorted_masks
 from hyperlab.enumeration import (
     EnumerationJob,
     enumerate_models,
     golden_check,
     job_is_two_op,
+    mul_compositions,
+    sweep,
+    with_detected_one,
 )
 from hyperlab.model import (
+    HyperTable,
     TwoOpModel,
     apply_permutation,
     canonical_form,
     table_key,
+    two_op_key,
 )
 from hyperlab.modelio import serialize_model
 from hyperlab.samples import cyclic_group_table, krasner_hyperfield
@@ -158,6 +167,29 @@ def test_golden_check_missing_catalog():
         golden_check("/nonexistent/catalog.json")
 
 
+def test_order2_two_op_generator_equals_one_classification_pass():
+    # one classify_two_op pass over every order-2 (zero, commutative
+    # associative addition, multiplication) certifies the pruned generator,
+    # its forced cells and equivariance links included, for every label
+    tables = [HyperTable(2, cells) for cells in product(key_sorted_masks(2), repeat=4)]
+    laws = ("associative", "commutative")
+    adds = [t for t in tables if all(check_law(t, law).holds for law in laws)]
+    classified = [
+        (two_op_key(model), zero, classify_two_op(model).labels)
+        for zero in range(2)
+        for add in adds
+        for mul in tables
+        for model in [with_detected_one(2, add, mul, zero)]
+    ]
+    for label in TWO_OP_LABELS:
+        for pin in (0, None):
+            expected = sorted(
+                key for key, zero, labels in classified if label in labels and pin in (None, zero)
+            )
+            _, models = run_job(order=2, constraints=[label], zero=pin)
+            assert [two_op_key(m) for m in models] == expected, (label, pin)
+
+
 def test_two_op_models_carry_detected_identity():
     _, models = run_job(order=2, constraints=["krasner-hyperring"], zero=0)
     for m in models:
@@ -179,24 +211,14 @@ def test_order4_hyperfield_stretch():
 @pytest.mark.slow
 def test_order4_hyperfield_matches_linkless_search():
     # the group-action orbit forcing first bites at order 4 (a three-cycle);
-    # re-derive the model set without it
-    from hyperlab import engines
-    from hyperlab.classify import classify_two_op
-    from hyperlab.enumeration import mul_compositions
-    from hyperlab.model import HyperTable, two_op_key
-
+    # re-derive the model set through the shared sweep without the
+    # equivariance descriptors
+    additive = (("law", "associative"), ("law", "commutative"), ("unique-opposite-at", 0))
+    adds, _ = sweep(4, [additive], pruned=True)
     found = set()
     for mul in mul_compositions(4, 0, 1, ("multiplicative-group-on-H*", "absorbing-zero")):
-        spec = engines.SearchSpec(
-            4,
-            constraints=(
-                ("law", "associative"),
-                ("law", "commutative"),
-                ("unique-opposite-at", 0),
-            ),
-        )
-        for add_cells in engines.Backtracker(spec).search():
-            model = TwoOpModel(4, HyperTable(4, add_cells), mul, 0, 1)
+        for add in adds:
+            model = TwoOpModel(4, add, mul, 0, 1)
             if "hyperfield" in classify_two_op(model).labels:
                 found.add(two_op_key(model))
     _, linked = run_job(order=4, constraints=["hyperfield"], zero=0, one=1)

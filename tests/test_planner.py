@@ -1,7 +1,8 @@
 """The sweep planner's engine choice, pinned for every spec-driven verifier
 and T6, every order and mode and for each enumeration kind, plus the runner's
 revalidation and the bounded worker pool.  Apart from one small order-3
-cross-check of the witness-map split, nothing here runs a sweep.
+cross-check of the witness-map split and the small two-operation jobs whose
+planned engines are recorded, nothing here runs a sweep.
 
 T6, T28 and T29 are bespoke: T6 sweeps its premise descriptors once per
 additive group through `enumeration.sweep` (pinned below), T28 compares
@@ -92,6 +93,35 @@ def test_enumeration_engine(order, constraints, oracle, engines_per_run):
     assert plans == engines_per_run
 
 
+@pytest.mark.parametrize(
+    "job, engine",
+    [
+        # the multiplication first, then the addition at the zero
+        (EnumerationJob(3, ("hyperfield",), zero=0, one=1), BT),
+        (EnumerationJob(3, ("krasner-hyperring",), zero=0), BT),
+        # the multiplication over each abelian additive group
+        (EnumerationJob(3, ("multiplicative-hyperring-def6",), zero=0), BT),
+        (EnumerationJob(2, ("krasner-hyperring",)), BT),
+        (EnumerationJob(2, ("krasner-hyperring",), oracle=True), PURE),
+        (EnumerationJob(2, ("multiplicative-hyperring-def6",), zero=0, oracle=True), PURE),
+    ],
+)
+def test_two_operation_engine(monkeypatch, job, engine):
+    # every run of a two-operation job goes through enumeration.sweep; the
+    # final check is not under test, and skipping it keeps the oracle rows short
+    monkeypatch.setattr(enumeration, "with_detected_one", lambda *args: None)
+    planned = []
+
+    def plan(*args, **kwargs):
+        planned.append(real(*args, **kwargs))
+        return planned[-1]
+
+    real = engines.plan_sweep
+    monkeypatch.setattr(engines, "plan_sweep", plan)
+    enumeration.enumerate_models(job)
+    assert planned and set(planned) == {engine}
+
+
 def test_enumeration_oracle_caps():
     for structure in ("hypergroup", "group"):
         with pytest.raises(ValueError, match="cap"):
@@ -163,12 +193,15 @@ def test_revalidation_survives_optimised_bytecode():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
+    proc = _python("-O", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _python(*args):
+    """A fresh interpreter on this checkout's sources; a hang fails the test."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, timeout=120, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=120, env=env)
 
 
 class _FakePool:
@@ -226,3 +259,19 @@ def test_first_hit_keeps_task_order_and_stops_at_the_hit(monkeypatch):
     assert parallel.first_hit(odd, [2, 4], workers=8) is None
     assert parallel.first_hit(odd, [], workers=8) is None
     assert _FakePool.sizes == [4, 2]
+
+
+def test_first_hit_pool_shuts_down_after_every_hit():
+    # a pool must not kill a worker that is still sending its result when the
+    # hit arrives: the result queue stayed locked and the pool's shutdown
+    # waited forever, about once in a hundred calls with these tasks
+    code = (
+        "from hyperlab.parallel import first_hit\n"
+        "def fn(t):\n"
+        "    sum(range(20000))\n"
+        "    return t if t == 1 else None\n"
+        "for _ in range(200):\n"
+        "    assert first_hit(fn, range(8), workers=2) == 1\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
