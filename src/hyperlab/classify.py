@@ -29,6 +29,7 @@ quasihypergroup, a semihypergroup and a hypergroupoid, and so on).
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 
 from . import axioms
 from .axioms import PreconditionError, Witness, check_law, check_ring_axioms
@@ -322,15 +323,22 @@ def classify_two_op(model: TwoOpModel) -> ClassificationReport:
 
 # -- hypermodules -------------------------------------------------------------------
 
+def _row_distributes(madd, row):  # i on one scalar's row: a(m + k) = am + ak
+    for m in range(madd.order):
+        for k in range(madd.order):
+            lhs = mask_image(madd.cell(m, k), row)
+            rhs = madd.cell(row[m], row[k])
+            if lhs != rhs:
+                return (m, k), lhs, rhs
+    return None
+
+
 def _distributes_over_module_add(hm):  # i: a(m + k) = am + ak
-    madd, act = hm.madd, hm.act
     for a, row in enumerate(hm.action):
-        for m in range(madd.order):
-            for k in range(madd.order):
-                lhs = mask_image(madd.cell(m, k), row)
-                rhs = madd.cell(act(a, m), act(a, k))
-                if lhs != rhs:
-                    return (a, m, k), lhs, rhs
+        violation = _row_distributes(hm.madd, row)
+        if violation is not None:
+            (m, k), lhs, rhs = violation
+            return (a, m, k), lhs, rhs
     return None
 
 
@@ -368,6 +376,22 @@ def _unit_and_zero_action(hm):  # iv: 1m = m and 0m = 0
         if zero_m != zm:
             return (m,), 1 << zero_m, 1 << zm
     return None
+
+
+def action_rows(scalars: TwoOpModel, madd: HyperTable, zero_m: int) -> list:
+    """Per scalar, in lexicographic order, the rows of a single-valued action
+    that pass axioms i and iv, which read one row each: i on every row, and iv
+    fixes the row of one to the identity and the row of zero to zero_m."""
+    rows = [
+        row
+        for row in product(range(madd.order), repeat=madd.order)
+        if _row_distributes(madd, row) is None
+    ]
+    identity, zeros = tuple(range(madd.order)), (zero_m,) * madd.order
+    return [
+        [r for r in rows if (a != scalars.one or r == identity) and (a != scalars.zero or r == zeros)]
+        for a in range(scalars.order)
+    ]
 
 
 def action_axioms(weak: bool = False) -> dict:

@@ -74,7 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dorroh", help="integer-extension associativity probe")
     p.add_argument("--base", required=True, metavar="FILE")
-    p.add_argument("--range", type=int, required=True, dest="radius", metavar="N")
+    p.add_argument(
+        "--range", type=int, required=True, dest="radius", metavar="N",
+        help=f"window radius, 1 to {dorroh.RANGE_CAP}",
+    )
     p.add_argument("--json", action="store_true", help="alias for --format json")
     _common_flags(p)
 

@@ -8,8 +8,18 @@ against their common superset
 
     {(nmk, v) : v in (nm)z + (kn)y + (km)x + k(xy) + n(yz) + m(xz) + (xy)z}
 
-over every triple with integer parts in a window [-N, N].  Integer parts are
-exact Python ints, so products may leave the window without wrapping.
+over every triple with integer parts in a window [-N, N], for N up to
+RANGE_CAP.  Integer parts are exact Python ints, so products may leave the
+window without wrapping.
+
+Every sum or product of single pairs has one integer part, and so does a set
+of such pairs times a pair, so the probe holds each pair set as `(k, mask)`:
+the integer part and a cell mask of base elements.  An empty mask is the empty
+set whatever its `k`.  `associativity_probe` validates the base once and then
+runs unchecked `(k, mask)` arithmetic with memoised complex and scaled sums;
+only the public `dorroh_add`, `dorroh_mul` and `scaled_sum` (which check their
+preconditions on every call) and the reported first violation build
+`DorrohPair`s.
 """
 
 from dataclasses import dataclass
@@ -19,6 +29,10 @@ from . import axioms
 from .classify import classify_two_op
 from .model import TwoOpModel, complex_product, members_of, singleton_value
 from .parallel import parallel_map
+
+# largest accepted window radius: sign.model, the largest bundled base, probes
+# its 250,047 triples in about 2 s on one CPU (range 16 took 7.5 s)
+RANGE_CAP = 10
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -106,7 +120,7 @@ def dorroh_add(model: TwoOpModel, p: DorrohPair, q: DorrohPair):
 def dorroh_mul(model: TwoOpModel, p: DorrohPair, q: DorrohPair):
     """{(nm, z) : z in n·y + m·x + x·y}; base multiplication must be
     single-valued."""
-    opp = _require_additive_axioms(model)
+    _require_additive_axioms(model)
     ny = scaled_sum(model, p.k, q.x)
     mx = scaled_sum(model, q.k, p.x)
     xy = 1 << singleton_value(model.mul.cell(p.x, q.x))
@@ -114,86 +128,148 @@ def dorroh_mul(model: TwoOpModel, p: DorrohPair, q: DorrohPair):
     return normalize(DorrohPair(p.k * q.k, z) for z in members_of(spread))
 
 
-def _mul_set(model, pairs, q):
-    out = set()
-    for p in pairs:
-        out.update(dorroh_mul(model, p, q))
-    return normalize(out)
+# -- the probe: (k, mask) pair sets over a validated base ------------------------
+
+def _same(a, b) -> bool:
+    return a[1] == b[1] and (a[0] == b[0] or not a[1])
 
 
-def _mul_set_right(model, p, pairs):
-    out = set()
-    for q in pairs:
-        out.update(dorroh_mul(model, p, q))
-    return normalize(out)
+def _meets(a, b) -> bool:
+    return a[0] == b[0] and bool(a[1] & b[1])
 
 
-def _superset(model, p, q, r):
-    """The displayed common superset of both association orders."""
-    n, x = p.k, p.x
-    m, y = q.k, q.x
-    k, z = r.k, r.x
-    mul = model.mul
-    add = model.add
-    xy = singleton_value(mul.cell(x, y))
-    yz = singleton_value(mul.cell(y, z))
-    xz = singleton_value(mul.cell(x, z))
-    terms = [
-        scaled_sum(model, n * m, z),
-        scaled_sum(model, k * n, y),
-        scaled_sum(model, k * m, x),
-        scaled_sum(model, k, xy),
-        scaled_sum(model, n, yz),
-        scaled_sum(model, m, xz),
-        1 << singleton_value(mul.cell(xy, z)),
-    ]
-    spread = terms[0]
-    for t in terms[1:]:
-        spread = complex_product(add, spread, t)
-    return normalize(DorrohPair(n * m * k, v) for v in members_of(spread))
+def _within(a, b) -> bool:
+    return not a[1] or (a[0] == b[0] and not a[1] & ~b[1])
 
 
-def _window(model: TwoOpModel, radius: int):
-    return [
-        DorrohPair(k, x)
-        for k in range(-radius, radius + 1)
-        for x in range(model.order)
-    ]
+class _Kernel:
+    """Unchecked base arithmetic for one probe: complex sums of cell masks,
+    multiples k·y and Dorroh products on `(k, mask)`, all memoised."""
+
+    def __init__(self, model: TwoOpModel, opp):
+        self.add = model.add
+        self.mul = model.mul
+        self.zero = model.zero
+        self.opp = opp
+        self._sums = {}
+        self._multiples = [[1 << y] for y in range(model.order)]  # [j] = (j+1)·y
+        self._products = {}
+        self._set_products = {}
+
+    def plus(self, a: int, b: int) -> int:
+        out = self._sums.get((a, b))
+        if out is None:
+            out = self._sums[a, b] = complex_product(self.add, a, b)
+        return out
+
+    def scaled(self, k: int, y: int) -> int:
+        """The mask of k·y, as `scaled_sum`."""
+        if k < 0:
+            k, y = -k, self.opp[y]
+        if k == 0:
+            return 1 << self.zero
+        seq = self._multiples[y]
+        while len(seq) < k:
+            seq.append(self.plus(seq[-1], 1 << y))
+        return seq[k - 1]
+
+    def prod(self, x: int, y: int) -> int:
+        return singleton_value(self.mul.cell(x, y))
+
+    def times(self, n, x, m, y) -> int:
+        """The mask of (n,x)·(m,y), whose integer part is nm."""
+        key = (n, x, m, y)
+        out = self._products.get(key)
+        if out is None:
+            spread = self.plus(self.scaled(n, y), self.scaled(m, x))
+            out = self._products[key] = self.plus(spread, 1 << self.prod(x, y))
+        return out
+
+    def set_times(self, n, mask, m, y) -> int:
+        """The mask of (n, mask)·(m,y): the union over the set's members."""
+        key = (n, mask, m, y)
+        out = self._set_products.get(key)
+        if out is None:
+            out = 0
+            for x in members_of(mask):
+                out |= self.times(n, x, m, y)
+            self._set_products[key] = out
+        return out
+
+    def times_set(self, n, x, m, mask) -> int:
+        """The mask of (n,x)·(m, mask)."""
+        out = 0
+        for y in members_of(mask):
+            out |= self.times(n, x, m, y)
+        return out
+
+    def superset(self, n, x, m, y, k, z) -> int:
+        xy, yz, xz = self.prod(x, y), self.prod(y, z), self.prod(x, z)
+        terms = (
+            self.scaled(k * n, y),
+            self.scaled(k * m, x),
+            self.scaled(k, xy),
+            self.scaled(n, yz),
+            self.scaled(m, xz),
+            1 << self.prod(xy, z),
+        )
+        out = self.scaled(n * m, z)
+        for t in terms:
+            out = self.plus(out, t)
+        return out
 
 
-def _probe_triple(args, model):
-    p, q, r = args
-    left = _mul_set(model, dorroh_mul(model, p, q), r)
-    right = _mul_set_right(model, p, dorroh_mul(model, q, r))
-    sup = set(_superset(model, p, q, r))
-    equal = left == right
-    weak = bool(set(left) & set(right))
-    included = set(left) <= sup and set(right) <= sup
-    return equal, weak, included, left, right
+def _window(radius: int, order: int):
+    return [(k, x) for k in range(-radius, radius + 1) for x in range(order)]
 
 
-def _check_canonical_window(model, window, opp):
-    zero_pair = DorrohPair(0, model.zero)
-    for p in window:
-        if dorroh_add(model, zero_pair, p) != (p,):
+def _probe_row(p, kernel, window):
+    """(equal, weak, included, first violation) over the triples (p, q, r)."""
+    n, x = p
+    equal = weak = 0
+    included = True
+    first = None
+    for m, y in window:
+        nm, pq = n * m, kernel.times(n, x, m, y)
+        for k, z in window:
+            nmk = nm * k
+            left = (nmk, kernel.set_times(nm, pq, k, z))
+            right = (nmk, kernel.times_set(n, x, m * k, kernel.times(m, y, k, z)))
+            sup = (nmk, kernel.superset(n, x, m, y, k, z))
+            same = _same(left, right)
+            equal += same
+            weak += _meets(left, right)
+            included = included and _within(left, sup) and _within(right, sup)
+            if not same and first is None:
+                first = {
+                    "triple": [[n, x], [m, y], [k, z]],
+                    "left": [DorrohPair(nmk, v).to_json() for v in members_of(left[1])],
+                    "right": [DorrohPair(nmk, v).to_json() for v in members_of(right[1])],
+                }
+    return equal, weak, included, first
+
+
+def _canonical_window_ok(kernel, window) -> bool:
+    """The window addition has the zero pair as identity, opposites (-n, -x),
+    and is commutative and associative, on `(k, mask)` pair sets."""
+    add = kernel.add
+    zero = (0, 1 << kernel.zero)
+    for n, x in window:
+        p = (n, 1 << x)
+        if not _same((n, add.cell(kernel.zero, x)), p):
             return False
-        if dorroh_add(model, p, zero_pair) != (p,):
+        if not _same((n, add.cell(x, kernel.zero)), p):
             return False
-        opposite = DorrohPair(-p.k, opp[p.x])
-        if zero_pair not in dorroh_add(model, p, opposite):
+        if not _within(zero, (0, add.cell(x, kernel.opp[x]))):
             return False
-    for p in window:
-        for q in window:
-            if dorroh_add(model, p, q) != dorroh_add(model, q, p):
+    for n, x in window:
+        for m, y in window:
+            if not _same((n + m, add.cell(x, y)), (m + n, add.cell(y, x))):
                 return False
-            for r in window:
-                left = set()
-                for s in dorroh_add(model, p, q):
-                    left.update(dorroh_add(model, s, r))
-                right = set()
-                for s in dorroh_add(model, q, r):
-                    right.update(dorroh_add(model, p, s))
-                if normalize(left) != normalize(right):
+            for k, z in window:
+                left = (n + m + k, kernel.plus(add.cell(x, y), 1 << z))
+                right = (n + m + k, kernel.plus(1 << x, add.cell(y, z)))
+                if not _same(left, right):
                     return False
     return True
 
@@ -203,40 +279,33 @@ def associativity_probe(
 ) -> ProbeReport:
     """Check both association orders of the product on the window, their
     membership in the common superset, and that the window addition behaves
-    like a canonical hypergroup."""
+    like a canonical hypergroup.  One task per first element of a triple."""
     import time
 
-    if radius < 1:
-        raise ValueError("window radius must be at least 1")
+    if not 1 <= radius <= RANGE_CAP:
+        raise ValueError(f"window radius must be in 1..{RANGE_CAP}, got {radius}")
     require_krasner_base(model)
-    opp = _require_additive_axioms(model)
+    kernel = _Kernel(model, _require_additive_axioms(model))
     start = time.perf_counter()
 
-    window = _window(model, radius)
-    triples = [(p, q, r) for p in window for q in window for r in window]
-    fn = partial(_probe_triple, model=model)
+    window = _window(radius, model.order)
     equal_count = 0
     weak_count = 0
     inclusion_ok = True
     first_violation = None
-    for (p, q, r), (equal, weak, included, left, right) in zip(
-        triples, parallel_map(fn, triples, workers)
-    ):
+    rows = parallel_map(partial(_probe_row, kernel=kernel, window=window), window, workers)
+    for equal, weak, included, first in rows:
         equal_count += equal
         weak_count += weak
         inclusion_ok = inclusion_ok and included
-        if not equal and first_violation is None:
-            first_violation = {
-                "triple": [p.to_json(), q.to_json(), r.to_json()],
-                "left": [s.to_json() for s in left],
-                "right": [s.to_json() for s in right],
-            }
+        if first_violation is None:
+            first_violation = first
 
-    canonical_ok = _check_canonical_window(model, _window(model, min(radius, 2)), opp)
+    canonical_ok = _canonical_window_ok(kernel, _window(min(radius, 2), model.order))
     return ProbeReport(
         base=base_name,
         radius=radius,
-        triples_checked=len(triples),
+        triples_checked=len(window) ** 3,
         assoc_equal_count=equal_count,
         weak_assoc_ok_count=weak_count,
         inclusion_ok=inclusion_ok,

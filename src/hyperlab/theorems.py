@@ -802,17 +802,13 @@ def _t29_module_tables(max_order, workers):
 
 
 def _actions_satisfying(p_model, madd, zero_m):
-    """Yield single-valued actions passing axioms i-iv (ii as equality),
-    checked cheapest first (iv) up to the first failure."""
-    i, ii, iii, iv = classify.action_axioms().values()
-    p_n = p_model.order
-    m_n = madd.order
-    for flat in product(range(m_n), repeat=p_n * m_n):
-        action = tuple(
-            tuple(flat[a * m_n + m] for m in range(m_n)) for a in range(p_n)
-        )
+    """Yield single-valued actions passing axioms i-iv (ii as equality) in
+    row-major order: the product of each scalar's rows that pass i and iv,
+    each action then checked against ii and iii."""
+    _, ii, iii, _ = classify.action_axioms().values()
+    for action in product(*classify.action_rows(p_model, madd, zero_m)):
         hm = HypermoduleModel(p_model, madd, zero_m, action)
-        if iv(hm) is None and i(hm) is None and ii(hm) is None and iii(hm) is None:
+        if ii(hm) is None and iii(hm) is None:
             yield hm
 
 

@@ -2,9 +2,12 @@
 
 Everything here works on tables represented as list-of-list-of-frozenset and
 expands quantifiers with plain loops; nothing is shared with the bitmask
-implementations under test.
+implementations under test.  The one exception is `dorroh_probe`, which is
+built on the public pair-level Dorroh arithmetic that the probe's `(k, mask)`
+kernel replaces.
 """
 
+import functools
 from itertools import product
 
 
@@ -14,6 +17,10 @@ def from_table(table):
         [frozenset(i for i in range(n) if table.cell(x, y) >> i & 1) for y in range(n)]
         for x in range(n)
     ]
+
+
+def from_mask(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def cp_sets(rows, a_set, b_set):
@@ -183,3 +190,72 @@ def sign_rule(add_rows, mul_rows, zero):
         if mul_rows[a][neg[b]] != neg_ab or mul_rows[neg[a]][b] != neg_ab:
             return False
     return True
+
+
+def dorroh_probe(model, radius, base_name="base"):
+    """Pair-level reference for `dorroh.associativity_probe`: its report JSON,
+    wall time aside, from `dorroh_add`, `dorroh_mul` and `scaled_sum` on sets
+    of `DorrohPair`s.  Calls are cached, as each one re-checks the base."""
+    from hyperlab.dorroh import DorrohPair, dorroh_add, dorroh_mul, scaled_sum
+
+    add = functools.cache(functools.partial(dorroh_add, model))
+    mul = functools.cache(functools.partial(dorroh_mul, model))
+    scaled = functools.cache(lambda k, y: from_mask(scaled_sum(model, k, y)))
+    add_rows, mul_rows = from_table(model.add), from_table(model.mul)
+
+    def prod(x, y):
+        (v,) = mul_rows[x][y]
+        return v
+
+    def superset(p, q, r):
+        (n, x), (m, y), (k, z) = (p.k, p.x), (q.k, q.x), (r.k, r.x)
+        xy = prod(x, y)
+        terms = [scaled(n * m, z), scaled(k * n, y), scaled(k * m, x), scaled(k, xy),
+                 scaled(n, prod(y, z)), scaled(m, prod(x, z)), {prod(xy, z)}]
+        out = terms[0]
+        for t in terms[1:]:
+            out = cp_sets(add_rows, out, t)
+        return {DorrohPair(n * m * k, v) for v in out}
+
+    def window(rad):
+        return [DorrohPair(k, x) for k in range(-rad, rad + 1) for x in range(model.order)]
+
+    pairs = window(radius)
+    equal = weak = 0
+    included, first = True, None
+    for p, q, r in product(pairs, repeat=3):
+        left = {t for s in mul(p, q) for t in mul(s, r)}
+        right = {t for s in mul(q, r) for t in mul(p, s)}
+        sup = superset(p, q, r)
+        equal += left == right
+        weak += bool(left & right)
+        included = included and left <= sup and right <= sup
+        if left != right and first is None:
+            first = {
+                "triple": [p.to_json(), q.to_json(), r.to_json()],
+                "left": [s.to_json() for s in sorted(left)],
+                "right": [s.to_json() for s in sorted(right)],
+            }
+
+    zero = DorrohPair(0, model.zero)
+    small = window(min(radius, 2))
+    opp = opposites(add_rows, model.zero)
+    canonical = all(
+        add(zero, p) == (p,) and add(p, zero) == (p,)
+        and zero in add(p, DorrohPair(-p.k, opp[p.x]))
+        for p in small
+    ) and all(
+        add(p, q) == add(q, p)
+        and {t for s in add(p, q) for t in add(s, r)} == {t for s in add(q, r) for t in add(p, s)}
+        for p, q, r in product(small, repeat=3)
+    )
+    return {
+        "base": base_name,
+        "radius": radius,
+        "triples_checked": len(pairs) ** 3,
+        "assoc_equal_count": equal,
+        "weak_assoc_ok_count": weak,
+        "inclusion_ok": included,
+        "canonical_window_ok": canonical,
+        "first_assoc_violation": first,
+    }

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -214,6 +215,37 @@ def test_enumerate_refuses_order3_partial_hypergroupoid(structure, oracle):
     code, out, err = run(["enumerate", "--order", "3", *label, "--workers", "1", *oracle])
     assert code == 1 and out == ""
     assert f"above the cap 2 for {structure or 'an unconstrained job'}" in err
+
+
+@pytest.mark.parametrize(
+    "order, laws, cap",
+    [
+        (3, "reproductive", 2),
+        (3, "weakly-associative", 2),
+        (3, "commutative", 2),
+        (3, "reproductive,commutative", 2),
+        (4, "associative", 3),
+        (4, "associative,reproductive", 3),
+    ],
+)
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["oracle0", "oracle1"])
+def test_enumerate_refuses_law_only_jobs_above_their_cap(order, laws, cap, oracle):
+    # order 3 is accepted only when associativity prunes the search
+    argv = ["enumerate", "--order", str(order), "--laws", laws, "--workers", "1", *oracle]
+    code, out, err = run(argv)
+    assert code == 1 and out == ""
+    assert f"above the cap {cap} for a law-only job" in err
+
+
+def test_dorroh_refuses_ranges_outside_the_cap():
+    from hyperlab.dorroh import RANGE_CAP
+
+    for radius in (RANGE_CAP + 1, 0):
+        start = time.perf_counter()
+        code, out, err = run(["dorroh", "--base", f"{MODELS}/sign.model", "--range", str(radius)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert f"radius must be in 1..{RANGE_CAP}" in err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,13 @@
+import functools
+
+import oracles
 import pytest
 
+from hyperlab import dorroh
 from hyperlab.axioms import PreconditionError
+from hyperlab.cli import _load_model, default_catalog_path
 from hyperlab.dorroh import (
+    RANGE_CAP,
     DorrohPair,
     associativity_probe,
     dorroh_add,
@@ -9,6 +15,7 @@ from hyperlab.dorroh import (
     normalize,
     scaled_sum,
 )
+from hyperlab.enumeration import EnumerationJob, enumerate_models
 from hyperlab.model import TwoOpModel, complex_product, members_of
 from hyperlab.samples import (
     cyclic_group_table,
@@ -122,11 +129,66 @@ def test_probe_rejects_non_hyperring():
     bad = TwoOpModel(2, z2, total_table(2), zero=0)
     with pytest.raises(PreconditionError, match="Krasner"):
         associativity_probe(bad, 1)
-    with pytest.raises(ValueError, match="radius"):
-        associativity_probe(K, 0)
+    for radius in (0, RANGE_CAP + 1):
+        with pytest.raises(ValueError, match="radius"):
+            associativity_probe(K, radius)
 
 
 def test_probe_deterministic_across_workers():
     a = associativity_probe(K, 2, workers=1).to_json(include_wall_time=False)
     b = associativity_probe(K, 2, workers=8).to_json(include_wall_time=False)
     assert a == b
+
+
+MODELS = default_catalog_path().rsplit("/", 1)[0] + "/models"
+
+
+@functools.cache
+def _krasner_order3():
+    models = []
+    enumerate_models(EnumerationJob(3, ("krasner-hyperring",), zero=0, emit=models.append))
+    return tuple(models)
+
+
+def _report(model, radius, workers=1, base_name="base"):
+    return associativity_probe(model, radius, workers, base_name).to_json(
+        include_wall_time=False
+    )
+
+
+def test_empty_pair_sets_compare_whatever_their_integer_part():
+    assert dorroh._same((3, 0), (-5, 0))
+    assert not dorroh._same((3, 0b1), (-5, 0b1))
+    assert not dorroh._meets((3, 0), (3, 0))
+    assert dorroh._within((3, 0), (-5, 0b1))
+    assert not dorroh._within((3, 0b1), (-5, 0b1))
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("name", ["sign", "krasner"])
+def test_probe_matches_pair_reference_on_bundled_bases(name, radius):
+    model = _load_model(f"{MODELS}/{name}.model")
+    report = _report(model, radius, base_name=name)
+    assert report == oracles.dorroh_probe(model, radius, base_name=name)
+    assert _report(model, radius, workers=2, base_name=name) == report
+
+
+def test_probe_matches_pair_reference_on_order3_krasner_hyperrings():
+    models = _krasner_order3()
+    reports = [_report(m, 1) for m in models]
+    assert reports == [oracles.dorroh_probe(m, 1) for m in models]
+    assert [_report(m, 1, workers=2) for m in models] == reports
+    # six of the ten reach the violation path, none of the bundled models does
+    equal = sorted(r["assoc_equal_count"] for r in reports)
+    assert equal == [697] * 2 + [713] * 4 + [729] * 4
+    assert sum(r["first_assoc_violation"] is not None for r in reports) == 6
+
+
+@pytest.mark.slow
+def test_probe_at_the_range_cap_on_the_largest_bundled_base():
+    import time
+
+    start = time.perf_counter()
+    report = _report(_load_model(f"{MODELS}/sign.model"), RANGE_CAP)
+    assert time.perf_counter() - start < 30
+    assert report["assoc_equal_count"] == report["triples_checked"] == (3 * (2 * RANGE_CAP + 1)) ** 3
