@@ -1,5 +1,3 @@
-import functools
-
 import oracles
 import pytest
 
@@ -143,13 +141,6 @@ def test_probe_deterministic_across_workers():
 MODELS = default_catalog_path().rsplit("/", 1)[0] + "/models"
 
 
-@functools.cache
-def _krasner_order3():
-    models = []
-    enumerate_models(EnumerationJob(3, ("krasner-hyperring",), zero=0, emit=models.append))
-    return tuple(models)
-
-
 def _report(model, radius, workers=1, base_name="base"):
     return associativity_probe(model, radius, workers, base_name).to_json(
         include_wall_time=False
@@ -174,7 +165,8 @@ def test_probe_matches_pair_reference_on_bundled_bases(name, radius):
 
 
 def test_probe_matches_pair_reference_on_order3_krasner_hyperrings():
-    models = _krasner_order3()
+    models = []
+    enumerate_models(EnumerationJob(3, ("krasner-hyperring",), zero=0, emit=models.append))
     reports = [_report(m, 1) for m in models]
     assert reports == [oracles.dorroh_probe(m, 1) for m in models]
     assert [_report(m, 1, workers=2) for m in models] == reports
