@@ -571,24 +571,232 @@ class SearchSpec:
     constraints: tuple = ()
 
 
-def _triple_positions(law, x, y, z, n):
-    if law in ("associative", "weakly-associative"):
-        pos = {x * n + y, y * n + z}
-        pos.update(a * n + z for a in range(n))
-        pos.update(x * n + b for b in range(n))
-    elif law == "left-inverted-associative":
-        pos = {x * n + y, z * n + y}
-        pos.update(a * n + z for a in range(n))
-        pos.update(a * n + x for a in range(n))
-    else:  # right-inverted-associative
-        pos = {y * n + z, y * n + x}
-        pos.update(x * n + b for b in range(n))
-        pos.update(z * n + b for b in range(n))
-    return pos
+def _triple_sides(law, x, y, z, n):
+    """The two sides of a triple law at (x, y, z), each as (outer cell, line):
+    the side is the union of cell line[i] over the elements i of the outer
+    cell.  A line is a row or a column of cell positions."""
+
+    def row(r):
+        return tuple(range(r * n, r * n + n))
+
+    def col(c):
+        return tuple(range(c, n * n, n))
+
+    if law in ("associative", "weakly-associative"):  # (xy)z, x(yz)
+        return (x * n + y, col(z)), (y * n + z, row(x))
+    if law == "left-inverted-associative":  # (xy)z, (zy)x
+        return (x * n + y, col(z)), (z * n + y, col(x))
+    return (y * n + z, row(x)), (y * n + x, row(z))  # x(yz), z(yx)
+
+
+def _triple_watcher(sides, weak):
+    """One watcher over (outer pos, selection, outer pos, selection) tuples,
+    where selection[m] lists the line cells that mask m reads.  A side with
+    an unset outer cell is empty and incomplete, so a strict triple passes
+    when either outer cell is unset, and a weak one when both are."""
+
+    def watch(cur):
+        for pa, sa, pb, sb in sides:
+            ma, mb = cur[pa], cur[pb]
+            if ma is None or mb is None:
+                if not weak or (ma is None and mb is None):
+                    continue
+            la = lb = 0
+            ca, cb = ma is not None, mb is not None
+            for p in sa[ma] if ca else ():
+                c = cur[p]
+                if c is None:
+                    ca = False
+                else:
+                    la |= c
+            for p in sb[mb] if cb else ():
+                c = cur[p]
+                if c is None:
+                    cb = False
+                else:
+                    lb |= c
+            if weak:
+                if not la & lb and ((ca and cb) or (ca and not la) or (cb and not lb)):
+                    return False
+            elif ca:
+                if (la != lb) if cb else (lb & ~la):
+                    return False
+            elif cb and la & ~lb:
+                return False
+        return True
+
+    return watch
+
+
+def _reproductive_watcher(n, pos):
+    r, c = divmod(pos, n)
+    full = full_mask(n)
+    row_idx = [r * n + i for i in range(n)]
+    col_idx = [i * n + c for i in range(n)]
+
+    def watch(cur):
+        union = 0
+        for i in row_idx:
+            v = cur[i]
+            if v is None:
+                break
+            union |= v
+        else:
+            if union != full:
+                return False
+        union = 0
+        for i in col_idx:
+            v = cur[i]
+            if v is None:
+                break
+            union |= v
+        else:
+            if union != full:
+                return False
+        return True
+
+    return watch
+
+
+def _opposite_watcher(n, row, z):
+    idx = [row * n + i for i in range(n)]
+    bit = 1 << z
+
+    def watch(cur):
+        count = 0
+        complete = True
+        for i in idx:
+            v = cur[i]
+            if v is None:
+                complete = False
+            elif v & bit:
+                count += 1
+                if count > 1:
+                    return False
+        return not (complete and count != 1)
+
+    return watch
+
+
+def _distributive_watchers(n, add):
+    """(pos, watcher) pairs for a(b+c) in ab+ac and (b+c)a in ba+ca,
+    plus an emptiness rule: no row or column holds both an empty and a
+    non-empty product.  The rule is sound because `add` is a group:
+    every d is b + (-b+d), so ab = {} gives ad in ab + a(-b+d) = {}, and
+    one empty product empties its whole row (its column likewise)."""
+    sums = _complex_sums(add)
+    out = []
+
+    def inclusion(lhs_pos, left_pos, right_pos):
+        def watch(cur):
+            lhs, left, right = cur[lhs_pos], cur[left_pos], cur[right_pos]
+            if lhs is None or left is None or right is None:
+                return True
+            return not (lhs & ~sums[left][right])
+
+        return watch
+
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                d = singleton_value(add.cell(b, c))
+                for lhs, left, right in (
+                    (a * n + d, a * n + b, a * n + c),
+                    (d * n + a, b * n + a, c * n + a),
+                ):
+                    w = inclusion(lhs, left, right)
+                    out.extend((pos, w) for pos in {lhs, left, right})
+
+    def emptiness(r, c):
+        lines = ([r * n + i for i in range(n)], [i * n + c for i in range(n)])
+
+        def watch(cur):
+            for line in lines:
+                vals = [cur[i] for i in line]
+                if 0 in vals and any(vals):
+                    return False
+            return True
+
+        return watch
+
+    out.extend((pos, emptiness(*divmod(pos, n))) for pos in range(n * n))
+    return out
+
+
+def _poly_watcher(n, x, e, weak):
+    bit = 1 << e
+
+    def watch(cur):
+        witness_possible = False
+        for xp in range(n):
+            a = cur[x * n + xp]
+            b = cur[xp * n + x]
+            if weak:
+                ok_a = a is None or (a & bit)
+                ok_b = b is None or (b & bit)
+            else:
+                ok_a = a is None or a == bit
+                ok_b = b is None or b == bit
+            if ok_a and ok_b:
+                witness_possible = True
+                break
+        return witness_possible
+
+    return watch
+
+
+@lru_cache(maxsize=1)
+def _watcher_table(n, constraints):
+    """Per cell position, the watchers of the non-`forced` `constraints`;
+    the single cache entry serves every shard of a sweep (see Backtracker)."""
+    watchers = [[] for _ in range(n * n)]
+    for c in constraints:
+        if c in _TRIPLE_LAWS:
+            selections = {}  # line -> per mask m, the cells line[i] for i in m
+            by_pos = {}
+            for x, y, z in product(range(n), repeat=3):
+                (pa, la), (pb, lb) = _triple_sides(c[1], x, y, z, n)
+                for line in (la, lb):
+                    if line not in selections:
+                        selections[line] = tuple(
+                            tuple(p for i, p in enumerate(line) if m >> i & 1)
+                            for m in range(1 << n)
+                        )
+                for pos in {pa, pb, *la, *lb}:
+                    by_pos.setdefault(pos, []).append(
+                        (pa, selections[la], pb, selections[lb])
+                    )
+            for pos, sides in by_pos.items():
+                watchers[pos].append(_triple_watcher(sides, c[1] == "weakly-associative"))
+        elif c == ("law", "reproductive"):
+            for pos in range(n * n):
+                watchers[pos].append(_reproductive_watcher(n, pos))
+        elif c[0] == "unique-opposite-at":
+            for pos in range(n * n):
+                watchers[pos].append(_opposite_watcher(n, pos // n, c[1]))
+        elif c[0] == "polysymmetry-at":
+            e, weak = c[1], c[2]
+            for pos in range(n * n):
+                for x in set(divmod(pos, n)):
+                    watchers[pos].append(_poly_watcher(n, x, e, weak))
+        elif c[0] == "distributive-inclusion-over":
+            for pos, fn in _distributive_watchers(n, c[1]):
+                watchers[pos].append(fn)
+    return tuple(map(tuple, watchers))
 
 
 class Backtracker:
-    """Row-major DFS over orbit representatives with watcher-based pruning."""
+    """Row-major DFS over orbit representatives with watcher-based pruning.
+
+    `watchers[pos]` holds the checks that rerun when cell pos is set, each a
+    closure that returns False when no completion of the partial table can
+    satisfy its constraint.  A triple law turns each triple into its two
+    sides, an outer cell and the row or column its elements index, and one
+    closure per position evaluates its triples inline.  The table depends
+    only on the order and the non-`forced` descriptors, so it is built once
+    and shared (`_watcher_table`, a single-entry cache): the witness-map
+    shards of one sweep differ only in their pins.  A table is emitted only
+    after `satisfies_all` re-checks it."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
@@ -657,7 +865,9 @@ class Backtracker:
         self.forced = forced
         self.required = required
         self._build_domains()
-        self._build_watchers()
+        self.watchers = _watcher_table(
+            n, tuple(c for c in spec.constraints if c[0] != "forced")
+        )
 
     def _close_orbits(self, links):
         seen = [False] * self.n2
@@ -748,217 +958,6 @@ class Backtracker:
             self.slots.append(rep)
             self.slot_writes.append(writes)
             self.domains.append(dom)
-
-    def _build_watchers(self):
-        n = self.n
-        n2 = self.n2
-        spec = self.spec
-        self.watchers = {pos: [] for pos in range(n2)}
-
-        def add(pos, fn):
-            self.watchers[pos].append(fn)
-
-        for c in spec.constraints:
-            if c[0] == "law" and c[1] in (
-                "associative",
-                "weakly-associative",
-                "left-inverted-associative",
-                "right-inverted-associative",
-            ):
-                law = c[1]
-                by_pos = {}
-                for x, y, z in product(range(n), repeat=3):
-                    for pos in _triple_positions(law, x, y, z, n):
-                        by_pos.setdefault(pos, []).append((x, y, z))
-                for pos, triples in by_pos.items():
-                    add(pos, self._triple_watcher(law, triples))
-            elif c == ("law", "reproductive"):
-                for pos in range(n2):
-                    add(pos, self._reproductive_watcher(pos))
-            elif c[0] == "unique-opposite-at":
-                z = c[1]
-                for pos in range(n2):
-                    add(pos, self._opposite_watcher(pos // n, z))
-            elif c[0] == "polysymmetry-at":
-                e, weak = c[1], c[2]
-                for pos in range(n2):
-                    r, cc = divmod(pos, n)
-                    for x in {r, cc}:
-                        add(pos, self._poly_watcher(x, e, weak))
-            elif c[0] == "distributive-inclusion-over":
-                for pos, fn in self._distributive_watchers(c[1]):
-                    add(pos, fn)
-
-    # watcher builders return closures over (cur) -> bool
-
-    def _triple_watcher(self, law, triples):
-        n = self.n
-
-        def outer_union(cur, outer_pos, col, transpose):
-            m = cur[outer_pos]
-            if m is None:
-                return 0, False
-            known, complete = 0, True
-            i = 0
-            while m:
-                if m & 1:
-                    c = cur[i * n + col] if not transpose else cur[col * n + i]
-                    if c is None:
-                        complete = False
-                    else:
-                        known |= c
-                m >>= 1
-                i += 1
-            return known, complete
-
-        weak = law == "weakly-associative"
-
-        def watch(cur):
-            for x, y, z in triples:
-                if law in ("associative", "weakly-associative"):
-                    la, ca = outer_union(cur, x * n + y, z, False)
-                    lb, cb = outer_union(cur, y * n + z, x, True)
-                elif law == "left-inverted-associative":
-                    la, ca = outer_union(cur, x * n + y, z, False)
-                    lb, cb = outer_union(cur, z * n + y, x, False)
-                else:
-                    la, ca = outer_union(cur, y * n + z, x, True)
-                    lb, cb = outer_union(cur, y * n + x, z, True)
-                if weak:
-                    if la & lb:
-                        continue
-                    if (ca and cb) or (ca and not la) or (cb and not lb):
-                        return False
-                    continue
-                if ca and cb:
-                    if la != lb:
-                        return False
-                elif ca:
-                    if lb & ~la:
-                        return False
-                elif cb:
-                    if la & ~lb:
-                        return False
-            return True
-
-        return watch
-
-    def _reproductive_watcher(self, pos):
-        n = self.n
-        r, c = divmod(pos, n)
-        full = self.full
-        row_idx = [r * n + i for i in range(n)]
-        col_idx = [i * n + c for i in range(n)]
-
-        def watch(cur):
-            union = 0
-            for i in row_idx:
-                v = cur[i]
-                if v is None:
-                    break
-                union |= v
-            else:
-                if union != full:
-                    return False
-            union = 0
-            for i in col_idx:
-                v = cur[i]
-                if v is None:
-                    break
-                union |= v
-            else:
-                if union != full:
-                    return False
-            return True
-
-        return watch
-
-    def _opposite_watcher(self, row, z):
-        n = self.n
-        idx = [row * n + i for i in range(n)]
-        bit = 1 << z
-
-        def watch(cur):
-            count = 0
-            complete = True
-            for i in idx:
-                v = cur[i]
-                if v is None:
-                    complete = False
-                elif v & bit:
-                    count += 1
-                    if count > 1:
-                        return False
-            return not (complete and count != 1)
-
-        return watch
-
-    def _distributive_watchers(self, add):
-        """(pos, watcher) pairs for a(b+c) in ab+ac and (b+c)a in ba+ca,
-        plus an emptiness rule: no row or column holds both an empty and a
-        non-empty product.  The rule is sound because `add` is a group:
-        every d is b + (-b+d), so ab = {} gives ad in ab + a(-b+d) = {}, and
-        one empty product empties its whole row (its column likewise)."""
-        n = self.n
-        sums = _complex_sums(add)
-        out = []
-
-        def inclusion(lhs_pos, left_pos, right_pos):
-            def watch(cur):
-                lhs, left, right = cur[lhs_pos], cur[left_pos], cur[right_pos]
-                if lhs is None or left is None or right is None:
-                    return True
-                return not (lhs & ~sums[left][right])
-
-            return watch
-
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    d = singleton_value(add.cell(b, c))
-                    for lhs, left, right in (
-                        (a * n + d, a * n + b, a * n + c),
-                        (d * n + a, b * n + a, c * n + a),
-                    ):
-                        w = inclusion(lhs, left, right)
-                        out.extend((pos, w) for pos in {lhs, left, right})
-
-        def emptiness(r, c):
-            lines = ([r * n + i for i in range(n)], [i * n + c for i in range(n)])
-
-            def watch(cur):
-                for line in lines:
-                    vals = [cur[i] for i in line]
-                    if 0 in vals and any(vals):
-                        return False
-                return True
-
-            return watch
-
-        out.extend((pos, emptiness(*divmod(pos, n))) for pos in range(n * n))
-        return out
-
-    def _poly_watcher(self, x, e, weak):
-        n = self.n
-        bit = 1 << e
-
-        def watch(cur):
-            witness_possible = False
-            for xp in range(n):
-                a = cur[x * n + xp]
-                b = cur[xp * n + x]
-                if weak:
-                    ok_a = a is None or (a & bit)
-                    ok_b = b is None or (b & bit)
-                else:
-                    ok_a = a is None or a == bit
-                    ok_b = b is None or b == bit
-                if ok_a and ok_b:
-                    witness_possible = True
-                    break
-            return witness_possible
-
-        return watch
 
     # -- search ----------------------------------------------------------------
 

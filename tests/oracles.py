@@ -259,3 +259,73 @@ def dorroh_probe(model, radius, base_name="base"):
         "canonical_window_ok": canonical,
         "first_assoc_violation": first,
     }
+
+
+def triple_positions(law, x, y, z, n):
+    """The cells a triple-law watcher reads at (x, y, z): the backtracker's
+    dependency set before its watchers read per-law line tuples."""
+    if law in ("associative", "weakly-associative"):
+        pos = {x * n + y, y * n + z}
+        pos.update(a * n + z for a in range(n))
+        pos.update(x * n + b for b in range(n))
+    elif law == "left-inverted-associative":
+        pos = {x * n + y, z * n + y}
+        pos.update(a * n + z for a in range(n))
+        pos.update(a * n + x for a in range(n))
+    else:  # right-inverted-associative
+        pos = {y * n + z, y * n + x}
+        pos.update(x * n + b for b in range(n))
+        pos.update(z * n + b for b in range(n))
+    return pos
+
+
+def triple_watch(law, triples, n, cur):
+    """The backtracker's triple-law watcher verdict on the partial cell list
+    `cur` (None = unset) over `triples`, one `outer_union` per side: False
+    only when some triple is violated by every completion of `cur`."""
+
+    def outer_union(cur, outer_pos, col, transpose):
+        m = cur[outer_pos]
+        if m is None:
+            return 0, False
+        known, complete = 0, True
+        i = 0
+        while m:
+            if m & 1:
+                c = cur[i * n + col] if not transpose else cur[col * n + i]
+                if c is None:
+                    complete = False
+                else:
+                    known |= c
+            m >>= 1
+            i += 1
+        return known, complete
+
+    weak = law == "weakly-associative"
+
+    for x, y, z in triples:
+        if law in ("associative", "weakly-associative"):
+            la, ca = outer_union(cur, x * n + y, z, False)
+            lb, cb = outer_union(cur, y * n + z, x, True)
+        elif law == "left-inverted-associative":
+            la, ca = outer_union(cur, x * n + y, z, False)
+            lb, cb = outer_union(cur, z * n + y, x, False)
+        else:
+            la, ca = outer_union(cur, y * n + z, x, True)
+            lb, cb = outer_union(cur, y * n + x, z, True)
+        if weak:
+            if la & lb:
+                continue
+            if (ca and cb) or (ca and not la) or (cb and not lb):
+                return False
+            continue
+        if ca and cb:
+            if la != lb:
+                return False
+        elif ca:
+            if lb & ~la:
+                return False
+        elif cb:
+            if la & ~lb:
+                return False
+    return True

@@ -136,6 +136,25 @@ def test_enumerate_json_format():
     assert all("ops" in m for m in models)
 
 
+@pytest.mark.parametrize(
+    "argv, pruned, raw",
+    [
+        (["--structure", "hv-group", "--order", "2"], 50, 35),
+        (["--structure", "la-hypergroup", "--order", "2"], 81, 13),
+        (["--structure", "ra-hypergroup", "--order", "2"], 78, 13),
+        (["--structure", "semihypergroup", "--order", "2"], 35, 30),
+        (["--structure", "qmp-hypergroup", "--order", "4", "--zero", "0"], 165651, 8),
+    ],
+    ids=["hv-group/2", "la-hypergroup/2", "ra-hypergroup/2", "semihypergroup/2", "qmp-hypergroup/4"],
+)
+def test_enumerate_pins_pruned_node_counts(argv, pruned, raw):
+    # the watchers may get faster, never weaker or stronger
+    code, _, err = run(["enumerate", *argv, "--format", "json", "--workers", "1"])
+    assert code == 0, err
+    summary = json.loads(err.strip().splitlines()[-1])
+    assert (summary["pruned_nodes"], summary["raw_count"]) == (pruned, raw)
+
+
 def test_enumerate_out_file(tmp_path):
     target = tmp_path / "models.txt"
     code, out, _ = run(
