@@ -327,9 +327,6 @@ def main(argv=None, out=None, err=None) -> int:
         if args.command == "golden-check":
             return _cmd_golden(args, out)
         raise ValueError(f"unknown command {args.command!r}")
-    except ParseError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_ERROR
     except (ValueError, OSError, axioms.PreconditionError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR

@@ -20,7 +20,10 @@ Three engines with one constraint vocabulary:
 `plan_sweep` is the one place that picks an engine for a sweep, oracle
 sweeps included.  `sweep_tasks` and `merge_sweep` run a planned table sweep
 as independent tasks; `first_hit_task` runs one backtracker shard up to its
-first accepted table.
+first accepted table.  A sweep searches compositions exactly when its
+descriptors include ("singleton-cells",) (`table_kind`): the backtracker and
+the pure engine then draw every cell from the singletons and emit
+composition tables.
 
 Constraints are serializable descriptors:
 
@@ -74,6 +77,8 @@ import numpy as np
 from . import axioms
 from .axioms import AxiomResult, PreconditionError, Witness
 from .model import (
+    KIND_COMPOSITION,
+    KIND_HYPER,
     HyperTable,
     TwoOpModel,
     cell_key,
@@ -215,8 +220,14 @@ def key_sorted_masks(order: int) -> tuple[int, ...]:
     return tuple(sorted(range(1 << order), key=cell_key))
 
 
+def table_kind(constraints) -> str:
+    """The table space a descriptor conjunction searches: compositions
+    exactly when ("singleton-cells",) is among the descriptors."""
+    return KIND_COMPOSITION if ("singleton-cells",) in constraints else KIND_HYPER
+
+
 def value_order(order: int, kind: str) -> tuple[int, ...]:
-    if kind == "composition":
+    if kind == KIND_COMPOSITION:
         return tuple(1 << i for i in range(order))
     return key_sorted_masks(order)
 
@@ -228,8 +239,9 @@ def space_size(order: int, kind: str) -> int:
 # -- pure engine ---------------------------------------------------------------
 
 
-def _pure_task(_task, order, kind, constraints):
+def _pure_task(_task, order, constraints):
     """Every constraint-satisfying table of the raw space, in canonical order."""
+    kind = table_kind(constraints)
     cells = product(value_order(order, kind), repeat=order * order)
     tables = (HyperTable(order, cc, kind) for cc in cells)
     return [t.cells for t in tables if satisfies_all(t, constraints)], 0
@@ -567,7 +579,6 @@ class SearchSpec:
     """Declarative input to the backtracker; picklable for worker processes."""
 
     order: int
-    kind: str = "hyper"
     constraints: tuple = ()
 
 
@@ -803,7 +814,8 @@ class Backtracker:
         n = spec.order
         self.n = n
         self.n2 = n * n
-        self.values = value_order(n, spec.kind)
+        self.kind = table_kind(spec.constraints)
+        self.values = value_order(n, self.kind)
         self.full = full_mask(n)
 
         forced = {}
@@ -876,19 +888,14 @@ class Backtracker:
             if seen[start]:
                 continue
             members = self._orbit(links, start)
-            rep = min(members)
-            if rep != start:
-                # restart from the true minimum so reps come first row-major;
-                # generator sets must be symmetric for this to re-cover the
-                # orbit (commutativity, involutions and group actions are)
-                from_rep = self._orbit(links, rep)
-                if set(from_rep) != set(members):
-                    raise ValueError("link generators must be symmetric")
-                members = from_rep
+            # orbits of symmetric generators (commutativity, involutions and
+            # group actions) partition the positions, so the first unseen
+            # position is its orbit's least and reps come first row-major
+            if min(members) != start:
+                raise ValueError("link generators must be symmetric")
             for pos in members:
                 seen[pos] = True
-            orbits.append((rep, sorted(members.items())))
-        orbits.sort()
+            orbits.append((start, sorted(members.items())))
         return orbits
 
     def _orbit(self, links, start):
@@ -932,9 +939,6 @@ class Backtracker:
                         ok = False
                         break
                     if pos in self.forced and self.forced[pos] != w:
-                        ok = False
-                        break
-                    if self.spec.kind == "composition" and w.bit_count() != 1:
                         ok = False
                         break
                     if nonempty and w == 0:
@@ -1017,7 +1021,7 @@ class Backtracker:
                 cur[pos] = None
 
     def _emit(self, cur):
-        table = HyperTable(self.n, tuple(cur), self.spec.kind)
+        table = HyperTable(self.n, tuple(cur), self.kind)
         if satisfies_all(table, self.spec.constraints):
             yield table.cells
 
@@ -1031,23 +1035,25 @@ BACKTRACK = "backtrack"
 WITNESS_MAP = "witness-map"
 
 
-def plan_sweep(order, constraints, kind="hyper", oracle=False, counts=False, pruned=False):
+def plan_sweep(order, constraints, oracle=False, counts=False, pruned=False):
     """The engine for one sweep; every verifier and enumeration sweep asks here.
 
-    * oracle: pure at order <= 2 and for compositions; at order 3 vector
+    * oracle: pure at order <= 2 and for compositions (a ("singleton-cells",)
+      descriptor selects that space, see `table_kind`); at order 3 vector
       count when only counts are needed and every constraint vectorizes,
       else vector collect, which filters its survivors through the
       constraints it cannot vectorize; the backtracker above order 3;
     * strict polysymmetry at order >= 4, unless the caller asks for the
       pruned generator: the witness-map split;
     * the backtracker when the caller asks for the pruned generator, at
-      order != 3, or when some constraint is not vectorizable;
+      order != 3, or when some constraint is not vectorizable (as
+      ("singleton-cells",) is not);
     * otherwise at order 3: vector count when only the premise count and
       the first failure are needed, vector collect when the tables are.
     """
     vector = all(vectorizable(c) for c in constraints)
     if oracle:
-        if order <= 2 or kind == "composition":
+        if order <= 2 or table_kind(constraints) == KIND_COMPOSITION:
             return PURE
         if order > 3:
             return BACKTRACK
@@ -1056,24 +1062,24 @@ def plan_sweep(order, constraints, kind="hyper", oracle=False, counts=False, pru
         c[0] == "polysymmetry-at" and not c[2] for c in constraints
     ):
         return WITNESS_MAP
-    if pruned or order != 3 or kind != "hyper" or not vector:
+    if pruned or order != 3 or not vector:
         return BACKTRACK
     return VECTOR_COUNT if counts else VECTOR_COLLECT
 
 
-def sweep_tasks(engine, order, constraints, kind="hyper"):
+def sweep_tasks(engine, order, constraints):
     """(task function, tasks) of a table sweep on `engine`; each task returns
     (cell tuples, pruned nodes) and merge_sweep folds them in task order."""
     constraints = tuple(constraints)
     if engine == PURE:
-        return partial(_pure_task, order=order, kind=kind, constraints=constraints), [None]
+        return partial(_pure_task, order=order, constraints=constraints), [None]
     if engine == VECTOR_COLLECT:
         return partial(_vector_collect_task, constraints=constraints), vector_sweep3_tasks()
     if engine == WITNESS_MAP:
         return _backtrack_task, _witness_map_tasks(order, constraints)
     if engine != BACKTRACK:
         raise ValueError(f"not a table engine: {engine!r}")
-    spec_args = dict(order=order, kind=kind, constraints=constraints)
+    spec_args = dict(order=order, constraints=constraints)
     if order <= 2:  # at most 256 tables: one in-process task beats a worker pool
         return _backtrack_task, [(spec_args, None)]
     bt = _backtracker(**spec_args)  # the shards split its first slot's domain
@@ -1099,9 +1105,9 @@ def _vector_collect_task(head_digits, constraints):
 
 
 @lru_cache(maxsize=1)
-def _backtracker(order, kind, constraints):
+def _backtracker(order, constraints):
     """One build per sweep, shared by its probe and shards (and forked workers)."""
-    return Backtracker(SearchSpec(order, kind, constraints))
+    return Backtracker(SearchSpec(order, constraints))
 
 
 def _backtrack_task(args):
@@ -1114,8 +1120,9 @@ def first_hit_task(args, accept=None):
     """The first cell tuple of one backtracker shard (a `sweep_tasks` task)
     whose table `accept` takes (None takes every table), or None."""
     spec_args, first_index = args
-    for cells in _backtracker(**spec_args).search(first_index):
-        if accept is None or accept(HyperTable(spec_args["order"], cells, spec_args["kind"])):
+    bt = _backtracker(**spec_args)
+    for cells in bt.search(first_index):
+        if accept is None or accept(HyperTable(bt.n, cells, bt.kind)):
             return cells
     return None
 
@@ -1133,5 +1140,5 @@ def _witness_map_tasks(order, constraints):
     for witness in product(range(n), repeat=n):
         skeleton = {pos for x, xp in enumerate(witness) for pos in (x * n + xp, xp * n + x)}
         forced = tuple(("forced", pos, 1 << e) for pos in sorted(skeleton))
-        tasks.append((dict(order=n, kind="hyper", constraints=forced + rest), None))
+        tasks.append((dict(order=n, constraints=forced + rest), None))
     return tasks

@@ -121,46 +121,42 @@ def _candidates(job: EnumerationJob):
 
 # -- single-operation jobs -------------------------------------------------------
 
-_SINGLETON_CELLS = ("singleton-cells",)
-
-
 def _single_runs(job: EnumerationJob):
-    """(runs, kind): descriptor conjunctions from the axiom table whose model
-    sets together make up the job's.  Structures quantified over a candidate
+    """Descriptor conjunctions from the axiom table whose model sets
+    together make up the job's.  Structures quantified over a candidate
     element share it: every element, or the pinned zero."""
     laws = tuple(("law", c) for c in job.constraints if c in axioms.LAW_IDS)
     structures = [c for c in job.constraints if c in classify.STRUCTURES]
     quantified = any(
         classify.candidate_rule(s) in (classify.ELEMENTS, classify.IDENTITIES) for s in structures
     )
-    runs = [
+    return [
         laws + sum(parts, ())
         for cand in (_candidates(job) if quantified else (None,))
         for parts in product(*(classify.runs_at(s, cand) for s in structures))
     ]
-    # singleton cells are a composition search, which enforces them itself
-    kind = "composition" if any(_SINGLETON_CELLS in run for run in runs) else "hyper"
-    return [tuple(c for c in run if c != _SINGLETON_CELLS) for run in runs], kind
 
 
 # -- shared sweeps ------------------------------------------------------------------
 
 
-def sweep(order, runs, kind="hyper", oracle=False, workers=1, pruned=False):
+def sweep(order, runs, oracle=False, workers=1, pruned=False):
     """(tables satisfying some descriptor run, in canonical order; pruned
     nodes).  Each run goes to its `engines.plan_sweep` engine, whose tasks
-    fan out over `workers`."""
+    fan out over `workers`; a run's tables are of its `engines.table_kind`."""
     found, pruned_nodes = [], 0
     for run in runs:
-        engine = engines.plan_sweep(order, run, kind, oracle, pruned=pruned)
-        fn, tasks = engines.sweep_tasks(engine, order, run, kind)
+        engine = engines.plan_sweep(order, run, oracle, pruned=pruned)
+        fn, tasks = engines.sweep_tasks(engine, order, run)
         cells, nodes = engines.merge_sweep(engine, order, run, parallel_map(fn, tasks, workers))
-        found.append(cells)
+        found.append((cells, engines.table_kind(run)))
         pruned_nodes += nodes
     if len(found) == 1:  # every engine emits in canonical order
-        return [HyperTable(order, cc, kind) for cc in found[0]], pruned_nodes
-    union = (HyperTable(order, cc, kind) for cc in set().union(*found))
-    return sorted(union, key=table_key), pruned_nodes
+        cells, kind = found[0]
+        return [HyperTable(order, cc, kind) for cc in cells], pruned_nodes
+    union = {cc: kind for cells, kind in found for cc in cells}
+    tables = (HyperTable(order, cc, kind) for cc, kind in union.items())
+    return sorted(tables, key=table_key), pruned_nodes
 
 
 def count_sweep(runs, conclusion, biconditional, workers=1):
@@ -174,7 +170,7 @@ def count_sweep(runs, conclusion, biconditional, workers=1):
     return sum(count for count, _ in results), None if first is None else HyperTable(3, first)
 
 
-def search_first(order, searches, kind="hyper", workers=1):
+def search_first(order, searches, workers=1):
     """The canonical first (table, i) where the table satisfies the
     descriptors of searches[i] = (constraints, accept) and `accept(table)`
     holds (None accepts every table), ties to the lower i; None if no search
@@ -182,10 +178,10 @@ def search_first(order, searches, kind="hyper", workers=1):
     order and stops at its first shard with a hit."""
     hits = []
     for i, (constraints, accept) in enumerate(searches):
-        _, tasks = engines.sweep_tasks(engines.BACKTRACK, order, constraints, kind)
+        _, tasks = engines.sweep_tasks(engines.BACKTRACK, order, constraints)
         cells = first_hit(partial(engines.first_hit_task, accept=accept), tasks, workers)
         if cells is not None:
-            hits.append((HyperTable(order, cells, kind), i))
+            hits.append((HyperTable(order, cells, engines.table_kind(constraints)), i))
     return min(hits, key=lambda hit: (table_key(hit[0]), hit[1]), default=None)
 
 
@@ -221,8 +217,9 @@ def mul_compositions(n: int, zero: int, one, ring_ids, workers=1):
         for x in range(n):
             if x != zero:
                 forced[one * n + x] = forced[x * n + one] = 1 << x
-    run = (("law", "associative"),) + tuple(("forced", *pin) for pin in forced.items())
-    for mul in sweep(n, [run], "composition", workers=workers, pruned=True)[0]:
+    run = (("law", "associative"), ("singleton-cells",))
+    run += tuple(("forced", *pin) for pin in forced.items())
+    for mul in sweep(n, [run], workers=workers, pruned=True)[0]:
         probe = TwoOpModel(n, mul, mul, zero)  # these checks read only mul
         if all(axioms.check_ring_axioms(probe, r).holds for r in ring_ids if r in _MUL_ONLY):
             yield mul
@@ -249,18 +246,18 @@ def _mul_descriptors(ring_ids, add, zero) -> tuple:
     )
 
 
-def _abelian_group_tables(job: EnumerationJob):
-    """(zero, add) for every labeled abelian group table of the job's order."""
+def _abelian_group_tables(order: int, zero=None):
+    """(zero, add) for every labeled abelian group table of the order, only
+    those with the given zero when one is pinned."""
     out = []
     laws = (("law", "associative"), ("law", "reproductive"), ("law", "commutative"))
-    for add in sweep(job.order, [laws], "composition", pruned=True)[0]:
+    for add in sweep(order, [laws + (("singleton-cells",),)], pruned=True)[0]:
         scalars = axioms.find_identities(add).scalar
         if not scalars:
             continue
-        zero = scalars.bit_length() - 1
-        if job.zero is not None and zero != job.zero:
-            continue
-        out.append((zero, add))
+        identity = scalars.bit_length() - 1
+        if zero is None or identity == zero:
+            out.append((identity, add))
     return out
 
 
@@ -291,7 +288,7 @@ def _enumerate_two_op(job: EnumerationJob, workers: int):
                 pruned_total += pruned
     else:
         # an abelian additive group: search the multiplication over each
-        for zero, add in _abelian_group_tables(job):
+        for zero, add in _abelian_group_tables(n, job.zero):
             run = _mul_descriptors(ring, add, zero)
             muls, pruned = sweep(n, [run], workers=workers, pruned=True)
             triples += [(add, mul, zero) for mul in muls]
@@ -338,8 +335,7 @@ def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummar
             canonical.setdefault(two_op_key(cm), cm)
         reps = [canonical[k] for k in sorted(canonical)]
     else:
-        runs, kind = _single_runs(job)
-        models, pruned = sweep(job.order, runs, kind, job.oracle, workers, pruned=True)
+        models, pruned = sweep(job.order, _single_runs(job), job.oracle, workers, pruned=True)
         fixed = [p for p in (job.zero, job.one) if p is not None]
         canonical = {}
         for m in models:
@@ -362,21 +358,6 @@ def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummar
 # -- golden catalog ----------------------------------------------------------------
 
 
-def run_catalog_job(entry: dict, workers: int = 1):
-    collected = []
-    job = EnumerationJob(
-        order=entry["order"],
-        constraints=tuple(entry["constraints"]),
-        up_to_iso=False,
-        zero=entry.get("zero"),
-        one=entry.get("one"),
-        oracle=entry["order"] <= 2,
-        emit=collected.append,
-    )
-    summary = enumerate_models(job, workers)
-    return summary, collected
-
-
 def golden_check(catalog_path, workers: int = 1) -> dict:
     """Re-run every catalog job (oracle mode at order <= 2, pruned above) and
     compare both counts bit-exactly."""
@@ -389,7 +370,14 @@ def golden_check(catalog_path, workers: int = 1) -> dict:
 
     results = []
     for entry in entries:
-        summary, _models = run_catalog_job(entry, workers)
+        job = EnumerationJob(
+            order=entry["order"],
+            constraints=tuple(entry["constraints"]),
+            zero=entry.get("zero"),
+            one=entry.get("one"),
+            oracle=entry["order"] <= 2,
+        )
+        summary = enumerate_models(job, workers)
         entry_result = {
             "name": entry["name"],
             "expected_raw": entry["expect_raw"],

@@ -129,6 +129,7 @@ _DESCRIPTOR_IDS = {law: ("law", law) for law in axioms.LAW_IDS} | {
     "divisions-nonempty": ("divisions-nonempty",),
     "reversibility-poly": ("reversibility-poly-at", E, False),
     "reversibility-poly-weak": ("reversibility-poly-at", E, True),
+    "singleton-cells": ("singleton-cells",),
 }
 _ID_OF = {c: ident for ident, c in _DESCRIPTOR_IDS.items()}
 
@@ -139,7 +140,7 @@ _PREDICATE_IDS = {
 }
 _CONCLUSION_ONLY_IDS = {"reversibility-poly", "reversibility-poly-weak", *_PREDICATE_IDS}
 
-_ELEMENT_FREE_IDS = {"divisions-nonempty", "identity-and-inverses"}
+_ELEMENT_FREE_IDS = {"divisions-nonempty", "identity-and-inverses", "singleton-cells"}
 
 
 def _id_known(ident: str) -> bool:
@@ -196,13 +197,13 @@ def _revalidate(ok, what):
 class Claim:
     """Premises imply a conclusion; the declarative input of `_run_claim`.
 
-    premises       premise runs: a disjunction of conjunctions of ids
+    premises       premise runs: a disjunction of conjunctions of ids; a run
+                   with "singleton-cells" sweeps compositions
     conclusion     ids that must all hold, or the two sides of a biconditional
     biconditional  for a biconditional, (side_a, side_b) -> witness JSON
     element        None, or the report key ("element", "zero") of the
                    quantified element; premise models are then (table, e)
                    pairs for every candidate e
-    space          "hyper" or "composition"
     drops          droppable premises: ids, or (name, ids) for a group; a
                    drop witness is the canonical first (model, element) pair
     counts         only the premise count and the first failure are needed
@@ -214,7 +215,6 @@ class Claim:
     conclusion: tuple
     biconditional: object = None
     element: str | None = None
-    space: str = "hyper"
     drops: tuple = ()
     counts: bool = False
     pruned: bool = False
@@ -237,7 +237,7 @@ def sweep_engine(theorem: str, order: int, oracle: bool = False) -> str:
     """The engine `engines.plan_sweep` picks for a claim's premise sweep, or
     for T6's sweep over each additive group."""
     if theorem == "T6":
-        zero, add = _abelian_group_tables(EnumerationJob(order, ()))[0]
+        zero, add = _abelian_group_tables(order)[0]
         premises = hyperring_mul_premises(add, zero)
         return engines.plan_sweep(order, premises, oracle=oracle, pruned=True)
     claim = CLAIMS[theorem]
@@ -245,9 +245,7 @@ def sweep_engine(theorem: str, order: int, oracle: bool = False) -> str:
     if claim.counts:  # the count kernel evaluates the conclusion too
         ids += claim.conclusion
     descriptors = _descriptors_at(ids, 0)
-    return engines.plan_sweep(
-        order, descriptors, claim.space, oracle, counts=claim.counts, pruned=claim.pruned
-    )
+    return engines.plan_sweep(order, descriptors, oracle, counts=claim.counts, pruned=claim.pruned)
 
 
 def _run_claim(theorem, order, drop_premises, oracle, workers):
@@ -259,7 +257,8 @@ def _run_claim(theorem, order, drop_premises, oracle, workers):
         models = _premise_models(claim, order, oracle, workers)
         premise_models = len(models)
         first = _first_failure(claim, models)
-    space = engines.space_size(order, claim.space)
+    premises = _descriptors_at([i for run in claim.premises for i in run], 0)
+    space = engines.space_size(order, engines.table_kind(premises))
     report = VerificationReport(
         theorem=theorem,
         order=order,
@@ -333,7 +332,7 @@ def _premise_models(claim, order, oracle, workers):
 
     def tables(e):
         runs = [_descriptors_at(run, e) for run in claim.premises]
-        return sweep(order, runs, claim.space, oracle, workers, claim.pruned)[0]
+        return sweep(order, runs, oracle, workers, claim.pruned)[0]
 
     if claim.element is None:
         return [(t, None) for t in tables(0)]
@@ -367,7 +366,7 @@ def _independence(claim, runs, order, workers):
         for e in cands
         for run in runs
     ]
-    hit = search_first(order, searches, claim.space, workers)
+    hit = search_first(order, searches, workers)
     if hit is None:
         return {"none_at_order": order}
     table, i = hit
@@ -550,7 +549,7 @@ _CANONICAL = _ids_of("canonical-hypergroup")
 
 CLAIMS = {
     "T2": Claim(
-        (("associative",),), ("reproductive", "identity-and-inverses"), space="composition",
+        (("associative", "singleton-cells"),), ("reproductive", "identity-and-inverses"),
         biconditional=lambda a, b: {"note": "reproductivity and identity+inverses disagree"},
         drops=("associative",), extras=lambda _s: {"biconditional": True},
     ),
@@ -618,7 +617,7 @@ _T6_AXES = {
 
 
 def _verify_t6(order, drop_premises, oracle, workers):
-    adds = _abelian_group_tables(EnumerationJob(order, ()))
+    adds = _abelian_group_tables(order)
     premise_models = 0
     first = None
     lemma_violation = None

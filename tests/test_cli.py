@@ -168,6 +168,13 @@ def test_enumerate_out_file(tmp_path):
     assert target.read_text().count("order 2") == 2
 
 
+def test_enumerate_prints_groups_as_compositions():
+    code, out, _ = run(["enumerate", "--order", "3", "--structure", "group", "--workers", "1"])
+    assert code == 0
+    assert out.count("op law composition") == 3
+    assert "order 3\nop law composition\n0 1 2\n1 2 0\n2 0 1\n" in out
+
+
 def test_enumerate_by_laws_matches_structure():
     _, _, err_a = run(
         ["enumerate", "--order", "2", "--laws", "associative,reproductive",

@@ -7,7 +7,7 @@ import pytest
 
 from hyperlab.axioms import check_law
 from hyperlab.classify import TWO_OP_LABELS, classify_two_op
-from hyperlab.engines import key_sorted_masks
+from hyperlab.engines import Backtracker, SearchSpec, key_sorted_masks
 from hyperlab.enumeration import (
     EnumerationJob,
     enumerate_models,
@@ -118,6 +118,22 @@ def test_group_jobs():
     summary, _ = run_job(order=4, constraints=["group"])
     assert summary.raw_count == 16
     assert summary.canonical_count == 2
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_singleton_cells_select_the_composition_space(oracle):
+    laws = (("law", "associative"), ("law", "reproductive"))
+    groups, _ = sweep(2, [laws + (("singleton-cells",),)], oracle=oracle)
+    hypergroups, _ = sweep(2, [laws], oracle=oracle)
+    assert [t.kind for t in groups] == ["composition"] * 2
+    assert {t.kind for t in hypergroups} == {"hyper"}
+    assert {t.cells for t in groups} < {t.cells for t in hypergroups}
+
+
+def test_backtracker_refuses_asymmetric_link_generators():
+    # (0, 0, 1) is no bijection: cell (0, 1) links to (0, 0), not back
+    with pytest.raises(ValueError, match="link generators must be symmetric"):
+        Backtracker(SearchSpec(3, (("equivariant-under", (0, 0, 1)),)))
 
 
 def test_hyperfield_def15_equals_def14_order2():

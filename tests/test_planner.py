@@ -88,8 +88,8 @@ def test_order3_oracle_counts_without_materialising_tables(theorem):
 )
 def test_enumeration_engine(order, constraints, oracle, engines_per_run):
     # enumeration.sweep plans each run of the job exactly like this
-    runs, kind = enumeration._single_runs(EnumerationJob(order, constraints, oracle=oracle))
-    plans = [engines.plan_sweep(order, run, kind, oracle, pruned=True) for run in runs]
+    runs = enumeration._single_runs(EnumerationJob(order, constraints, oracle=oracle))
+    plans = [engines.plan_sweep(order, run, oracle, pruned=True) for run in runs]
     assert plans == engines_per_run
 
 
@@ -133,9 +133,14 @@ def test_planner_rule():
     strict = assoc + (("identity-at", 0), ("polysymmetry-at", 0, False))
     weak = assoc + (("identity-at", 0), ("polysymmetry-at", 0, True))
     reversible = assoc + (("reversibility-at", 0),)
+    composition = assoc + (("singleton-cells",),)
     plan = engines.plan_sweep
     assert plan(2, assoc, oracle=True) == PURE
-    assert plan(3, assoc, kind="composition", oracle=True) == PURE
+    # singleton cells select the composition space: the pure oracle at
+    # order 3, the backtracker otherwise
+    assert plan(3, composition, oracle=True) == PURE
+    assert plan(3, composition) == BT
+    assert plan(3, composition, counts=True) == BT
     assert plan(3, assoc, oracle=True) == COLLECT
     assert plan(3, assoc, oracle=True, counts=True, pruned=True) == COUNT
     assert plan(3, reversible, oracle=True) == COLLECT

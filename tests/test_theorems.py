@@ -5,7 +5,6 @@ import pytest
 
 from hyperlab import axioms, engines, theorems
 from hyperlab.enumeration import (
-    EnumerationJob,
     _abelian_group_tables,
     hyperring_mul_premises,
     sweep,
@@ -239,7 +238,7 @@ def test_t6_pruned_sweep_matches_pure_sweep():
     # the full premise tuple and each drop search's tuple: every backtracker
     # device (sign-rule links, distributivity and emptiness watchers) must
     # keep exactly the tables the authoritative predicates accept, in order
-    for zero, add in _abelian_group_tables(EnumerationJob(2, ())):
+    for zero, add in _abelian_group_tables(2):
         premises = hyperring_mul_premises(add, zero)
         for i in range(len(premises) + 1):
             kept = premises[:i] + premises[i + 1:]
@@ -354,7 +353,7 @@ def test_drop_witnesses_equal_at_one_and_two_workers(theorem):
 
 @pytest.mark.slow
 def test_t6_drop_witnesses_equal_at_one_and_two_workers():
-    adds = _abelian_group_tables(EnumerationJob(3, ()))
+    adds = _abelian_group_tables(3)
     one = theorems._t6_drops(3, adds, workers=1)
     assert one == theorems._t6_drops(3, adds, workers=2)
     assert one == _recorded_witnesses("T6", 3)

@@ -21,7 +21,7 @@ from hyperlab.model import HyperTable, table_key
 TAILS = 8 ** 6
 SEED = 20261018
 HEADS = engines.vector_sweep3_tasks()
-ADDITIVE = enumeration._abelian_group_tables(enumeration.EnumerationJob(3, ()))
+ADDITIVE = enumeration._abelian_group_tables(3)
 
 
 def _vectorizable_descriptors():

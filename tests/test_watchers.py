@@ -61,7 +61,7 @@ def test_witness_map_shards_share_one_watcher_table():
     b = Backtracker(SearchSpec(**second))
     assert a.watchers is b.watchers
     rest = tuple(c for c in first["constraints"] if c[0] != "forced")
-    c = Backtracker(SearchSpec(4, "hyper", rest + (("unique-opposite-at", 0),)))
+    c = Backtracker(SearchSpec(4, rest + (("unique-opposite-at", 0),)))
     assert c.watchers is not a.watchers
     assert engines._watcher_table.cache_info().currsize == 1
     assert engines._watcher_table.cache_info().maxsize == 1
