@@ -8,7 +8,7 @@ ranges hold vacuously.
 
 from dataclasses import dataclass
 
-from .model import HyperTable, TwoOpModel, complex_product, members_of
+from .model import HyperTable, TwoOpModel, complex_product, mask_image, members_of
 
 LAW_IDS = (
     "associative",
@@ -348,24 +348,13 @@ def check_reversibility_canonical(table: HyperTable, zero: int) -> AxiomResult:
     return _HOLDS
 
 
-def _mask_opp(mask: int, opp) -> int:
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << opp[i]
-        mask >>= 1
-        i += 1
-    return out
-
-
 def check_opposite_additivity(table: HyperTable, zero: int) -> AxiomResult:
     """-(z + w) = (-z) + (-w), the opposite taken elementwise."""
     n = table.order
     opp = _require_opposites(table, zero)
     for z in range(n):
         for w in range(n):
-            lhs = _mask_opp(table.cell(z, w), opp)
+            lhs = mask_image(table.cell(z, w), opp)
             rhs = table.cell(opp[z], opp[w])
             if lhs != rhs:
                 return _fail("opposite-additivity", (z, w), lhs, rhs)
@@ -412,18 +401,15 @@ def _abelian_group_failure(model: TwoOpModel) -> AxiomResult | None:
                 return _fail(
                     "additive-abelian-group", (x, y), add.cell(x, y), add.cell(x, y)
                 )
-    res = check_law(add, "associative")
-    if not res.holds:
-        return _fail("additive-abelian-group", res.witness.elements,
-                     res.witness.lhs, res.witness.rhs)
-    res = check_law(add, "commutative")
-    if not res.holds:
-        return _fail("additive-abelian-group", res.witness.elements,
-                     res.witness.lhs, res.witness.rhs)
-    res = check_scalar_zero(add, model.zero)
-    if not res.holds:
-        return _fail("additive-abelian-group", res.witness.elements,
-                     res.witness.lhs, res.witness.rhs)
+    for check, arg in (
+        (check_law, "associative"),
+        (check_law, "commutative"),
+        (check_scalar_zero, model.zero),
+    ):
+        res = check(add, arg)
+        if not res.holds:
+            w = res.witness
+            return _fail("additive-abelian-group", w.elements, w.lhs, w.rhs)
     if group_inverse_map(add, model.zero) is None:
         return _fail("additive-abelian-group", (model.zero,), 0, 1 << model.zero)
     return None
@@ -436,23 +422,23 @@ def additive_negation_map(model: TwoOpModel) -> tuple[int, ...]:
     return group_inverse_map(model.add, model.zero)
 
 
-def _restricted_star(model: TwoOpModel):
-    """(elements of H*, cell lookup) or a witness if some cell leaves H*."""
+def _restricted_star(model: TwoOpModel, axiom: str):
+    """(elements of H*, None), or (None, a witness of `axiom` at the first
+    cell of H* x H* that leaves H*)."""
     star = [x for x in range(model.order) if x != model.zero]
     bit_zero = 1 << model.zero
     for x in star:
         for y in star:
             cell = model.mul.cell(x, y)
             if cell.bit_count() != 1 or cell & bit_zero:
-                return None, _fail("multiplicative-closure-on-H*", (x, y), cell, cell)
+                return None, _fail(axiom, (x, y), cell, cell)
     return star, None
 
 
 def _star_semigroup_failure(model: TwoOpModel, axiom: str) -> AxiomResult | None:
-    star, witness = _restricted_star(model)
+    star, witness = _restricted_star(model, axiom)
     if witness is not None:
-        return _fail(axiom, witness.witness.elements, witness.witness.lhs,
-                     witness.witness.rhs)
+        return witness
     mul = model.mul
     for x in star:
         for y in star:
@@ -534,7 +520,7 @@ def check_ring_axioms(model: TwoOpModel, variant: str) -> AxiomResult:
             for b in range(n):
                 lhs = mul.cell(a, neg[b])
                 mid = mul.cell(neg[a], b)
-                rhs = _mask_opp(mul.cell(a, b), neg)
+                rhs = mask_image(mul.cell(a, b), neg)
                 if lhs != rhs or mid != rhs:
                     return _fail(variant, (a, b), lhs if lhs != rhs else mid, rhs)
         return _HOLDS

@@ -15,8 +15,8 @@ from importlib import resources
 
 from . import axioms, dorroh, enumeration, theorems
 from .classify import check_hypermodule, classify_single, classify_two_op
-from .model import HyperTable, HypermoduleModel, TwoOpModel, members_of
-from .modelio import ParseError, parse_model, serialize_model
+from .model import HyperTable, TwoOpModel, members_of
+from .modelio import ParseError, model_json, model_parts, parse_model, serialize_model
 from .parallel import default_workers
 
 EXIT_OK = 0
@@ -99,25 +99,12 @@ def _load_model(path, fmt="auto"):
 
 
 def _component(model, op):
-    if isinstance(model, HyperTable):
-        if op in (None, "law"):
-            return model
-        raise ValueError("--op applies to multi-operation models")
-    if isinstance(model, TwoOpModel):
-        if op in (None, "add"):
-            return model.add
-        if op == "mul":
-            return model.mul
-        raise ValueError(f"model has no operation {op!r}")
-    if isinstance(model, HypermoduleModel):
-        if op == "add":
-            return model.scalars.add
-        if op == "mul":
-            return model.scalars.mul
-        if op in (None, "madd"):
-            return model.madd
-        raise ValueError(f"model has no operation {op!r}")
-    raise TypeError("unsupported model type")
+    """The table --op names; by default madd on a hypermodule, else the first."""
+    tables = dict(model_parts(model)[1])
+    name = op or ("madd" if "madd" in tables else next(iter(tables)))
+    if name not in tables:
+        raise ValueError(f"model has no operation {name!r}")
+    return tables[name]
 
 
 def _set_str(mask):
@@ -204,7 +191,7 @@ def _cmd_enumerate(args, out, err):
 
     def emit(model):
         if fmt == "json":
-            emitted.append(json.loads(serialize_model(model, fmt="json")))
+            emitted.append(model_json(model))
         else:
             print(serialize_model(model), file=sink)
 

@@ -22,7 +22,7 @@ preconditions on every call) and the reported first violation build
 `DorrohPair`s.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 from . import axioms
@@ -62,18 +62,9 @@ class ProbeReport:
     wall_time: float = 0.0
 
     def to_json(self, include_wall_time=True) -> dict:
-        out = {
-            "base": self.base,
-            "radius": self.radius,
-            "triples_checked": self.triples_checked,
-            "assoc_equal_count": self.assoc_equal_count,
-            "weak_assoc_ok_count": self.weak_assoc_ok_count,
-            "inclusion_ok": self.inclusion_ok,
-            "canonical_window_ok": self.canonical_window_ok,
-            "first_assoc_violation": self.first_assoc_violation,
-        }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
+        out = asdict(self)
+        if not include_wall_time:
+            del out["wall_time"]
         return out
 
 

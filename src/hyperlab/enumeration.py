@@ -34,7 +34,7 @@ otherwise, and one with no constraint stops at order 2.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import product
 
@@ -73,13 +73,9 @@ class EnumerationSummary:
     wall_time: float
 
     def to_json(self, include_wall_time=True) -> dict:
-        out = {
-            "raw_count": self.raw_count,
-            "canonical_count": self.canonical_count,
-            "pruned_nodes": self.pruned_nodes,
-        }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
+        out = asdict(self)
+        if not include_wall_time:
+            del out["wall_time"]
         return out
 
 
@@ -363,31 +359,35 @@ def golden_check(catalog_path, workers: int = 1) -> dict:
     compare both counts bit-exactly."""
     try:
         with open(catalog_path, encoding="utf-8") as fh:
-            catalog = json.load(fh)
-        entries = catalog["jobs"]
-    except (OSError, ValueError, KeyError) as exc:
+            entries = json.load(fh)["jobs"]
+        jobs = [
+            (
+                entry["name"],
+                EnumerationJob(
+                    order=entry["order"],
+                    constraints=tuple(entry["constraints"]),
+                    zero=entry.get("zero"),
+                    one=entry.get("one"),
+                    oracle=entry["order"] <= 2,
+                ),
+                entry["expect_raw"],
+                entry["expect_canonical"],
+            )
+            for entry in entries
+        ]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"catalog missing or corrupt: {exc}") from exc
 
     results = []
-    for entry in entries:
-        job = EnumerationJob(
-            order=entry["order"],
-            constraints=tuple(entry["constraints"]),
-            zero=entry.get("zero"),
-            one=entry.get("one"),
-            oracle=entry["order"] <= 2,
-        )
+    for name, job, expected_raw, expected_canonical in jobs:
         summary = enumerate_models(job, workers)
-        entry_result = {
-            "name": entry["name"],
-            "expected_raw": entry["expect_raw"],
+        results.append({
+            "name": name,
+            "expected_raw": expected_raw,
             "actual_raw": summary.raw_count,
-            "expected_canonical": entry["expect_canonical"],
+            "expected_canonical": expected_canonical,
             "actual_canonical": summary.canonical_count,
-        }
-        entry_result["ok"] = (
-            entry_result["actual_raw"] == entry_result["expected_raw"]
-            and entry_result["actual_canonical"] == entry_result["expected_canonical"]
-        )
-        results.append(entry_result)
+            "ok": (summary.raw_count, summary.canonical_count)
+            == (expected_raw, expected_canonical),
+        })
     return {"pass": all(r["ok"] for r in results), "entries": results}

@@ -98,10 +98,6 @@ class HyperTable:
     def full(self) -> int:
         return full_mask(self.order)
 
-    def rows(self) -> list[tuple[int, ...]]:
-        n = self.order
-        return [self.cells[i * n : (i + 1) * n] for i in range(n)]
-
 
 def table_from_rows(rows, kind: str = KIND_HYPER) -> HyperTable:
     """Build a table from rows of member collections, e.g. [[{0},{1}],[{1},{0}]].

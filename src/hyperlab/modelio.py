@@ -15,6 +15,10 @@ A cell token is `{i1,i2,...}` with ascending indices, `{}` for the empty set;
 composition tables also accept and serialize a bare index.  parse then
 serialize is the identity on whitespace-normalized input, and serialize then
 parse reproduces the model structurally.
+
+`_assemble` (parts to model) and `model_parts` (model to parts) are the one
+mapping between a model kind and its operations, constants and action: both
+parsers end in the first; both serializers and the CLI's `--op` read the second.
 """
 
 import json
@@ -299,36 +303,38 @@ def _table_lines(table: HyperTable, name: str) -> list[str]:
     return lines
 
 
+def model_parts(model):
+    """(order, [(op name, table)], constants, action rows or None): the inverse
+    of `_assemble`, and the one place the writers read a model's kind."""
+    if isinstance(model, HyperTable):
+        return model.order, [("law", model)], {}, None
+    if isinstance(model, TwoOpModel):
+        constants = {"zero": model.zero}
+        if model.one is not None:
+            constants["one"] = model.one
+        return model.order, [("add", model.add), ("mul", model.mul)], constants, None
+    if isinstance(model, HypermoduleModel):
+        sc = model.scalars
+        ops = [("add", sc.add), ("mul", sc.mul), ("madd", model.madd)]
+        constants = {"zero": sc.zero, "one": sc.one, "zerom": model.zero_m}
+        return sc.order, ops, constants, model.action
+    raise TypeError(f"cannot serialize {type(model).__name__}")
+
+
 def serialize_model(model, fmt: str = "text") -> str:
     """Serialize a model; inverse of parse_model on well-formed values."""
     if fmt == "json":
-        return json.dumps(_to_json(model))
+        return json.dumps(model_json(model))
     if fmt != "text":
         raise ValueError(f"unknown model format {fmt!r}")
-
-    if isinstance(model, HyperTable):
-        lines = [f"order {model.order}"] + _table_lines(model, "law")
-    elif isinstance(model, TwoOpModel):
-        lines = [f"order {model.order}"]
-        lines += _table_lines(model.add, "add")
-        lines += _table_lines(model.mul, "mul")
-        lines.append(f"zero {model.zero}")
-        if model.one is not None:
-            lines.append(f"one {model.one}")
-    elif isinstance(model, HypermoduleModel):
-        sc = model.scalars
-        lines = [f"order {sc.order}"]
-        lines += _table_lines(sc.add, "add")
-        lines += _table_lines(sc.mul, "mul")
-        lines += _table_lines(model.madd, "madd")
-        lines.append(f"zero {sc.zero}")
-        lines.append(f"one {sc.one}")
-        lines.append(f"zerom {model.zero_m}")
-        lines.append(f"action {sc.order} {model.madd.order}")
-        for row in model.action:
-            lines.append(" ".join(str(v) for v in row))
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
+    order, ops, constants, action = model_parts(model)
+    lines = [f"order {order}"]
+    for name, table in ops:
+        lines += _table_lines(table, name)
+    lines += [f"{key} {value}" for key, value in constants.items()]
+    if action is not None:
+        lines.append(f"action {len(action)} {len(action[0])}")
+        lines += [" ".join(str(v) for v in row) for row in action]
     return "\n".join(lines) + "\n"
 
 
@@ -342,34 +348,20 @@ def _table_json(table: HyperTable) -> dict:
     }
 
 
-def _to_json(model) -> dict:
-    if isinstance(model, HyperTable):
-        return {"order": model.order, "ops": {"law": _table_json(model)}}
-    if isinstance(model, TwoOpModel):
-        out = {
-            "order": model.order,
-            "ops": {"add": _table_json(model.add), "mul": _table_json(model.mul)},
-            "constants": {"zero": model.zero},
-        }
-        if model.one is not None:
-            out["constants"]["one"] = model.one
-        return out
-    if isinstance(model, HypermoduleModel):
-        sc = model.scalars
-        return {
-            "order": sc.order,
-            "ops": {
-                "add": _table_json(sc.add),
-                "mul": _table_json(sc.mul),
-                "madd": _table_json(model.madd),
-            },
-            "constants": {"zero": sc.zero, "one": sc.one, "zerom": model.zero_m},
-            "action": {"table": [list(row) for row in model.action]},
-        }
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+def model_json(model) -> dict:
+    """The JSON object of a model: `serialize_model(model, "json")` decoded."""
+    order, ops, constants, action = model_parts(model)
+    out = {"order": order, "ops": {name: _table_json(table) for name, table in ops}}
+    if constants:
+        out["constants"] = constants
+    if action is not None:
+        out["action"] = {"table": [list(row) for row in action]}
+    return out
 
 
-def _json_table(entry, lineno=0) -> HyperTable:
+def _json_table(entry) -> HyperTable:
+    if not isinstance(entry, dict):
+        raise ParseError("each operation must be an object")
     kind = entry.get("kind")
     if kind not in KINDS:
         raise ParseError(f"unknown operation kind {kind!r}")
@@ -428,10 +420,11 @@ def _parse_json(text: str):
         table = action.get("table") if isinstance(action, dict) else None
         if not isinstance(table, list) or not table:
             raise ParseError("`action` must carry a non-empty `table`")
-        rows = [tuple(r) for r in table]
-        width = len(rows[0])
-        for r in rows:
-            if len(r) != width or any(not isinstance(v, int) for v in r):
+        for r in table:
+            if not isinstance(r, list) or len(r) != len(table[0]) or any(
+                not isinstance(v, int) for v in r
+            ):
                 raise ParseError("action rows must be equal-length integer lists")
-        shape = (len(rows), width)
+        rows = [tuple(r) for r in table]
+        shape = (len(rows), len(rows[0]))
     return _assemble(order, tables, consts, shape, rows, 0)

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from hyperlab.cli import default_catalog_path, main
+from hyperlab.axioms import check_law
+from hyperlab.cli import _component, default_catalog_path, main
 from hyperlab.modelio import parse_model
 
 MODELS = default_catalog_path().rsplit("/", 1)[0] + "/models"
@@ -195,6 +196,31 @@ def test_check_mul_component():
     assert code == 0 and "holds" in out
 
 
+@pytest.mark.parametrize("op", [None, "add", "mul", "madd"])
+def test_op_names_a_hypermodule_table(op):
+    # module addition by default; add and madd are equal tables in the
+    # Krasner self-module, so the identity check tells them apart
+    path = f"{MODELS}/krasner_module.model"
+    with open(path, encoding="utf-8") as fh:
+        module = parse_model(fh.read())
+    table = _component(module, op)
+    assert table is {"add": module.scalars.add, "mul": module.scalars.mul}.get(op, module.madd)
+    laws = ("associative", "commutative", "reproductive")
+    flag = [] if op is None else ["--op", op]
+    code, out, _ = run(["check", path, "--laws", ",".join(laws), "--format", "json", *flag])
+    assert code == (0 if op != "mul" else 2)
+    assert json.loads(out)["results"] == {law: check_law(table, law).to_json() for law in laws}
+
+
+@pytest.mark.parametrize(
+    "model, op", [("krasner.model", "madd"), ("krasner.model", "law"), ("z3.model", "add")]
+)
+def test_op_refuses_a_table_the_model_lacks(model, op):
+    code, out, err = run(["classify", f"{MODELS}/{model}", "--op", op])
+    assert code == 1 and out == ""
+    assert f"error: model has no operation '{op}'" in err
+
+
 def test_enumerate_validation_error():
     code, _, err = run(["enumerate", "--order", "9", "--structure", "hypergroup"])
     assert code == 1
@@ -309,10 +335,17 @@ def test_golden_check_cli():
     assert json.loads(out)["pass"]
 
 
-def test_golden_check_missing_catalog():
-    code, _, err = run(["golden-check", "--catalog", "/nope.json"])
-    assert code == 1
-    assert "missing or corrupt" in err
+def test_golden_check_missing_catalog(tmp_path):
+    job = {"name": "group/2", "order": 2, "constraints": ["group"],
+           "expect_raw": 2, "expect_canonical": 1}
+    no_order = tmp_path / "no_order.json"
+    no_order.write_text(json.dumps({"jobs": [job, {k: v for k, v in job.items() if k != "order"}]}))
+    jobs_object = tmp_path / "jobs_object.json"
+    jobs_object.write_text(json.dumps({"jobs": job}))
+    for path in ("/nope.json", no_order, jobs_object):
+        code, out, err = run(["golden-check", "--catalog", str(path)])
+        assert code == 1 and out == ""
+        assert "missing or corrupt" in err
 
 
 def test_usage_error_unknown_flag():

@@ -1,15 +1,18 @@
 import json
 import random
+import re
 from importlib import resources
-from itertools import product
+from itertools import dropwhile, product, takewhile
+from pathlib import Path
 
 import pytest
 
-from hyperlab.axioms import check_law
-from hyperlab.classify import TWO_OP_LABELS, classify_two_op
+from hyperlab.axioms import LAW_IDS, check_law
+from hyperlab.classify import SINGLE_LABELS, STRUCTURES, TWO_OP_LABELS, classify_two_op, max_order
 from hyperlab.engines import Backtracker, SearchSpec, key_sorted_masks
 from hyperlab.enumeration import (
     EnumerationJob,
+    _check_job,
     enumerate_models,
     golden_check,
     job_is_two_op,
@@ -181,6 +184,53 @@ def test_golden_check_flags_perturbed_count(tmp_path):
 def test_golden_check_missing_catalog():
     with pytest.raises(ValueError, match="missing or corrupt"):
         golden_check("/nonexistent/catalog.json")
+
+
+def _readme_caps():
+    """(cap, jobs cell) per row of the README's "Order caps" table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text[text.index("Order caps:"):].splitlines()
+    from_table = dropwhile(lambda line: not line.startswith("|"), lines)
+    table = list(takewhile(lambda line: line.startswith("|"), from_table))
+    rows = []
+    for line in table[2:]:  # past the header and its rule
+        cap, jobs, _reason = (cell.strip() for cell in line.strip("|").split("|", 2))
+        rows.append((int(cap), jobs))
+    return rows
+
+
+def _accepts(order, constraints):
+    try:
+        _check_job(EnumerationJob(order, constraints))
+    except ValueError as exc:
+        assert "above the cap" in str(exc)
+        return False
+    return True
+
+
+def test_readme_caps_table_matches_the_code():
+    other_laws = [law for law in LAW_IDS if law != "associative"]
+    law_jobs = {
+        "no constraint at all": [()],
+        "laws only, without `associative`": [(law,) for law in other_laws],
+        "laws only, with `associative`": [("associative",)]
+        + [("associative", law) for law in other_laws],
+    }
+    named, rest_cap = set(), None
+    for cap, jobs in _readme_caps():
+        if jobs in law_jobs:
+            for constraints in law_jobs.pop(jobs):
+                assert _accepts(cap, constraints) and not _accepts(cap + 1, constraints), jobs
+        elif jobs == "every other single-operation label":
+            rest_cap = cap
+        else:
+            labels = re.findall(r"`([^`]+)`", jobs)
+            assert labels and all(max_order(label) == cap for label in labels), jobs
+            named.update(labels)
+    assert not law_jobs and rest_cap == 5
+    rest = set(STRUCTURES) - named
+    assert rest == set(SINGLE_LABELS) - named
+    assert all(max_order(label) == rest_cap for label in rest)
 
 
 def test_order2_two_op_generator_equals_one_classification_pass():

@@ -1,9 +1,17 @@
+import json
 import random
 
 import pytest
 
 from hyperlab.model import HyperTable, HypermoduleModel, TwoOpModel
-from hyperlab.modelio import ParseError, parse_model, serialize_model
+from hyperlab.modelio import (
+    ParseError,
+    _assemble,
+    model_json,
+    model_parts,
+    parse_model,
+    serialize_model,
+)
 from hyperlab.samples import (
     cyclic_group_table,
     krasner_hyperfield,
@@ -149,6 +157,12 @@ def test_json_round_trip():
     ):
         text = serialize_model(model, fmt="json")
         assert parse_model(text, fmt="json") == model
+        assert model_json(model) == json.loads(text)
+        # model_parts is the inverse of _assemble
+        order, ops, constants, action = model_parts(model)
+        shape = None if action is None else (len(action), len(action[0]))
+        tables = [table for _, table in ops]
+        assert _assemble(order, tables, constants, shape, action, 0) == model
 
 
 def test_json_reports_bad_input():
@@ -159,6 +173,12 @@ def test_json_reports_bad_input():
             '{"order": 1, "ops": {"law": {"kind": "composition", "table": [[[]]]}}}',
             fmt="json",
         )
+    with pytest.raises(ParseError, match="each operation must be an object"):
+        parse_model('{"order": 1, "ops": {"law": [1]}}', fmt="json")
+    model = model_json(krasner_self_module())
+    model["action"] = {"table": [5]}
+    with pytest.raises(ParseError, match="action rows must be equal-length integer lists"):
+        parse_model(json.dumps(model), fmt="json")
 
 
 def random_model(rng):
