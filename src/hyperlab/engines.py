@@ -81,13 +81,14 @@ from .model import (
     KIND_HYPER,
     HyperTable,
     TwoOpModel,
-    cell_key,
     complex_product,
     full_mask,
+    key_sorted_masks,
     left_division,
     mask_image,
     right_division,
     singleton_value,
+    table_key,
 )
 
 # -- constraint predicates (authoritative) ------------------------------------
@@ -212,12 +213,6 @@ def constraint_holds(table: HyperTable, c) -> bool:
 
 def satisfies_all(table: HyperTable, constraints) -> bool:
     return all(constraint_holds(table, c) for c in constraints)
-
-
-@lru_cache(maxsize=None)
-def key_sorted_masks(order: int) -> tuple[int, ...]:
-    """All cell masks in canonical cell order: {} < {0} < {0,1} < ... < {n-1}."""
-    return tuple(sorted(range(1 << order), key=cell_key))
 
 
 def table_kind(constraints) -> str:
@@ -1093,10 +1088,8 @@ def merge_sweep(engine, order, constraints, results):
     if engine == WITNESS_MAP:
         # a table is found once per witness map it admits
         poly = [c for c in constraints if c[0] == "polysymmetry-at"]
-        cells = sorted(
-            (cc for cc in set(cells) if satisfies_all(HyperTable(order, cc), poly)),
-            key=lambda cc: tuple(cell_key(m) for m in cc),
-        )
+        tables = (HyperTable(order, cc) for cc in set(cells))
+        cells = [t.cells for t in sorted(tables, key=table_key) if satisfies_all(t, poly)]
     return cells, sum(p for _, p in results)
 
 

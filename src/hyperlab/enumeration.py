@@ -325,19 +325,12 @@ def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummar
     start = time.perf_counter()
     if job_is_two_op(job):
         models, pruned = _enumerate_two_op(job, workers)
-        canonical = {}
-        for m in models:
-            cm = canonical_form_two_op(m)
-            canonical.setdefault(two_op_key(cm), cm)
-        reps = [canonical[k] for k in sorted(canonical)]
+        reps = sorted(set(map(canonical_form_two_op, models)), key=two_op_key)
     else:
         models, pruned = sweep(job.order, _single_runs(job), job.oracle, workers, pruned=True)
         fixed = [p for p in (job.zero, job.one) if p is not None]
-        canonical = {}
-        for m in models:
-            cm = canonical_form(m, fixed)
-            canonical.setdefault(table_key(cm), cm)
-        reps = [canonical[k] for k in sorted(canonical)]
+        forms = {cm.cells: cm for cm in (canonical_form(m, fixed) for m in models)}
+        reps = sorted(forms.values(), key=table_key)
 
     emitted = reps if job.up_to_iso else models
     if job.emit is not None:
@@ -345,7 +338,7 @@ def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummar
             job.emit(m)
     return EnumerationSummary(
         raw_count=len(models),
-        canonical_count=len(canonical),
+        canonical_count=len(reps),
         pruned_nodes=pruned,
         wall_time=time.perf_counter() - start,
     )
@@ -375,6 +368,10 @@ def golden_check(catalog_path, workers: int = 1) -> dict:
             )
             for entry in entries
         ]
+        if not jobs:
+            raise ValueError("no jobs")
+        for _, job, _, _ in jobs:
+            _check_job(job)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"catalog missing or corrupt: {exc}") from exc
 

@@ -7,7 +7,9 @@ be shared freely between workers.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
+from operator import itemgetter
 
 MAX_ORDER = 12
 
@@ -65,6 +67,19 @@ def cell_key(mask: int) -> tuple[int, ...]:
     canonical forms and emission streams use.
     """
     return members_of(mask)
+
+
+@lru_cache(maxsize=None)
+def key_sorted_masks(order: int) -> tuple[int, ...]:
+    """All cell masks in `cell_key` order, {} < {0} < {0,1} < ... < {n-1};
+    a mask's index here is its rank, the int that `table_key` compares."""
+    return tuple(sorted(range(1 << order), key=cell_key))
+
+
+@lru_cache(maxsize=None)
+def _mask_ranks(order: int) -> tuple[int, ...]:
+    """mask -> its index in key_sorted_masks(order)."""
+    return tuple(sorted(range(1 << order), key=key_sorted_masks(order).__getitem__))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +140,10 @@ def composition_from_rows(rows) -> HyperTable:
     return HyperTable(order, tuple(cells), KIND_COMPOSITION)
 
 
-def table_key(table: HyperTable):
-    """Row-major tuple of cell keys; the canonical comparison order for tables."""
-    return tuple(cell_key(c) for c in table.cells)
+def table_key(table: HyperTable) -> tuple[int, ...]:
+    """Row-major tuple of cell ranks (`key_sorted_masks`): the canonical order
+    of tables of one order, the same as that of their tuples of `cell_key`s."""
+    return tuple(map(_mask_ranks(table.order).__getitem__, table.cells))
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,60 +258,54 @@ def apply_permutation(table: HyperTable, perm) -> HyperTable:
     return HyperTable(n, tuple(cells), table.kind)
 
 
-def _permutations_fixing(order: int, fixed) -> list[tuple[int, ...]]:
-    fixed = set(fixed or ())
-    free = [i for i in range(order) if i not in fixed]
-    perms = []
-    for images in permutations(free):
-        p = list(range(order))
-        for src, dst in zip(free, images):
-            p[src] = dst
-        perms.append(tuple(p))
-    return perms
+# an entry holds n!*(k*n*n + 2**n) references: about 13M at order 8 for k = 1
+@lru_cache(maxsize=8)
+def _relabelings(order: int, fixed: tuple[int, ...], tables: int):
+    """(gather, rimg) per permutation p fixing the pins, the identity left
+    out: gather(cells) picks each relabeled cell's source from `tables`
+    tables stacked row-major, and rimg[mask] is the rank of p(mask)."""
+    ranks, n2 = _mask_ranks(order), order * order
+    out = []
+    for p in [p for p in permutations(range(order)) if all(p[i] == i for i in fixed)][1:]:
+        src = sorted(range(n2), key=lambda s: p[s // order] * order + p[s % order])
+        gather = itemgetter(*(t * n2 + s for t in range(tables) for s in src))
+        out.append((gather, tuple(ranks[mask_image(m, p)] for m in range(1 << order))))
+    return tuple(out)
+
+
+def _least_relabeling(order: int, fixed, stack: tuple[int, ...], tables: int = 1):
+    """The cells of the least joint relabeling of `tables` tables of one order,
+    stacked row-major, over the permutations fixing the pins, comparing their
+    `table_key`s in turn; None when the tables are least as they stand."""
+    key = tuple(map(_mask_ranks(order).__getitem__, stack))
+    rels = _relabelings(order, tuple(sorted(set(fixed))), tables)
+    best = min((tuple(map(rimg.__getitem__, gather(stack))) for gather, rimg in rels), default=key)
+    return None if best >= key else tuple(map(key_sorted_masks(order).__getitem__, best))
 
 
 def canonical_form(table: HyperTable, fixed=()) -> HyperTable:
     """Least relabeling of the table over all permutations fixing the pins.
 
-    Tables are compared row-major with cells as ascending index tuples, so
-    the result is a deterministic orbit representative: constant on
-    permutation orbits and idempotent.
+    Tables are compared by `table_key`, so the result is a deterministic
+    orbit representative: constant on permutation orbits and idempotent.
+    Relabelings are compared by keys read off cached per-permutation tables;
+    only the least is built, and a table already least is returned itself.
     """
-    best = table
-    best_key = table_key(table)
-    for perm in _permutations_fixing(table.order, fixed):
-        cand = apply_permutation(table, perm)
-        k = table_key(cand)
-        if k < best_key:
-            best, best_key = cand, k
-    return best
+    least = _least_relabeling(table.order, fixed, table.cells)
+    return table if least is None else HyperTable(table.order, least, table.kind)
 
 
 def two_op_key(model: TwoOpModel):
-    return (
-        table_key(model.add),
-        table_key(model.mul),
-        model.zero,
-        -1 if model.one is None else model.one,
-    )
+    one = -1 if model.one is None else model.one
+    return table_key(model.add), table_key(model.mul), model.zero, one
 
 
 def canonical_form_two_op(model: TwoOpModel) -> TwoOpModel:
-    """Least joint relabeling of both tables; zero (and one) stay pinned."""
-    fixed = {model.zero}
-    if model.one is not None:
-        fixed.add(model.one)
-    best = model
-    best_key = two_op_key(model)
-    for perm in _permutations_fixing(model.order, fixed):
-        cand = TwoOpModel(
-            model.order,
-            apply_permutation(model.add, perm),
-            apply_permutation(model.mul, perm),
-            model.zero,
-            model.one,
-        )
-        k = two_op_key(cand)
-        if k < best_key:
-            best, best_key = cand, k
-    return best
+    """Least joint relabeling of both tables, compared as (add, mul) keys;
+    zero (and one) stay pinned."""
+    pins, n = {model.zero, model.one} - {None}, model.order
+    least = _least_relabeling(n, pins, model.add.cells + model.mul.cells, 2)
+    if least is None:
+        return model
+    add = HyperTable(n, least[: n * n], model.add.kind)
+    return TwoOpModel(n, add, HyperTable(n, least[n * n :], model.mul.kind), model.zero, model.one)

@@ -2,13 +2,16 @@
 
 Everything here works on tables represented as list-of-list-of-frozenset and
 expands quantifiers with plain loops; nothing is shared with the bitmask
-implementations under test.  The one exception is `dorroh_probe`, which is
+implementations under test.  The exceptions are `dorroh_probe`, which is
 built on the public pair-level Dorroh arithmetic that the probe's `(k, mask)`
-kernel replaces.
+kernel replaces, and the brute-force canonical forms, which build every
+relabeled table with `apply_permutation` and compare tuples of `cell_key`s.
 """
 
 import functools
-from itertools import product
+from itertools import permutations, product
+
+from hyperlab.model import TwoOpModel, apply_permutation, cell_key
 
 
 def from_table(table):
@@ -329,3 +332,43 @@ def triple_watch(law, triples, n, cur):
             if la & ~lb:
                 return False
     return True
+
+
+def cell_key_table_key(table):
+    """A table's comparison key as the tuple of its cells' `cell_key`s."""
+    return tuple(cell_key(c) for c in table.cells)
+
+
+def _permutations_fixing(order, fixed):
+    return [p for p in permutations(range(order)) if all(p[i] == i for i in fixed)]
+
+
+def canonical_form(table, fixed=()):
+    """Least relabeling over the permutations fixing the pins, one relabeled
+    table and one tuple-of-`cell_key`s key per permutation."""
+    best, best_key = table, cell_key_table_key(table)
+    for perm in _permutations_fixing(table.order, set(fixed)):
+        cand = apply_permutation(table, perm)
+        k = cell_key_table_key(cand)
+        if k < best_key:
+            best, best_key = cand, k
+    return best
+
+
+def canonical_form_two_op(model):
+    """Least joint relabeling of both tables; zero (and one) stay pinned."""
+    fixed = {model.zero} if model.one is None else {model.zero, model.one}
+    best = model
+    best_key = (cell_key_table_key(model.add), cell_key_table_key(model.mul))
+    for perm in _permutations_fixing(model.order, fixed):
+        cand = TwoOpModel(
+            model.order,
+            apply_permutation(model.add, perm),
+            apply_permutation(model.mul, perm),
+            model.zero,
+            model.one,
+        )
+        k = (cell_key_table_key(cand.add), cell_key_table_key(cand.mul))
+        if k < best_key:
+            best, best_key = cand, k
+    return best

@@ -342,7 +342,11 @@ def test_golden_check_missing_catalog(tmp_path):
     no_order.write_text(json.dumps({"jobs": [job, {k: v for k, v in job.items() if k != "order"}]}))
     jobs_object = tmp_path / "jobs_object.json"
     jobs_object.write_text(json.dumps({"jobs": job}))
-    for path in ("/nope.json", no_order, jobs_object):
+    no_jobs = tmp_path / "no_jobs.json"
+    no_jobs.write_text(json.dumps({"jobs": []}))
+    over_cap = tmp_path / "over_cap.json"
+    over_cap.write_text(json.dumps({"jobs": [job, dict(job, name="group/9", order=9)]}))
+    for path in ("/nope.json", no_order, jobs_object, no_jobs, over_cap):
         code, out, err = run(["golden-check", "--catalog", str(path)])
         assert code == 1 and out == ""
         assert "missing or corrupt" in err

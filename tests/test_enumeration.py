@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hyperlab import enumeration
 from hyperlab.axioms import LAW_IDS, check_law
 from hyperlab.classify import SINGLE_LABELS, STRUCTURES, TWO_OP_LABELS, classify_two_op, max_order
 from hyperlab.engines import Backtracker, SearchSpec, key_sorted_masks
@@ -184,6 +185,17 @@ def test_golden_check_flags_perturbed_count(tmp_path):
 def test_golden_check_missing_catalog():
     with pytest.raises(ValueError, match="missing or corrupt"):
         golden_check("/nonexistent/catalog.json")
+
+
+def test_golden_check_refuses_a_bad_catalog_before_running_any_job(tmp_path, monkeypatch):
+    job = {"name": "group/2", "order": 2, "constraints": ["group"],
+           "expect_raw": 2, "expect_canonical": 1}
+    monkeypatch.setattr(enumeration, "enumerate_models", lambda *a, **k: pytest.fail("a job ran"))
+    for jobs in ([], [job, dict(job, name="group/9", order=9)]):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"jobs": jobs}))
+        with pytest.raises(ValueError, match="missing or corrupt"):
+            golden_check(str(path))
 
 
 def _readme_caps():
