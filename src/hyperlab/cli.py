@@ -11,6 +11,7 @@ property tooling and is ignored by the deterministic sweeps.
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from importlib import resources
 
 from . import axioms, dorroh, enumeration, theorems
@@ -184,33 +185,24 @@ def _cmd_enumerate(args, out, err):
     if args.structure:
         constraints.append(args.structure)
     constraints.extend(s for s in args.laws.split(",") if s)
-    sink = open(args.out, "w", encoding="utf-8") if args.out else out
     emitted = []
-
-    fmt = args.format
-
-    def emit(model):
-        if fmt == "json":
-            emitted.append(model_json(model))
+    job = enumeration.EnumerationJob(
+        order=args.order,
+        constraints=tuple(constraints),
+        up_to_iso=args.up_to_iso,
+        zero=args.zero,
+        one=args.one,
+        oracle=args.oracle,
+        emit=emitted.append,
+    )
+    summary = enumeration.enumerate_models(job, workers=args.workers)
+    # the file is opened only once the job has run: a refused one leaves it as it was
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(out) as sink:
+        if args.format == "json":
+            print(json.dumps([model_json(m) for m in emitted], sort_keys=True), file=sink)
         else:
-            print(serialize_model(model), file=sink)
-
-    try:
-        job = enumeration.EnumerationJob(
-            order=args.order,
-            constraints=tuple(constraints),
-            up_to_iso=args.up_to_iso,
-            zero=args.zero,
-            one=args.one,
-            oracle=args.oracle,
-            emit=emit,
-        )
-        summary = enumeration.enumerate_models(job, workers=args.workers)
-        if fmt == "json":
-            print(json.dumps(emitted, sort_keys=True), file=sink)
-    finally:
-        if args.out:
-            sink.close()
+            for m in emitted:
+                print(serialize_model(m), file=sink)
     print(json.dumps(summary.to_json(), sort_keys=True), file=err)
     return EXIT_OK
 
@@ -298,9 +290,11 @@ def main(argv=None, out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "workers", None) is None:
+    if args.workers is None:
         args.workers = default_workers()
     try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         if args.command == "check":
             return _cmd_check(args, out)
         if args.command == "classify":

@@ -4,18 +4,21 @@ A job names its constraints with public ids: any law id from
 axioms.LAW_IDS, or a structure label of `classify.STRUCTURES`.  The search
 comes from that axiom table: a single-operation job sweeps the conjunction of
 its laws and its structures' descriptors, once per candidate element when a
-structure is quantified over one (every element, or only the pinned zero);
-a two-operation job searches the multiplication first when its axioms make
-it a semigroup or group on H* (then the addition at the zero), and
-otherwise the multiplication over every abelian additive group.  Models are
-emitted exactly once, in canonical table order; with up_to_iso each
-isomorphism class is emitted once, represented by its canonical form.
+structure is quantified over one (every element, or only the pinned zero).
+A two-operation job sweeps the runs of `two_op_plan`: each fixes one
+operation and the zero and searches the other, the addition at the zero
+under each multiplication composition when the axioms make the
+multiplication a semigroup or group on H*, otherwise the multiplication over
+each abelian additive group.  T6's sweep and drops and T28's drop searches
+run on the same plan.  Models are emitted exactly once, in canonical table
+order; with up_to_iso each isomorphism class is emitted once, represented
+by its canonical form.
 
 Every enumeration job, the verifiers' premise sweeps and T6 share one
 sweep, `sweep`, which plans each descriptor run with `engines.plan_sweep`
 and fans its tasks out over the workers.  By default that is the sharded
 backtracker, whose pruned-node count the summary reports (for a
-two-operation job, that of the searches after the multiplication's).  A
+two-operation job, that of its plan runs' sweeps).  A
 two-operation search states its pins and links as descriptors too: the
 multiplication's pinned rows and columns as `forced` cells, the group
 action on the addition as `equivariant-under` relabelings.  Oracle mode
@@ -229,41 +232,52 @@ def _group_action_links(mul: HyperTable, zero: int, n: int) -> tuple:
     return tuple(("equivariant-under", p) for p in invertible)
 
 
-def hyperring_mul_premises(add: HyperTable, zero: int) -> tuple:
-    """Engine descriptors of the multiplicative-hyperring axioms (Def. 7) on
-    a multiplication over the additive group (add, zero): associativity,
-    non-degeneracy, inclusion distributivity and the sign rule."""
-    return _mul_descriptors(classify.axioms_of("multiplicative-hyperring-def7"), add, zero)
+@dataclass(frozen=True)
+class TwoOpRun:
+    """One run of a two-operation search plan: the descriptors of the
+    searched operation, with the other one (`fixed`) and the zero fixed."""
+
+    descriptors: tuple
+    fixed: HyperTable
+    zero: int
+    mul_fixed: bool
+
+    def operations(self, table: HyperTable) -> tuple:
+        """(add, mul, zero) with `table` as the searched operation."""
+        return (table, self.fixed, self.zero) if self.mul_fixed else (self.fixed, table, self.zero)
 
 
-def _mul_descriptors(ring_ids, add, zero) -> tuple:
-    return tuple(
-        d for a in ring_ids if a in _MUL_DESCRIPTORS for d in _MUL_DESCRIPTORS[a](add, zero)
-    )
-
-
-def _abelian_group_tables(order: int, zero=None):
-    """(zero, add) for every labeled abelian group table of the order, only
-    those with the given zero when one is pinned."""
-    out = []
-    laws = (("law", "associative"), ("law", "reproductive"), ("law", "commutative"))
-    for add in sweep(order, [laws + (("singleton-cells",),)], pruned=True)[0]:
-        scalars = axioms.find_identities(add).scalar
-        if not scalars:
-            continue
-        identity = scalars.bit_length() - 1
-        if zero is None or identity == zero:
-            out.append((identity, add))
-    return out
+def two_op_plan(n, label_axioms, zero=None, one=None, dropped=None, workers=1):
+    """The runs of a two-operation search in plan order, at the pinned zero
+    or every one.  The full axiom list picks the strategy: when it makes the
+    multiplication a semigroup or group on H*, each run fixes a
+    `mul_compositions` table and searches the addition at the zero (linked by
+    the group action under the group and distributive equality); otherwise
+    each run fixes an abelian additive group (zero = its identity) and
+    searches the multiplication.  `dropped` is left out of the runs."""
+    kept = [a for a in label_axioms if a != dropped]
+    ring = [a for a in kept if isinstance(a, str)]
+    if not _ON_H_STAR.intersection(label_axioms):
+        laws = (("law", "associative"), ("law", "reproductive"), ("law", "commutative"))
+        for add in sweep(n, [laws + (("singleton-cells",),)], pruned=True)[0]:
+            z = axioms.find_identities(add).scalar.bit_length() - 1
+            if z >= 0 and zero in (None, z):
+                muls = [_MUL_DESCRIPTORS[a](add, z) for a in ring if a in _MUL_DESCRIPTORS]
+                yield TwoOpRun(sum(muls, ()), add, z, False)
+        return
+    group = "multiplicative-group-on-H*" in ring and "distributive-equal" in ring
+    for z in range(n) if zero is None else (zero,):
+        additive = tuple(engines.at(a, z) for a in kept if a not in ring)
+        for mul in mul_compositions(n, z, one, ring, workers):
+            links = _group_action_links(mul, z, n) if group else ()
+            yield TwoOpRun(additive + links, mul, z, True)
 
 
 def _enumerate_two_op(job: EnumerationJob, workers: int):
     structures = [c for c in job.constraints if c in classify.TWO_OP_LABELS]
     extra_laws = [c for c in job.constraints if c in axioms.LAW_IDS]
     # the search comes from the structures' axioms in the table
-    table_axioms = dict.fromkeys(a for s in structures for a in classify.axioms_of(s))
-    ring = [a for a in table_axioms if isinstance(a, str)]
-    additive = [a for a in table_axioms if not isinstance(a, str)]
+    table_axioms = list(dict.fromkeys(a for s in structures for a in classify.axioms_of(s)))
     n, triples, pruned_total = job.order, [], 0
     if job.oracle:
         # every two-operation structure requires a commutative associative
@@ -271,23 +285,10 @@ def _enumerate_two_op(job: EnumerationJob, workers: int):
         adds = sweep(n, [(("law", "associative"), ("law", "commutative"))], oracle=True)[0]
         muls = sweep(n, [()], oracle=True)[0]
         triples = [(add, mul, zero) for zero in _candidates(job) for add in adds for mul in muls]
-    elif _ON_H_STAR.intersection(ring):
-        # the multiplication is a composition: search it first, then the
-        # addition at the zero
-        group = "multiplicative-group-on-H*" in ring and "distributive-equal" in ring
-        for zero in _candidates(job):
-            for mul in mul_compositions(n, zero, job.one, ring, workers):
-                run = tuple(engines.at(c, zero) for c in additive)
-                run += _group_action_links(mul, zero, n) if group else ()
-                adds, pruned = sweep(n, [run], workers=workers, pruned=True)
-                triples += [(add, mul, zero) for add in adds]
-                pruned_total += pruned
     else:
-        # an abelian additive group: search the multiplication over each
-        for zero, add in _abelian_group_tables(n, job.zero):
-            run = _mul_descriptors(ring, add, zero)
-            muls, pruned = sweep(n, [run], workers=workers, pruned=True)
-            triples += [(add, mul, zero) for mul in muls]
+        for run in two_op_plan(n, table_axioms, job.zero, job.one, workers=workers):
+            tables, pruned = sweep(n, [run.descriptors], workers=workers, pruned=True)
+            triples += map(run.operations, tables)
             pruned_total += pruned
 
     seen = {}

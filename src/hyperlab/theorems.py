@@ -22,13 +22,14 @@ Verifier ids:
     T29  hypermodule premises over the bundled scalar family => the module
          addition is canonical
 
-Every id but T6, T28 and T29 is a declarative `Claim` run by `_run_claim`;
-T6's sweep over every additive group, T28's model-set comparison and T29's
-scalar family are bespoke.  No verifier runs an engine itself: premise
-sweeps go through `enumeration.sweep` or `count_sweep` (each engine from
-`engines.plan_sweep`), and every drop and independence search is one
-first-hit search, `enumeration.search_first`, at orders <= DROP_CAP
-(above it each drop is reported as `not_searched`).
+Every id but T6, T28 and T29 is a declarative `Claim` run by `_run_claim`.
+T6 sweeps the runs of `enumeration.two_op_plan` (one per additive group),
+T28 compares enumeration jobs, both drop searches share one loop over plan
+runs (`_plan_first`), and T29's scalar family is bespoke.  No verifier runs
+an engine itself: premise sweeps go through `enumeration.sweep` or
+`count_sweep` (each engine from `engines.plan_sweep`), and every drop and
+independence search is one first-hit search, `enumeration.search_first`, at
+orders <= DROP_CAP (above it each drop is reported as `not_searched`).
 
 Sweeps quantified over a distinguished element (identity or zero) count
 (table, element) pairs as premise models.  Every counterexample and
@@ -47,13 +48,11 @@ from . import axioms, classify, engines
 from .engines import E, at
 from .enumeration import (
     EnumerationJob,
-    _abelian_group_tables,
     count_sweep,
     enumerate_models,
-    hyperring_mul_premises,
-    mul_compositions,
     search_first,
     sweep,
+    two_op_plan,
     with_detected_one,
 )
 from .model import (
@@ -69,12 +68,14 @@ from .parallel import parallel_map
 from .samples import krasner_hyperfield, sign_hyperfield
 
 DROP_CAP = 3
+_DEF7 = "multiplicative-hyperring-def7"
+_DEF15 = "hyperfield-def15"
 NOT_SEARCHED = f"drop searches run at orders <= {DROP_CAP}"
 
 _ORDER_CAPS = {
     "T2": 3,
     "T3": 3,
-    "T6": classify.max_order("multiplicative-hyperring-def7"),
+    "T6": classify.max_order(_DEF7),
     "T7": 3,
     "T9": 3,
     "T11": 3,
@@ -235,11 +236,10 @@ class Swept:
 
 def sweep_engine(theorem: str, order: int, oracle: bool = False) -> str:
     """The engine `engines.plan_sweep` picks for a claim's premise sweep, or
-    for T6's sweep over each additive group."""
+    for each run of T6's two-operation plan."""
     if theorem == "T6":
-        zero, add = _abelian_group_tables(order)[0]
-        premises = hyperring_mul_premises(add, zero)
-        return engines.plan_sweep(order, premises, oracle=oracle, pruned=True)
+        run = next(two_op_plan(order, classify.axioms_of(_DEF7)))
+        return engines.plan_sweep(order, run.descriptors, oracle=oracle, pruned=True)
     claim = CLAIMS[theorem]
     ids = [i for run in claim.premises for i in run]
     if claim.counts:  # the count kernel evaluates the conclusion too
@@ -386,8 +386,8 @@ def search_independence(premises, conclusion, order: int, workers: int = 1):
     when some element satisfies every element-dependent premise while the
     conclusion fails at that same element.
     """
-    if order > DROP_CAP:
-        raise ValueError(f"independence searches cap at order {DROP_CAP}")
+    if not 1 <= order <= DROP_CAP:
+        raise ValueError(f"independence searches run at orders 1 to the cap {DROP_CAP}")
     for ident in list(premises) + [conclusion]:
         if not _id_known(ident):
             raise ValueError(f"unknown id: {ident!r}")
@@ -607,7 +607,7 @@ _WEAK_QMP = Claim(
 # -- T6: multiplicative hyperrings ---------------------------------------------
 
 
-# report names of the `hyperring_mul_premises` descriptors by tag, in report order
+# report names of the descriptors of T6's plan runs by tag, in report order
 _T6_AXES = {
     "law": "mul-associative",
     "distributive-inclusion-over": "distributive-inclusion",
@@ -617,14 +617,13 @@ _T6_AXES = {
 
 
 def _verify_t6(order, drop_premises, oracle, workers):
-    adds = _abelian_group_tables(order)
+    runs = list(two_op_plan(order, classify.axioms_of(_DEF7)))  # one per additive group
     premise_models = 0
     first = None
     lemma_violation = None
-    for zero, add in adds:
-        premises = hyperring_mul_premises(add, zero)
-        for mul in sweep(order, [premises], oracle=oracle, workers=workers, pruned=True)[0]:
-            model = TwoOpModel(order, add, mul, zero)
+    for run in runs:
+        for mul in sweep(order, [run.descriptors], oracle, workers, pruned=True)[0]:
+            model = TwoOpModel(order, *run.operations(mul))
             # row-emptiness coherence: one empty product empties its row
             for w in range(order):
                 row = [mul.cell(w, z) for z in range(order)]
@@ -647,42 +646,50 @@ def _verify_t6(order, drop_premises, oracle, workers):
     report = VerificationReport(
         theorem="T6",
         order=order,
-        space_size=len(adds) * engines.space_size(order, "hyper"),
+        space_size=len(runs) * engines.space_size(order, "hyper"),
         premise_models=premise_models,
         conclusion_holds=counterexample is None,
         counterexample=counterexample,
         extras={
-            "additive_groups": len(adds),
+            "additive_groups": len(runs),
             "row_emptiness_coherent": lemma_violation is None,
         },
     )
     if drop_premises:
-        report.independence_witnesses = _t6_drops(order, adds, workers)
+        report.independence_witnesses = _t6_drops(order, runs, workers)
     return report
 
 
-def _t6_drops(order, adds, workers):
-    """Per dropped axis: the first table of the first additive group where
-    the other axes hold and some product is empty, found by a first-hit
-    search that rejects tables without an empty product first."""
-    entries = []
+def _t6_drops(order, runs, workers):
+    """Per dropped axis: the first table of the first plan run where the
+    other axes hold and some product is empty, found by a first-hit search
+    that rejects tables without an empty product first."""
+    entries, some_empty = [], (("not", ("law", "cellwise-nonempty")),)
     for tag, dropped in _T6_AXES.items():
-        hit = None
-        for zero, add in adds:
-            kept = (("not", ("law", "cellwise-nonempty")),) + tuple(
-                c for c in hyperring_mul_premises(add, zero) if c[0] != tag
-            )
-            found = search_first(order, [(kept, None)], workers=workers)
-            if found is not None:
-                _revalidate(engines.satisfies_all(found[0], kept), f"the axes but {dropped} hold")
-                hit = TwoOpModel(order, add, found[0], zero)
-                break
+        searches = (
+            (run, some_empty + tuple(c for c in run.descriptors if c[0] != tag), None)
+            for run in runs
+        )
+        hit = _plan_first(order, searches, workers, f"the axes but {dropped} hold")
         entries.append(
             {"dropped": dropped, "none_at_order": order} if hit is None
-            else {"dropped": dropped, "model": serialize_model(hit)}
+            else {"dropped": dropped, "model": serialize_model(TwoOpModel(order, *hit))}
         )
     not_searched = "the sign rule presupposes additive inverses"
     return entries + [{"dropped": "additive-abelian-group", "not_searched": not_searched}]
+
+
+def _plan_first(order, searches, workers, what):
+    """The drop loop of the two-operation verifiers: over (plan run,
+    constraints, accept) in plan order, the first `search_first` hit,
+    revalidated, as (add, mul, zero); None if no run has one."""
+    for run, constraints, accept in searches:
+        hit = search_first(order, [(constraints, accept)], workers=workers)
+        if hit is not None:
+            ok = engines.satisfies_all(hit[0], constraints) and (accept is None or accept(hit[0]))
+            _revalidate(ok, what)
+            return run.operations(hit[0])
+    return None
 
 
 # -- T28: hyperfields --------------------------------------------------------------
@@ -702,7 +709,7 @@ def _enumerated(workers, order, structure, **job_fields):
 
 def _verify_t28(order, drop_premises, oracle, workers):
     pins = dict(zero=0, one=1 if order > 1 else None, oracle=oracle)
-    def15 = _enumerated(workers, order, "hyperfield-def15", **pins)
+    def15 = _enumerated(workers, order, _DEF15, **pins)
     def14 = _enumerated(workers, order, "hyperfield", **pins)
     texts15 = [serialize_model(m) for m in def15]
     texts14 = [serialize_model(m) for m in def14]
@@ -736,7 +743,7 @@ def _verify_t28(order, drop_premises, oracle, workers):
         },
     )
     if drop_premises:
-        for dropped in classify.axioms_of("hyperfield-def15"):
+        for dropped in classify.axioms_of(_DEF15):
             name = _t28_name(dropped)
             if order > DROP_CAP:
                 entry = {"not_searched": NOT_SEARCHED}
@@ -751,24 +758,19 @@ def _t28_drop_search(order, dropped, workers):
     """First model (zero 0, and one 1 pinned for the multiplications, as in
     T28's sweeps) where every Def-15 axiom but `dropped` holds and
     reversibility fails; its `one` is the detected identity, if any."""
-    kept = [a for a in classify.axioms_of("hyperfield-def15") if a != dropped]
-    ring = tuple(a for a in kept if isinstance(a, str))
-    additive = tuple(at(a, 0) for a in kept if a not in ring)
-    for mul in mul_compositions(order, 0, 1 if order > 1 else None, ring, workers):
-        hit = search_first(order, [(additive, partial(_t28_fails, mul, ring))], workers=workers)
-        if hit is not None:
-            _revalidate(
-                engines.satisfies_all(hit[0], additive) and _t28_fails(mul, ring, hit[0]),
-                f"the Def-15 axioms but {_t28_name(dropped)} hold, reversibility fails",
-            )
-            return with_detected_one(order, hit[0], mul, 0)
-    return None
+    def15 = classify.axioms_of(_DEF15)
+    ring = tuple(a for a in def15 if isinstance(a, str) and a != dropped)
+    runs = two_op_plan(order, def15, 0, 1 if order > 1 else None, dropped, workers)
+    searches = ((run, run.descriptors, partial(_t28_fails, ring, run)) for run in runs)
+    what = f"the Def-15 axioms but {_t28_name(dropped)} hold, reversibility fails"
+    hit = _plan_first(order, searches, workers, what)
+    return None if hit is None else with_detected_one(order, *hit)
 
 
-def _t28_fails(mul, ring, add) -> bool:
-    """The ring axioms hold on (add, mul) at zero 0 and reversibility fails
-    (an undefined opposite map counts as failed reversibility)."""
-    model = with_detected_one(add.order, add, mul, 0)
+def _t28_fails(ring, run, table) -> bool:
+    """The ring axioms hold on the run's model with `table` and reversibility
+    fails (an undefined opposite map counts as failed reversibility)."""
+    model = with_detected_one(table.order, *run.operations(table))
     return all(classify.axiom_holds(model, a, 0) for a in ring) and not (
         classify.axiom_holds(model, classify.REVERSIBILITY, 0)
     )

@@ -169,6 +169,34 @@ def test_enumerate_out_file(tmp_path):
     assert target.read_text().count("order 2") == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_refused_enumerate_leaves_an_existing_out_file_unchanged(tmp_path, fmt):
+    target = tmp_path / "keep.txt"
+    target.write_bytes(b"kept data\n")
+    for argv in (
+        ["--order", "9", "--structure", "group"],
+        ["--order", "2", "--structure", "no-such-structure"],
+    ):
+        code, out, err = run(["enumerate", *argv, "--format", fmt, "--out", str(target)])
+        assert code == 1 and out == "" and "error:" in err
+        assert target.read_bytes() == b"kept data\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "T3", "--order", "2"],
+        ["enumerate", "--order", "2", "--structure", "group"],
+        ["golden-check"],
+    ],
+)
+def test_non_positive_worker_counts_are_refused(argv, workers):
+    code, out, err = run([*argv, "--workers", workers])
+    assert code == 1 and out == ""
+    assert f"error: --workers must be at least 1, got {workers}" in err
+
+
 def test_enumerate_prints_groups_as_compositions():
     code, out, _ = run(["enumerate", "--order", "3", "--structure", "group", "--workers", "1"])
     assert code == 0

@@ -32,3 +32,31 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that an import statement takes from a hyperlab module."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "hyperlab")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_private_import_detector():
+    source = (
+        "from os import _exit\n"
+        "from . import __version__, engines\n"
+        "from .enumeration import sweep, _check_job\n"
+        "def f():\n"
+        "    from hyperlab.model import _relabelings\n"
+    )
+    assert private_imports(source) == ["_check_job", "_relabelings"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_private_name_imported_from_another_module(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

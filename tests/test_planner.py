@@ -4,11 +4,12 @@ revalidation and the bounded worker pool.  Apart from one small order-3
 cross-check of the witness-map split and the small two-operation jobs whose
 planned engines are recorded, nothing here runs a sweep.
 
-T6, T28 and T29 are bespoke: T6 sweeps its premise descriptors once per
-additive group through `enumeration.sweep` (pinned below), T28 compares
-enumeration jobs (covered by the enumeration rows) and T29 searches actions
-over a bundled family.  Drop searches always run on the backtracker's shards
-(`enumeration.search_first`), so they have no row here.
+T6 and T28 read the two-operation search plan (`enumeration.two_op_plan`)
+that two-operation enumeration jobs sweep: T6 sweeps each of its runs, one
+per additive group, through `enumeration.sweep` (pinned below by its first
+run), and T28 compares enumeration jobs (covered by the two-operation rows).
+T29 searches actions over a bundled family.  Drop searches always run on the
+backtracker's shards (`enumeration.search_first`), so they have no row here.
 """
 
 import os

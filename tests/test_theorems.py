@@ -3,12 +3,8 @@ import time
 
 import pytest
 
-from hyperlab import axioms, engines, theorems
-from hyperlab.enumeration import (
-    _abelian_group_tables,
-    hyperring_mul_premises,
-    sweep,
-)
+from hyperlab import axioms, classify, engines, theorems
+from hyperlab.enumeration import sweep, two_op_plan
 from hyperlab.modelio import parse_model
 from hyperlab.samples import cyclic_group_table
 from hyperlab.theorems import (
@@ -235,11 +231,14 @@ def test_t6_order3_oracle_matches_pruned():
 
 
 def test_t6_pruned_sweep_matches_pure_sweep():
-    # the full premise tuple and each drop search's tuple: every backtracker
-    # device (sign-rule links, distributivity and emptiness watchers) must
-    # keep exactly the tables the authoritative predicates accept, in order
-    for zero, add in _abelian_group_tables(2):
-        premises = hyperring_mul_premises(add, zero)
+    # every run of T6's plan (one per additive group), whole and with each
+    # descriptor dropped: every backtracker device (sign-rule links,
+    # distributivity and emptiness watchers) must keep exactly the tables the
+    # authoritative predicates accept, in order
+    runs = list(two_op_plan(2, classify.axioms_of("multiplicative-hyperring-def7")))
+    assert [(run.zero, run.mul_fixed) for run in runs] == [(0, False), (1, False)]
+    for run in runs:
+        premises = run.descriptors
         for i in range(len(premises) + 1):
             kept = premises[:i] + premises[i + 1:]
             pruned, _ = sweep(2, [kept], pruned=True)
@@ -311,8 +310,9 @@ def test_search_independence_examples():
 def test_search_independence_validation():
     with pytest.raises(ValueError, match="unknown id"):
         search_independence(["nope"], "associative", 2)
-    with pytest.raises(ValueError, match="cap"):
-        search_independence(["associative"], "reproductive", 5)
+    for order in (5, 0, -1):
+        with pytest.raises(ValueError, match="cap"):
+            search_independence(["associative"], "reproductive", order)
     with pytest.raises(ValueError, match="conclusion"):
         search_independence(["reversibility-poly"], "associative", 2)
 
@@ -351,12 +351,28 @@ def test_drop_witnesses_equal_at_one_and_two_workers(theorem):
     assert one == _recorded_witnesses(theorem, 3)
 
 
-@pytest.mark.slow
-def test_t6_drop_witnesses_equal_at_one_and_two_workers():
-    adds = _abelian_group_tables(3)
-    one = theorems._t6_drops(3, adds, workers=1)
-    assert one == theorems._t6_drops(3, adds, workers=2)
-    assert one == _recorded_witnesses("T6", 3)
+@pytest.mark.parametrize("order", [2, pytest.param(3, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("theorem", ["T6", "T28"])
+def test_two_operation_drop_witnesses_equal_at_one_and_two_workers(theorem, order):
+    # both run the shared drop loop over their two-operation plan
+    one = verify(theorem, order, drop_premises=True, workers=1).independence_witnesses
+    assert one == verify(theorem, order, drop_premises=True, workers=2).independence_witnesses
+    assert one == _recorded_witnesses(theorem, order)
+
+
+def test_t28_drop_runs_link_the_group_action_exactly_when_its_axioms_are_kept():
+    # a link is one left multiplication by a nonzero g that permutes H; without
+    # an absorbing zero some multiplications have none
+    def15 = classify.axioms_of("hyperfield-def15")
+    for dropped in def15:
+        kept = dropped not in ("multiplicative-group-on-H*", "distributive-equal")
+        runs = list(two_op_plan(3, def15, 0, 1, dropped))
+        assert runs and all(run.mul_fixed for run in runs), dropped
+        linked = [any(c[0] == "equivariant-under" for c in run.descriptors) for run in runs]
+        for run, has_links in zip(runs, linked):
+            rows = [sorted(run.fixed.cell(g, x) for x in range(3)) for g in (1, 2)]
+            assert has_links == (kept and [1, 2, 4] in rows), (dropped, run)
+        assert any(linked) == kept, dropped
 
 
 def test_order4_drops_are_not_searched():

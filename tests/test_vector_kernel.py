@@ -21,7 +21,7 @@ from hyperlab.model import HyperTable, table_key
 TAILS = 8 ** 6
 SEED = 20261018
 HEADS = engines.vector_sweep3_tasks()
-ADDITIVE = enumeration._abelian_group_tables(3)
+T6_RUNS = list(enumeration.two_op_plan(3, classify.axioms_of("multiplicative-hyperring-def7")))
 
 
 def _vectorizable_descriptors():
@@ -35,8 +35,8 @@ def _vectorizable_descriptors():
             ("scalar-zero-at", e),
         ]
     out += [("divisions-nonempty",), ("non-degenerate",)]
-    for zero, add in ADDITIVE:
-        out += [("distributive-inclusion-over", add), ("sign-rule-over", add, zero)]
+    for run in T6_RUNS:  # the multiplication over each additive group
+        out += [("distributive-inclusion-over", run.fixed), ("sign-rule-over", run.fixed, run.zero)]
     return out
 
 
@@ -48,7 +48,7 @@ CONJUNCTIONS = {
     "canonical[:3]": [at(c, 1) for c in classify.axioms_of("canonical-hypergroup")[:3]],
     "T9-left": [("law", "left-inverted-associative"), ("law", "reproductive")],
     "T9-right": [("law", "right-inverted-associative"), ("law", "reproductive")],
-    "T6": list(enumeration.hyperring_mul_premises(ADDITIVE[0][1], ADDITIVE[0][0])),
+    "T6": list(T6_RUNS[0].descriptors),
 }
 
 
