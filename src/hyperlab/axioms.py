@@ -322,11 +322,11 @@ def check_unique_opposite(table: HyperTable, zero: int) -> AxiomResult:
 
 
 def _require_opposites(table: HyperTable, zero: int) -> tuple[int, ...]:
+    """The opposite map at zero; when it is undefined, the precondition
+    fails, not the axiom."""
     opp = opposite_map(table, zero)
     if opp is None:
-        raise PreconditionError(
-            "opposite map undefined: the unique-opposite axiom fails"
-        )
+        raise PreconditionError("opposite map undefined")
     return opp
 
 

@@ -33,7 +33,7 @@ from itertools import product
 
 from . import axioms
 from .axioms import PreconditionError, Witness, check_law, check_ring_axioms
-from .engines import E, at, constraint_holds, constraint_result
+from .engines import E, at, constraint_result, satisfies_all
 from .model import HyperTable, HypermoduleModel, TwoOpModel, mask_image, members_of
 
 # candidate rules: the elements a structure is tried at, and the tag key
@@ -173,8 +173,8 @@ def runs_at(label: str, cand) -> tuple:
 
 
 def holds_at(label: str, table: HyperTable, cand) -> bool:
-    """Every axiom of a single-operation label holds at the candidate."""
-    return all(constraint_holds(table, at(a, cand)) for a in axioms_of(label))
+    """Some descriptor run of a single-operation label holds at the candidate."""
+    return any(satisfies_all(table, run) for run in runs_at(label, cand))
 
 
 # -- evidence trails --------------------------------------------------------------

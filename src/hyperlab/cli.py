@@ -118,11 +118,13 @@ def _cmd_check(args, out):
     ring = [s for s in getattr(args, "ring_axioms").split(",") if s]
     if not laws and not ring:
         raise ValueError("nothing to check: pass --laws and/or --ring-axioms")
+    table = _component(model, args.op) if laws or args.op else None
+    if not laws and args.op:
+        raise ValueError("--op names the table --laws are checked on; pass --laws")
     if ring and not isinstance(model, TwoOpModel):
         raise ValueError("--ring-axioms needs a two-operation model")
 
     results = []
-    table = _component(model, args.op) if laws else None
     for law in laws:
         res = axioms.check_law(table, law)
         results.append(("law", law, res))
@@ -162,6 +164,8 @@ def _cmd_check(args, out):
 
 def _cmd_classify(args, out):
     model = _load_model(args.model, args.model_format)
+    if args.weak and (args.op is not None or isinstance(model, (HyperTable, TwoOpModel))):
+        raise ValueError("--weak applies only to a hypermodule classified as a whole")
     if args.op is not None:
         report = classify_single(_component(model, args.op))
     elif isinstance(model, HyperTable):

@@ -25,10 +25,11 @@ action on the addition as `equivariant-under` relabelings.  Oracle mode
 ignores every pruning device and filters the raw space (pure Python at
 order <= 2 and for compositions, the vectorized full-space engine at order
 3, capped there; a two-operation job pairs every commutative associative
-addition with every multiplication, at order 2 only); it is the
-certification path for the backtracking generator.  Two-operation models
-pass `classify.classify_two_op` before they are kept.  `search_first` is the
-one first-hit search behind every drop and independence search.
+addition with every multiplication, at order 2 only).  The oracles run
+only under `--oracle` and in the tests that certify the generator; every
+other caller, golden-check included, runs the generator.  Two-operation
+models pass `classify.classify_two_op` before they are kept.  `search_first`
+is the one first-hit search behind every drop and independence search.
 
 Every label caps the order of its jobs (`classify.max_order`); a job with
 laws only stops at order 3 if associativity prunes it and at order 2
@@ -349,8 +350,9 @@ def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummar
 
 
 def golden_check(catalog_path, workers: int = 1) -> dict:
-    """Re-run every catalog job (oracle mode at order <= 2, pruned above) and
-    compare both counts bit-exactly."""
+    """Re-run every catalog job exactly as `enumerate` runs it, on the
+    generator at every order, and compare both counts bit-exactly.  The
+    oracles certify that generator in tests, not here."""
     try:
         with open(catalog_path, encoding="utf-8") as fh:
             entries = json.load(fh)["jobs"]
@@ -362,7 +364,6 @@ def golden_check(catalog_path, workers: int = 1) -> dict:
                     constraints=tuple(entry["constraints"]),
                     zero=entry.get("zero"),
                     one=entry.get("one"),
-                    oracle=entry["order"] <= 2,
                 ),
                 entry["expect_raw"],
                 entry["expect_canonical"],

@@ -711,16 +711,14 @@ def _verify_t28(order, drop_premises, oracle, workers):
     pins = dict(zero=0, one=1 if order > 1 else None, oracle=oracle)
     def15 = _enumerated(workers, order, _DEF15, **pins)
     def14 = _enumerated(workers, order, "hyperfield", **pins)
-    texts15 = [serialize_model(m) for m in def15]
-    texts14 = [serialize_model(m) for m in def14]
-    sets_equal = set(texts15) == set(texts14)
+    mismatch = set(def15) ^ set(def14)
 
     first = next(
         (m for m in def15 if not axioms.check_reversibility_canonical(m.add, m.zero).holds), None
     )
     counterexample = None
-    if not sets_equal:
-        diff = sorted(set(texts15) ^ set(texts14))[0]
+    if mismatch:
+        diff = min(map(serialize_model, mismatch))
         counterexample = {"model": diff, "witness": {"note": "model-set mismatch"}}
     elif first is not None:
         res = axioms.check_reversibility_canonical(first.add, first.zero)
@@ -737,9 +735,9 @@ def _verify_t28(order, drop_premises, oracle, workers):
         conclusion_holds=counterexample is None,
         counterexample=counterexample,
         extras={
-            "def15_models": len(texts15),
-            "def14_models": len(texts14),
-            "model_sets_identical": sets_equal,
+            "def15_models": len(def15),
+            "def14_models": len(def14),
+            "model_sets_identical": not mismatch,
         },
     )
     if drop_premises:
@@ -786,7 +784,7 @@ def _t29_scalar_family(workers):
             family.append((f"hyperfield-{order}-{i}", m))
     unique = {}
     for name, m in family:
-        unique.setdefault(serialize_model(m), (name, m))
+        unique.setdefault(m, (name, m))
     return list(unique.values())
 
 

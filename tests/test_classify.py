@@ -5,20 +5,25 @@ import pytest
 
 from hyperlab.axioms import PreconditionError
 from hyperlab.classify import (
+    ELEMENTS,
+    IDENTITIES,
     SINGLE_LABELS,
     STRUCTURES,
     TWO_OP_LABELS,
     axioms_of,
     axiom_name,
+    candidate_rule,
     check_hypermodule,
     classify_single,
     classify_two_op,
+    holds_at,
 )
 from hyperlab.model import (
     HyperTable,
     HypermoduleModel,
     TwoOpModel,
     apply_permutation,
+    key_sorted_masks,
     table_from_rows,
 )
 from hyperlab.samples import (
@@ -303,3 +308,15 @@ def test_table_states_the_minimised_definitions():
 def test_table_defines_every_label_once():
     assert set(STRUCTURES) == set(SINGLE_LABELS) | set(TWO_OP_LABELS)
     assert len(SINGLE_LABELS) == 14 and len(TWO_OP_LABELS) == 7
+
+
+def test_holds_at_agrees_with_classify_single_on_every_order2_table():
+    # a quantified label holds at some candidate, any other at None; the
+    # complement partial-hypergroupoid is a negated run, not an empty one
+    for cells in product(key_sorted_masks(2), repeat=4):
+        table = HyperTable(2, cells)
+        labels = classify_single(table).labels
+        for label in SINGLE_LABELS:
+            quantified = candidate_rule(label) in (ELEMENTS, IDENTITIES)
+            held = any(holds_at(label, table, c) for c in (range(2) if quantified else [None]))
+            assert held == (label in labels), (label, cells)

@@ -81,6 +81,8 @@ def test_classify_hypermodule():
     assert code == 0
     assert "hypermodule" in out
     assert "madd-canonical-hypergroup" in out
+    code, out, _ = run(["classify", f"{MODELS}/krasner_module.model", "--weak"])
+    assert code == 0 and "weak-hypermodule" in out
 
 
 def test_verify_t3_oracle():
@@ -244,9 +246,34 @@ def test_op_names_a_hypermodule_table(op):
     "model, op", [("krasner.model", "madd"), ("krasner.model", "law"), ("z3.model", "add")]
 )
 def test_op_refuses_a_table_the_model_lacks(model, op):
-    code, out, err = run(["classify", f"{MODELS}/{model}", "--op", op])
+    # check refuses it too when only ring axioms are asked for
+    for command, *flags in (["classify"], ["check", "--ring-axioms", "sign-rule"]):
+        code, out, err = run([command, f"{MODELS}/{model}", *flags, "--op", op])
+        assert code == 1 and out == ""
+        assert f"error: model has no operation '{op}'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["classify", "z2.model", "--weak"], "--weak applies only to a hypermodule"),
+        (["classify", "krasner.model", "--weak"], "--weak applies only to a hypermodule"),
+        (
+            ["classify", "krasner_module.model", "--weak", "--op", "madd"],
+            "--weak applies only to a hypermodule",
+        ),
+        (
+            ["check", "krasner.model", "--ring-axioms", "sign-rule", "--op", "add"],
+            "--op names the table --laws are checked on",
+        ),
+    ],
+    ids=["classify-table", "classify-two-op", "classify-module-op", "check-op-without-laws"],
+)
+def test_flags_a_command_cannot_apply_are_refused(argv, reason):
+    command, model, *flags = argv
+    code, out, err = run([command, f"{MODELS}/{model}", *flags])
     assert code == 1 and out == ""
-    assert f"error: model has no operation '{op}'" in err
+    assert f"error: {reason}" in err
 
 
 def test_enumerate_validation_error():

@@ -5,7 +5,7 @@ import pytest
 
 from hyperlab import axioms, classify, engines, theorems
 from hyperlab.enumeration import sweep, two_op_plan
-from hyperlab.modelio import parse_model
+from hyperlab.modelio import parse_model, serialize_model
 from hyperlab.samples import cyclic_group_table
 from hyperlab.theorems import (
     THEOREM_IDS,
@@ -212,6 +212,22 @@ def test_t28_model_sets_identical():
         assert r.conclusion_holds
         assert r.extras["model_sets_identical"]
         assert r.extras["def15_models"] == r.extras["def14_models"] == count
+
+
+def test_t28_reports_the_least_serialization_of_a_model_set_mismatch(monkeypatch):
+    enumerated = theorems._enumerated
+    def15 = enumerated(1, 3, "hyperfield-def15", zero=0, one=1)
+    kept = [def15[0], def15[3]]  # Def-14 loses three models, Def-15 none
+
+    def fewer_def14(workers, order, structure, **pins):
+        return kept if structure == "hyperfield" else enumerated(workers, order, structure, **pins)
+
+    monkeypatch.setattr(theorems, "_enumerated", fewer_def14)
+    r = theorems.verify("T28", 3)
+    lost = sorted(serialize_model(m) for m in def15 if m not in kept)
+    assert len(lost) == 3 and not r.conclusion_holds
+    assert r.extras == {"def15_models": 5, "def14_models": 2, "model_sets_identical": False}
+    assert r.counterexample == {"model": lost[0], "witness": {"note": "model-set mismatch"}}
 
 
 def test_t6_order2and3():
