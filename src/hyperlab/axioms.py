@@ -483,7 +483,8 @@ def _star_group_failure(model: TwoOpModel) -> AxiomResult | None:
 
 
 def multiplicative_identity(model: TwoOpModel) -> int | None:
-    """The two-sided scalar identity of mul if one exists (prefers model.one)."""
+    """The two-sided scalar identity of mul, or None; when model.one is set,
+    only that element is checked."""
     n = model.order
     mul = model.mul
     candidates = range(n) if model.one is None else (model.one,)

@@ -104,7 +104,9 @@ def _check_job(job: EnumerationJob):
         cap, owner = 3 if "associative" in job.constraints else 2, "a law-only job"
     else:  # order 3 alone has 8^9 = 134,217,728 tables
         cap, owner = 2, "an unconstrained job"
-    if not 1 <= job.order <= cap:
+    if job.order < 1:
+        raise ValueError(f"order must be at least 1, got {job.order}")
+    if job.order > cap:
         raise ValueError(f"order {job.order} above the cap {cap} for {owner}")
     if job.oracle and job.order > (2 if two_op else 3):
         raise ValueError("oracle mode caps two-operation jobs at order 2, the others at 3")
@@ -219,7 +221,7 @@ def mul_compositions(n: int, zero: int, one, ring_ids, workers=1):
                 forced[one * n + x] = forced[x * n + one] = 1 << x
     run = (("law", "associative"), ("singleton-cells",))
     run += tuple(("forced", *pin) for pin in forced.items())
-    for mul in sweep(n, [run], workers=workers, pruned=True)[0]:
+    for mul in sweep(n, [run], workers=workers)[0]:
         probe = TwoOpModel(n, mul, mul, zero)  # these checks read only mul
         if all(axioms.check_ring_axioms(probe, r).holds for r in ring_ids if r in _MUL_ONLY):
             yield mul
@@ -260,7 +262,7 @@ def two_op_plan(n, label_axioms, zero=None, one=None, dropped=None, workers=1):
     ring = [a for a in kept if isinstance(a, str)]
     if not _ON_H_STAR.intersection(label_axioms):
         laws = (("law", "associative"), ("law", "reproductive"), ("law", "commutative"))
-        for add in sweep(n, [laws + (("singleton-cells",),)], pruned=True)[0]:
+        for add in sweep(n, [laws + (("singleton-cells",),)])[0]:
             z = axioms.find_identities(add).scalar.bit_length() - 1
             if z >= 0 and zero in (None, z):
                 muls = [_MUL_DESCRIPTORS[a](add, z) for a in ring if a in _MUL_DESCRIPTORS]

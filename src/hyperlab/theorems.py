@@ -25,17 +25,20 @@ Verifier ids:
 Every id but T6, T28 and T29 is a declarative `Claim` run by `_run_claim`.
 T6 sweeps the runs of `enumeration.two_op_plan` (one per additive group),
 T28 compares enumeration jobs, both drop searches share one loop over plan
-runs (`_plan_first`), and T29's scalar family is bespoke.  No verifier runs
-an engine itself: premise sweeps go through `enumeration.sweep` or
-`count_sweep` (each engine from `engines.plan_sweep`), and every drop and
-independence search is one first-hit search, `enumeration.search_first`, at
-orders <= DROP_CAP (above it each drop is reported as `not_searched`).
+runs (`_plan_first`), and T29's module additions are the premise models of
+the claim `_NORMAL`; only its action search over a bundled scalar family is
+bespoke.  No verifier runs an engine itself: premise sweeps go through
+`enumeration.sweep` or `count_sweep` (each engine from `engines.plan_sweep`),
+and every drop and independence search is one first-hit search,
+`enumeration.search_first`, at orders <= DROP_CAP (above it each drop is
+reported as `not_searched`).
 
 Sweeps quantified over a distinguished element (identity or zero) count
-(table, element) pairs as premise models.  Every counterexample and
-independence witness is revalidated through the axiom predicates before a
-report is emitted (a disagreement raises RuntimeError), and reports are
-identical for any worker count.
+(table, element) pairs as premise models, all from one sweep,
+`_premise_models`.  Every counterexample and independence witness is
+revalidated through the axiom predicates before a report is emitted (a
+disagreement raises RuntimeError), and reports are identical for any worker
+count.
 """
 
 import time
@@ -207,9 +210,13 @@ class Claim:
                    pairs for every candidate e
     drops          droppable premises: ids, or (name, ids) for a group; a
                    drop witness is the canonical first (model, element) pair
-    counts         only the premise count and the first failure are needed
-    pruned         sweep on the backtracker even where the vector engine fits
+    pruned         sweep on the backtracker even where the vector engine
+                   fits: a measured engine choice the planner cannot see
     extras         hook(Swept) -> the report's extras
+
+    Count mode is derived in `sweep_engine`: without a quantified element
+    and with a descriptor for every conclusion id, a claim's sweep needs
+    only the premise count and the first failure.
     """
 
     premises: tuple
@@ -217,7 +224,6 @@ class Claim:
     biconditional: object = None
     element: str | None = None
     drops: tuple = ()
-    counts: bool = False
     pruned: bool = False
     extras: object = None
 
@@ -234,23 +240,19 @@ class Swept:
     first: tuple | None
 
 
-def sweep_engine(theorem: str, order: int, oracle: bool = False) -> str:
-    """The engine `engines.plan_sweep` picks for a claim's premise sweep, or
-    for each run of T6's two-operation plan."""
-    if theorem == "T6":
-        run = next(two_op_plan(order, classify.axioms_of(_DEF7)))
-        return engines.plan_sweep(order, run.descriptors, oracle=oracle, pruned=True)
-    claim = CLAIMS[theorem]
+def sweep_engine(claim: Claim, order: int, oracle: bool = False) -> str:
+    """The engine `engines.plan_sweep` picks for a claim's premise sweep."""
     ids = [i for run in claim.premises for i in run]
-    if claim.counts:  # the count kernel evaluates the conclusion too
+    counts = claim.element is None and all(i in _DESCRIPTOR_IDS for i in claim.conclusion)
+    if counts:  # the count kernel evaluates the conclusion too
         ids += claim.conclusion
     descriptors = _descriptors_at(ids, 0)
-    return engines.plan_sweep(order, descriptors, oracle, counts=claim.counts, pruned=claim.pruned)
+    return engines.plan_sweep(order, descriptors, oracle, counts=counts, pruned=claim.pruned)
 
 
 def _run_claim(theorem, order, drop_premises, oracle, workers):
     claim = CLAIMS[theorem]
-    if sweep_engine(theorem, order, oracle) == engines.VECTOR_COUNT:
+    if sweep_engine(claim, order, oracle) == engines.VECTOR_COUNT:
         models = None
         premise_models, first = _count_premises(claim, workers)
     else:
@@ -442,11 +444,6 @@ def _identity_and_inverses(table: HyperTable) -> bool:
     return axioms.group_inverse_map(table, (scalars & -scalars).bit_length() - 1) is not None
 
 
-def qmp_premise_pairs(order, oracle=False, workers=1):
-    """(table, e) pairs satisfying the qMp premises, e scanned ascending."""
-    return _premise_models(CLAIMS["T13"], order, oracle, workers)
-
-
 def qmp_property_checks(table: HyperTable, e: int):
     """The property suite over one qMp model; ids carry the catalog names."""
     n = table.order
@@ -556,11 +553,11 @@ CLAIMS = {
     # pruned: criterion 2 certifies the backtracker's order-3 sweep
     "T3": Claim(
         (("associative", "reproductive"),), ("cellwise-nonempty",),
-        drops=("associative", "reproductive"), counts=True, pruned=True,
+        drops=("associative", "reproductive"), pruned=True,
     ),
     "T7": Claim(
         (("weakly-associative",),), ("cellwise-nonempty",),
-        drops=("weakly-associative",), counts=True,
+        drops=("weakly-associative",),
     ),
     "T9": Claim(
         (("left-inverted-associative", "reproductive"),
@@ -571,12 +568,11 @@ CLAIMS = {
              ("left-inverted-associative", "right-inverted-associative")),
             "reproductive",
         ),
-        counts=True,
     ),
     "T11": Claim(
         ((),), ("reproductive", "divisions-nonempty"),
         biconditional=lambda a, b: {"note": "reproductive and division-nonemptiness disagree"},
-        counts=True, extras=lambda _s: {"biconditional": True},
+        extras=lambda _s: {"biconditional": True},
     ),
     "T13": Claim(
         (_QMP,), ("reproductive",), element="element", drops=_QMP, extras=_t13_extras
@@ -589,10 +585,12 @@ CLAIMS = {
         (_CANONICAL,), ("reproductive", "cellwise-nonempty"), element="zero", drops=_CANONICAL
     ),
     "T26": Claim((_CANONICAL,), ("scalar-zero",), element="zero", drops=_CANONICAL),
+    # pruned: the backtracker ran the order-3 sweep about ten times faster
+    # than vector collect, with the same report
     "T27": Claim(
         (_CANONICAL[:3],), ("reversibility-canonical", "opposite-additivity"),
         biconditional=lambda rev, opp: {"reversibility": rev, "opposite_additivity": opp},
-        element="zero", drops=_CANONICAL[:3], extras=_t27_extras,
+        element="zero", drops=_CANONICAL[:3], extras=_t27_extras, pruned=True,
     ),
 }
 
@@ -602,6 +600,9 @@ _WEAK_QMP = Claim(
     conclusion=("reversibility-poly-weak",),
     element="element",
 )
+
+# T29's module additions: (table, zero) pairs of the normal-hypergroup axioms
+_NORMAL = Claim((_ids_of("normal-hypergroup"),), (), element="zero", pruned=True)
 
 
 # -- T6: multiplicative hyperrings ---------------------------------------------
@@ -788,18 +789,6 @@ def _t29_scalar_family(workers):
     return list(unique.values())
 
 
-def _t29_module_tables(max_order, workers):
-    """(table, zero, commutative) candidates: normal hypergroups of small
-    order, at every zero where the table's normal-hypergroup axioms hold."""
-    out = []
-    for order in range(1, max_order + 1):
-        for t in _enumerated(workers, order, "normal-hypergroup"):
-            for z in range(order):
-                if classify.holds_at("normal-hypergroup", t, z):
-                    out.append((t, z, axioms.check_law(t, "commutative").holds))
-    return out
-
-
 def _actions_satisfying(p_model, madd, zero_m):
     """Yield single-valued actions passing axioms i-iv (ii as equality) in
     row-major order: the product of each scalar's rows that pass i and iv,
@@ -831,11 +820,12 @@ def _t29_pair(task):
 
 def _verify_t29(order, drop_premises, oracle, workers):
     scalars = _t29_scalar_family(workers)
-    modules = _t29_module_tables(order, workers)
-    triples = [(p, madd, z) for _, p in scalars for madd, z, _ in modules]
+    # the module additions of orders 1 to `order`, ignoring --oracle
+    modules = sum((_premise_models(_NORMAL, n, False, workers) for n in range(1, order + 1)), [])
+    triples = [(p, madd, z) for _, p in scalars for madd, z in modules]
     space = sum(madd.order ** (p.order * madd.order) for p, madd, _ in triples)
     results = parallel_map(_t29_pair, triples, workers)
-    commutative = [comm for _ in scalars for _, _, comm in modules]
+    commutative = [axioms.check_law(t, "commutative").holds for t, _ in modules] * len(scalars)
     premise = [r for r, comm in zip(results, commutative) if comm]
     premise_models = sum(count for count, _, _ in premise)
     noncomm_premise_models = sum(r[0] for r in results) - premise_models

@@ -15,7 +15,7 @@ from hyperlab.samples import (
     krasner_hyperfield,
     total_table,
 )
-from hyperlab.theorems import qmp_premise_pairs, verify
+from hyperlab.theorems import CLAIMS, _premise_models, verify
 
 from conftest import verify_cached
 
@@ -91,7 +91,7 @@ def test_criterion_5_qmp_suite():
         enumerate_models(
             EnumerationJob(order, ("group",), emit=groups.append)
         )
-        qmp_tables = {t.cells for t, _e in qmp_premise_pairs(order)}
+        qmp_tables = {t.cells for t, _e in _premise_models(CLAIMS["T13"], order, False, 1)}
         ok = ok and all(g.cells in qmp_tables for g in groups)
     report(5, ok)
 

@@ -282,6 +282,14 @@ def test_enumerate_validation_error():
     assert "cap" in err
 
 
+@pytest.mark.parametrize("order", [0, -2])
+def test_enumerate_refuses_orders_below_1(order):
+    code, out, err = run(["enumerate", "--order", str(order), "--structure", "group"])
+    assert code == 1 and out == ""
+    assert f"order must be at least 1, got {order}" in err
+    assert "cap" not in err
+
+
 @pytest.mark.parametrize(
     "structure",
     [

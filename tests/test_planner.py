@@ -8,8 +8,10 @@ T6 and T28 read the two-operation search plan (`enumeration.two_op_plan`)
 that two-operation enumeration jobs sweep: T6 sweeps each of its runs, one
 per additive group, through `enumeration.sweep` (pinned below by its first
 run), and T28 compares enumeration jobs (covered by the two-operation rows).
-T29 searches actions over a bundled family.  Drop searches always run on the
-backtracker's shards (`enumeration.search_first`), so they have no row here.
+T29's module additions are the premise models of the claim `_NORMAL` (pinned
+below with T24's weak reading); its action search over a bundled family runs
+no sweep.  Drop searches always run on the backtracker's shards
+(`enumeration.search_first`), so they have no row here.
 """
 
 import os
@@ -18,7 +20,7 @@ import sys
 
 import pytest
 
-from hyperlab import engines, enumeration, parallel, theorems
+from hyperlab import classify, engines, enumeration, parallel, theorems
 from hyperlab.enumeration import EnumerationJob
 
 PURE = engines.PURE
@@ -41,7 +43,7 @@ VERIFIER_PLANS = {
     # collect filters the survivors through its predicate
     "T25": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
     "T26": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
-    "T27": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (BT, BT)},
+    "T27": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
     # bespoke, but planned by the same rule
     "T6": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT)},
 }
@@ -64,14 +66,28 @@ def test_every_spec_driven_verifier_and_order_is_pinned():
     ],
 )
 def test_verifier_engine(theorem, order, oracle, engine):
-    assert theorems.sweep_engine(theorem, order, oracle) == engine
+    if theorem == "T6":  # each run of the plan sweeps like the first
+        run = next(enumeration.two_op_plan(order, classify.axioms_of(theorems._DEF7)))
+        assert engines.plan_sweep(order, run.descriptors, oracle, pruned=True) == engine
+    else:
+        assert theorems.sweep_engine(theorems.CLAIMS[theorem], order, oracle) == engine
 
 
 @pytest.mark.parametrize("theorem", ["T7", "T11"])
 def test_order3_oracle_counts_without_materialising_tables(theorem):
     # 15,322,445 T7 premise tables, 8^9 T11 tables: count mode keeps neither
-    assert theorems.sweep_engine(theorem, 3, oracle=True) == COUNT
-    assert theorems.sweep_engine(theorem, 3) == COUNT
+    claim = theorems.CLAIMS[theorem]
+    assert theorems.sweep_engine(claim, 3, oracle=True) == COUNT
+    assert theorems.sweep_engine(claim, 3) == COUNT
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_sweeps_outside_the_claims_table(order):
+    # T29's module additions run on the backtracker (it ignores --oracle);
+    # T24's weak reading runs vector collect at order 3
+    assert theorems.sweep_engine(theorems._NORMAL, order) == BT
+    weak = theorems.sweep_engine(theorems._WEAK_QMP, order)
+    assert weak == (COLLECT if order == 3 else BT)
 
 
 @pytest.mark.parametrize(

@@ -4,12 +4,11 @@ import time
 import pytest
 
 from hyperlab import axioms, classify, engines, theorems
-from hyperlab.enumeration import sweep, two_op_plan
+from hyperlab.enumeration import EnumerationJob, enumerate_models, sweep, two_op_plan
 from hyperlab.modelio import parse_model, serialize_model
 from hyperlab.samples import cyclic_group_table
 from hyperlab.theorems import (
     THEOREM_IDS,
-    qmp_premise_pairs,
     qmp_property_checks,
     search_independence,
     verify,
@@ -120,9 +119,13 @@ def test_t7_witnesses_on_drop():
     assert not axioms.check_law(table, "cellwise-nonempty").holds
 
 
+def _qmp_pairs(order, workers=1):
+    return theorems._premise_models(theorems.CLAIMS["T13"], order, False, workers)
+
+
 def test_qmp_pairs_contain_all_group_tables():
     for order in (1, 2, 3):
-        pairs = qmp_premise_pairs(order)
+        pairs = _qmp_pairs(order)
         tables = {t.cells for t, _e in pairs}
         group = cyclic_group_table(order)
         assert group.cells in tables
@@ -174,7 +177,7 @@ def test_qmp_spread_matches_direct_per_element_sweep():
                 ("polysymmetry-at", e, False),
             )
             direct.extend((t.cells, e) for t in sweep(order, [cs])[0])
-        spread = [(t.cells, e) for t, e in qmp_premise_pairs(order)]
+        spread = [(t.cells, e) for t, e in _qmp_pairs(order)]
         assert sorted(direct) == sorted(spread)
 
 
@@ -281,6 +284,20 @@ def test_t29_order3():
     assert r.conclusion_holds
     assert r.premise_models == 26
     assert r.extras["opposite_scalar_action_negates"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_t29_module_additions_are_the_normal_hypergroup_pairs(order, workers):
+    # the claim's premise pairs are the normal-hypergroup enumeration, each
+    # table at every zero where its axioms hold, in the same order
+    tables = []
+    enumerate_models(EnumerationJob(order, ("normal-hypergroup",), emit=tables.append), workers)
+    expected = [
+        (t, z) for t in tables for z in range(order) if classify.holds_at("normal-hypergroup", t, z)
+    ]
+    assert theorems._premise_models(theorems._NORMAL, order, False, workers) == expected
+    assert expected
 
 
 def test_oracle_equals_default_at_order2():
@@ -405,11 +422,13 @@ def test_order4_drops_are_not_searched():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("theorem", ["T25", "T26"])
+@pytest.mark.parametrize("theorem", ["T25", "T26", "T27"])
 def test_order3_oracle_report_equals_default(theorem):
-    # the oracle sweeps the raw space on the vector engine and filters its
-    # survivors through canonical reversibility, which does not vectorize
-    assert theorems.sweep_engine(theorem, 3, oracle=True) == engines.VECTOR_COLLECT
+    # the oracle sweeps the raw space on the vector engine (T25 and T26 filter
+    # its survivors through canonical reversibility, which does not
+    # vectorize); the default runs the backtracker
+    engine = theorems.sweep_engine(theorems.CLAIMS[theorem], 3, oracle=True)
+    assert engine == engines.VECTOR_COLLECT
     default = verify_cached(theorem, 3).to_json(include_wall_time=False)
     assert verify_cached(theorem, 3, oracle=True).to_json(include_wall_time=False) == default
 
