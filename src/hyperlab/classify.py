@@ -199,7 +199,7 @@ def axiom_name(axiom) -> str:
     return _NAMES[axiom[0]]
 
 
-def _result(model, axiom, cand):
+def axiom_result(model, axiom, cand):
     """AxiomResult of one axiom (a bool for the detected identity, which has
     no witness); descriptors read the table, or the model's addition."""
     if axiom == "multiplicative-identity":
@@ -216,7 +216,7 @@ def axiom_holds(model, axiom, cand=None) -> bool:
     """One axiom of the table on a table or model; a failed precondition
     counts as a failure."""
     try:
-        res = _result(model, axiom, cand)
+        res = axiom_result(model, axiom, cand)
     except PreconditionError:
         return False
     return res if isinstance(res, bool) else res.holds
@@ -226,7 +226,7 @@ def _evaluate(model, axiom, cand) -> dict:
     """The untagged evidence entry of one axiom at the candidate."""
     out = {"axiom": axiom_name(axiom)}
     try:
-        res = _result(model, axiom, cand)
+        res = axiom_result(model, axiom, cand)
     except PreconditionError as exc:
         return out | {"holds": False, "precondition": str(exc)}
     if isinstance(res, bool):

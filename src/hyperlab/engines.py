@@ -100,6 +100,9 @@ class _Candidate:
     def __repr__(self):
         return "E"
 
+    def __reduce__(self):  # unpickles as the module's E, which `at` replaces
+        return "E"
+
 
 E = _Candidate()
 

@@ -9,13 +9,16 @@ A two-operation job sweeps the runs of `two_op_plan`: each fixes one
 operation and the zero and searches the other, the addition at the zero
 under each multiplication composition when the axioms make the
 multiplication a semigroup or group on H*, otherwise the multiplication over
-each abelian additive group.  T6's sweep and drops and T28's drop searches
-run on the same plan.  Models are emitted exactly once, in canonical table
-order; with up_to_iso each isomorphism class is emitted once, represented
-by its canonical form.
+each abelian additive group.  One model sweep of a plan, `two_op_sweep`,
+keeps the models on which the axioms a run's descriptors leave open hold;
+two-operation jobs, the premise sweeps of T6 and T28, T28's Def-14 set and
+T29's scalar family take their models from it, and T6's and T28's drop
+searches walk the same plan's runs.  Models are emitted exactly once, in
+canonical table order; with up_to_iso each isomorphism class is emitted
+once, represented by its canonical form.
 
-Every enumeration job, the verifiers' premise sweeps and T6 share one
-sweep, `sweep`, which plans each descriptor run with `engines.plan_sweep`
+Every enumeration job and every verifier premise sweep share one sweep,
+`sweep`, which plans each descriptor run with `engines.plan_sweep`
 and fans its tasks out over the workers.  By default that is the sharded
 backtracker, whose pruned-node count the summary reports (for a
 two-operation job, that of its plan runs' sweeps).  A
@@ -27,8 +30,9 @@ order <= 2 and for compositions, the vectorized full-space engine at order
 3, capped there; a two-operation job pairs every commutative associative
 addition with every multiplication, at order 2 only).  The oracles run
 only under `--oracle` and in the tests that certify the generator; every
-other caller, golden-check included, runs the generator.  Two-operation
-models pass `classify.classify_two_op` before they are kept.  `search_first`
+other caller, golden-check included, runs the generator.  A two-operation
+job keeps a model only once `classify.classify_two_op` gives it the job's
+labels.  `search_first`
 is the one first-hit search behind every drop and independence search.
 
 Every label caps the order of its jobs (`classify.max_order`); a job with
@@ -238,16 +242,29 @@ def _group_action_links(mul: HyperTable, zero: int, n: int) -> tuple:
 @dataclass(frozen=True)
 class TwoOpRun:
     """One run of a two-operation search plan: the descriptors of the
-    searched operation, with the other one (`fixed`) and the zero fixed."""
+    searched operation, with the other one (`fixed`) and the zero fixed, and
+    the axioms the descriptors leave `open` to a check on each model."""
 
     descriptors: tuple
     fixed: HyperTable
     zero: int
     mul_fixed: bool
+    open: tuple = ()
 
-    def operations(self, table: HyperTable) -> tuple:
-        """(add, mul, zero) with `table` as the searched operation."""
-        return (table, self.fixed, self.zero) if self.mul_fixed else (self.fixed, table, self.zero)
+    def model(self, table: HyperTable, one=None):
+        """The model with `table` as the searched operation; see `with_detected_one`."""
+        add, mul = (table, self.fixed) if self.mul_fixed else (self.fixed, table)
+        return with_detected_one(table.order, add, mul, self.zero, one)
+
+    def admits(self, model: TwoOpModel) -> bool:
+        return all(classify.axiom_holds(model, a, self.zero) for a in self.open)
+
+    def descriptors_of(self, axiom):
+        """The axiom as descriptors of the searched operation, or None when
+        it reads the fixed one."""
+        if self.mul_fixed:
+            return None if isinstance(axiom, str) else (engines.at(axiom, self.zero),)
+        return _MUL_DESCRIPTORS[axiom](self.fixed, self.zero) if axiom in _MUL_DESCRIPTORS else None
 
 
 def two_op_plan(n, label_axioms, zero=None, one=None, dropped=None, workers=1):
@@ -255,25 +272,47 @@ def two_op_plan(n, label_axioms, zero=None, one=None, dropped=None, workers=1):
     or every one.  The full axiom list picks the strategy: when it makes the
     multiplication a semigroup or group on H*, each run fixes a
     `mul_compositions` table and searches the addition at the zero (linked by
-    the group action under the group and distributive equality); otherwise
-    each run fixes an abelian additive group (zero = its identity) and
-    searches the multiplication.  `dropped` is left out of the runs."""
+    the group action under the group and distributive equality), leaving the
+    axioms that read both operations open; otherwise each run fixes an
+    abelian additive group (zero = its identity) and searches the
+    multiplication.  `dropped`, an axiom or a descriptor, is left out of the
+    runs."""
     kept = [a for a in label_axioms if a != dropped]
     ring = [a for a in kept if isinstance(a, str)]
+
+    def run(fixed, z, mul_fixed, links=()):
+        searched = TwoOpRun((), fixed, z, mul_fixed).descriptors_of
+        descriptors = tuple(d for a in kept for d in searched(a) or () if d != dropped)
+        open_axioms = tuple(a for a in ring if a not in _MUL_ONLY) if mul_fixed else ()
+        return TwoOpRun(descriptors + links, fixed, z, mul_fixed, open_axioms)
+
     if not _ON_H_STAR.intersection(label_axioms):
         laws = (("law", "associative"), ("law", "reproductive"), ("law", "commutative"))
         for add in sweep(n, [laws + (("singleton-cells",),)])[0]:
             z = axioms.find_identities(add).scalar.bit_length() - 1
             if z >= 0 and zero in (None, z):
-                muls = [_MUL_DESCRIPTORS[a](add, z) for a in ring if a in _MUL_DESCRIPTORS]
-                yield TwoOpRun(sum(muls, ()), add, z, False)
+                yield run(add, z, False)
         return
     group = "multiplicative-group-on-H*" in ring and "distributive-equal" in ring
     for z in range(n) if zero is None else (zero,):
-        additive = tuple(engines.at(a, z) for a in kept if a not in ring)
         for mul in mul_compositions(n, z, one, ring, workers):
-            links = _group_action_links(mul, z, n) if group else ()
-            yield TwoOpRun(additive + links, mul, z, True)
+            yield run(mul, z, True, _group_action_links(mul, z, n) if group else ())
+
+
+def two_op_sweep(n, runs, one=None, oracle=False, workers=1):
+    """(models of the plan runs in `two_op_key` order, pruned nodes): each
+    run's tables from `sweep` on the pruned generator, or its oracle, as
+    models with the detected identity (the pinned `one`, if given) on which
+    the run's open axioms hold."""
+    seen, pruned_total = {}, 0
+    for run in runs:
+        tables, pruned = sweep(n, [run.descriptors], oracle, workers, pruned=True)
+        pruned_total += pruned
+        for table in tables:
+            model = run.model(table, one)
+            if model is not None and run.admits(model):
+                seen[two_op_key(model)] = model
+    return [seen[k] for k in sorted(seen)], pruned_total
 
 
 def _enumerate_two_op(job: EnumerationJob, workers: int):
@@ -281,27 +320,22 @@ def _enumerate_two_op(job: EnumerationJob, workers: int):
     extra_laws = [c for c in job.constraints if c in axioms.LAW_IDS]
     # the search comes from the structures' axioms in the table
     table_axioms = list(dict.fromkeys(a for s in structures for a in classify.axioms_of(s)))
-    n, triples, pruned_total = job.order, [], 0
+    n = job.order
     if job.oracle:
-        # every two-operation structure requires a commutative associative
-        # addition; screening for it leaves 20x fewer pairs to classify
+        # every multiplication over every commutative associative addition
+        # (which every two-operation structure requires; screening for it
+        # leaves 20x fewer pairs to classify) at each candidate zero
         adds = sweep(n, [(("law", "associative"), ("law", "commutative"))], oracle=True)[0]
-        muls = sweep(n, [()], oracle=True)[0]
-        triples = [(add, mul, zero) for zero in _candidates(job) for add in adds for mul in muls]
+        runs = [TwoOpRun((), add, zero, False) for zero in _candidates(job) for add in adds]
     else:
-        for run in two_op_plan(n, table_axioms, job.zero, job.one, workers=workers):
-            tables, pruned = sweep(n, [run.descriptors], workers=workers, pruned=True)
-            triples += map(run.operations, tables)
-            pruned_total += pruned
-
-    seen = {}
-    for add, mul, zero in triples:
-        model = with_detected_one(n, add, mul, zero, job.one)
-        if model is None or not all(axioms.check_law(add, law).holds for law in extra_laws):
-            continue
-        if set(structures) <= classify.classify_two_op(model).labels:
-            seen[two_op_key(model)] = model
-    return [seen[k] for k in sorted(seen)], pruned_total
+        runs = two_op_plan(n, table_axioms, job.zero, job.one, workers=workers)
+    models, pruned = two_op_sweep(n, runs, job.one, job.oracle, workers)
+    kept = [
+        m for m in models
+        if all(axioms.check_law(m.add, law).holds for law in extra_laws)
+        and set(structures) <= classify.classify_two_op(m).labels
+    ]
+    return kept, pruned
 
 
 def with_detected_one(n, add, mul, zero, pinned_one=None):

@@ -24,6 +24,7 @@ parsers end in the first; both serializers and the CLI's `--op` read the second.
 import json
 import re
 
+from .axioms import multiplicative_identity
 from .model import (
     KIND_COMPOSITION,
     KINDS,
@@ -198,6 +199,7 @@ def parse_model(text: str, fmt: str = "text"):
 
     tables = []
     constants: dict[str, int] = {}
+    constant_lines = {}
     action_rows = None
     action_shape = None
     while (item := lines.peek()) is not None:
@@ -215,6 +217,7 @@ def parse_model(text: str, fmt: str = "text"):
             if word in constants:
                 raise ParseError(f"duplicate `{word}` line", lineno, 1)
             constants[word] = int(parts[1])
+            constant_lines[word] = lineno
         elif word == "action":
             lines.take()
             parts = content.split()
@@ -239,10 +242,11 @@ def parse_model(text: str, fmt: str = "text"):
 
     if not tables:
         raise ParseError("model has no operations", lineno, 1)
-    return _assemble(order, tables, constants, action_shape, action_rows, lineno)
+    one_line = constant_lines.get("one", 0)
+    return _assemble(order, tables, constants, action_shape, action_rows, lineno, one_line)
 
 
-def _assemble(order, tables, constants, action_shape, action_rows, lineno):
+def _assemble(order, tables, constants, action_shape, action_rows, lineno, one_line=0):
     zero = constants.get("zero")
     one = constants.get("one")
     zero_m = constants.get("zerom")
@@ -261,6 +265,8 @@ def _assemble(order, tables, constants, action_shape, action_rows, lineno):
             two_op = TwoOpModel(order, tables[0], tables[1], zero, one)
         except ValueError as exc:
             raise ParseError(str(exc), lineno, 1) from exc
+        if one is not None and multiplicative_identity(two_op) is None:
+            raise ParseError(f"`one {one}` is not the multiplicative identity", one_line, 1)
     else:
         raise ParseError("hypermodule models need scalar add and mul operations", lineno, 1)
 

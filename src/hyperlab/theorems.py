@@ -17,21 +17,22 @@ Verifier ids:
     T26  canonical additive axioms => x + 0 = {x}
     T27  under associativity+commutativity+unique opposites:
          reversibility <=> elementwise opposite additivity
-    T28  reversibility-free hyperfield axioms give exactly the classical
-         hyperfield models (and reversibility on each)
+    T28  reversibility-free hyperfield axioms => reversibility, so they give
+         exactly the classical hyperfield models
     T29  hypermodule premises over the bundled scalar family => the module
          addition is canonical
 
-Every id but T6, T28 and T29 is a declarative `Claim` run by `_run_claim`.
-T6 sweeps the runs of `enumeration.two_op_plan` (one per additive group),
-T28 compares enumeration jobs, both drop searches share one loop over plan
-runs (`_plan_first`), and T29's module additions are the premise models of
-the claim `_NORMAL`; only its action search over a bundled scalar family is
-bespoke.  No verifier runs an engine itself: premise sweeps go through
-`enumeration.sweep` or `count_sweep` (each engine from `engines.plan_sweep`),
-and every drop and independence search is one first-hit search,
-`enumeration.search_first`, at orders <= DROP_CAP (above it each drop is
-reported as `not_searched`).
+Every id but T29 is a declarative `Claim` run by `_run_claim`.  The premise
+of T6 and T28 is a two-operation label: its models come from one sweep of the
+label's search plan (`enumeration.two_op_sweep` over `two_op_plan`), which
+two-operation enumeration, T28's Def-14 set and T29's scalar family share,
+and its drop searches walk the plan's runs with one axiom or descriptor left
+out.  T29's module additions are the premise models of the claim `_NORMAL`;
+only its action search over a bundled scalar family is bespoke.  No verifier
+runs an engine itself: premise sweeps go through `enumeration.sweep` or
+`count_sweep` (each engine from `engines.plan_sweep`), and every drop and
+independence search is one first-hit search, `enumeration.search_first`, at
+orders <= DROP_CAP (above it each drop is reported as `not_searched`).
 
 Sweeps quantified over a distinguished element (identity or zero) count
 (table, element) pairs as premise models, all from one sweep,
@@ -49,15 +50,7 @@ from itertools import product
 
 from . import axioms, classify, engines
 from .engines import E, at
-from .enumeration import (
-    EnumerationJob,
-    count_sweep,
-    enumerate_models,
-    search_first,
-    sweep,
-    two_op_plan,
-    with_detected_one,
-)
+from .enumeration import count_sweep, search_first, sweep, two_op_plan, two_op_sweep
 from .model import (
     HyperTable,
     HypermoduleModel,
@@ -168,6 +161,9 @@ def _ids_of(label):
 
 
 def _id_holds(table, ident, cand) -> bool:
+    if isinstance(table, TwoOpModel):  # a two-operation label or axiom, at the zero
+        ids = classify.axioms_of(ident) if ident in classify.TWO_OP_LABELS else (ident,)
+        return all(classify.axiom_holds(table, i, cand) for i in ids)
     if ident in _DESCRIPTOR_IDS:
         return engines.constraint_holds(table, at(_DESCRIPTOR_IDS[ident], cand))
     if ident in _PREDICATE_IDS:
@@ -180,9 +176,12 @@ def _witness(table, ident, cand):
     if ident == "qmp-properties":
         _revalidate(not _id_holds(table, ident, cand), "a qMp property fails")
         return {"check": next(cid for cid, ok in qmp_property_checks(table, cand) if not ok)}
-    if ident not in _DESCRIPTOR_IDS:
+    if isinstance(table, TwoOpModel):
+        res = classify.axiom_result(table, ident, cand)
+    elif ident in _DESCRIPTOR_IDS:
+        res = engines.constraint_result(table, at(_DESCRIPTOR_IDS[ident], cand))
+    else:
         raise ValueError(f"no witness for {ident!r}")
-    res = engines.constraint_result(table, at(_DESCRIPTOR_IDS[ident], cand))
     _revalidate(not res.holds, f"{ident} fails")
     return res.witness.to_json()
 
@@ -202,14 +201,20 @@ class Claim:
     """Premises imply a conclusion; the declarative input of `_run_claim`.
 
     premises       premise runs: a disjunction of conjunctions of ids; a run
-                   with "singleton-cells" sweeps compositions
-    conclusion     ids that must all hold, or the two sides of a biconditional
+                   with "singleton-cells" sweeps compositions; or one run of
+                   a two-operation label, whose premise models are the
+                   label's models on its plan (`enumeration.two_op_plan`),
+                   at zero 0 and one 1 when it has a multiplicative group on H*
+    conclusion     ids that must all hold, or the two sides of a biconditional;
+                   after a two-operation premise, one axiom of the table
     biconditional  for a biconditional, (side_a, side_b) -> witness JSON
     element        None, or the report key ("element", "zero") of the
                    quantified element; premise models are then (table, e)
                    pairs for every candidate e
     drops          droppable premises: ids, or (name, ids) for a group; a
-                   drop witness is the canonical first (model, element) pair
+                   drop witness is the canonical first (model, element) pair;
+                   a two-operation premise drops one axiom or descriptor of
+                   its plan runs, and the first run with a hit wins
     pruned         sweep on the backtracker even where the vector engine
                    fits: a measured engine choice the planner cannot see
     extras         hook(Swept) -> the report's extras
@@ -230,7 +235,8 @@ class Claim:
 
 @dataclass
 class Swept:
-    """An extras hook's input; `models` is None after a count-mode sweep."""
+    """An extras hook's input; `models` is None after a count-mode sweep, and
+    `runs` holds the plan runs of a two-operation premise."""
 
     claim: Claim
     order: int
@@ -238,10 +244,12 @@ class Swept:
     workers: int
     models: list | None
     first: tuple | None
+    runs: list | None = None
 
 
 def sweep_engine(claim: Claim, order: int, oracle: bool = False) -> str:
-    """The engine `engines.plan_sweep` picks for a claim's premise sweep."""
+    """The engine `engines.plan_sweep` picks for a single-operation claim's
+    premise sweep."""
     ids = [i for run in claim.premises for i in run]
     counts = claim.element is None and all(i in _DESCRIPTOR_IDS for i in claim.conclusion)
     if counts:  # the count kernel evaluates the conclusion too
@@ -252,25 +260,35 @@ def sweep_engine(claim: Claim, order: int, oracle: bool = False) -> str:
 
 def _run_claim(theorem, order, drop_premises, oracle, workers):
     claim = CLAIMS[theorem]
-    if sweep_engine(claim, order, oracle) == engines.VECTOR_COUNT:
-        models = None
+    label, runs = _two_op_label(claim), None
+    if label is not None:
+        found, runs = _label_models(label, order, oracle, workers)
+        models = [(m, m.zero) for m in found]
+        # the searched hyperoperations times the fixed operations: every
+        # multiplication composition (also for an empty plan), or the fixed
+        # additive groups
+        fixed = order ** (order * order) if all(r.mul_fixed for r in runs) else len(runs)
+        space = engines.space_size(order, "hyper") * fixed
+    else:
+        premises = _descriptors_at([i for run in claim.premises for i in run], 0)
+        space = engines.space_size(order, engines.table_kind(premises))
+        space *= order if claim.element else 1
+        counts = sweep_engine(claim, order, oracle) == engines.VECTOR_COUNT
+        models = None if counts else _premise_models(claim, order, oracle, workers)
+    if models is None:
         premise_models, first = _count_premises(claim, workers)
     else:
-        models = _premise_models(claim, order, oracle, workers)
-        premise_models = len(models)
-        first = _first_failure(claim, models)
-    premises = _descriptors_at([i for run in claim.premises for i in run], 0)
-    space = engines.space_size(order, engines.table_kind(premises))
+        premise_models, first = len(models), _first_failure(claim, models)
     report = VerificationReport(
         theorem=theorem,
         order=order,
-        space_size=space * order if claim.element else space,
+        space_size=space,
         premise_models=premise_models,
         conclusion_holds=first is None,
         counterexample=None if first is None else _counterexample(claim, *first),
     )
     if claim.extras is not None:
-        report.extras = claim.extras(Swept(claim, order, oracle, workers, models, first))
+        report.extras = claim.extras(Swept(claim, order, oracle, workers, models, first, runs))
     if drop_premises and claim.drops:
         report.independence_witnesses = _drop_entries(claim, order, workers)
     return report
@@ -353,6 +371,29 @@ def _premise_models(claim, order, oracle, workers):
     return pairs
 
 
+def _two_op_label(claim):
+    """The two-operation label a claim's premise names, or None."""
+    ids = claim.premises[0]
+    return ids[0] if ids and ids[0] in classify.TWO_OP_LABELS else None
+
+
+def _plan(label, order, dropped=None, workers=1):
+    """(the plan runs of a two-operation label, the pinned one): a
+    multiplicative group on H* pins zero 0 and one 1, else nothing is pinned."""
+    label_axioms = classify.axioms_of(label)
+    zero = one = None
+    if "multiplicative-group-on-H*" in label_axioms:
+        zero, one = 0, 1 if order > 1 else None
+    return two_op_plan(order, label_axioms, zero, one, dropped, workers), one
+
+
+def _label_models(label, order, oracle, workers):
+    """(the label's models at its pins, in `two_op_key` order; its plan runs)."""
+    runs, one = _plan(label, order, workers=workers)
+    runs = list(runs)
+    return two_op_sweep(order, runs, one, oracle, workers)[0], runs
+
+
 # -- independence witnesses ------------------------------------------------------
 
 
@@ -399,18 +440,54 @@ def search_independence(premises, conclusion, order: int, workers: int = 1):
     return _independence(claim, claim.premises, order, workers)
 
 
+def _plan_independence(claim, label, removed, order, workers):
+    """Over the label's plan runs without the one removed axiom or
+    descriptor, in plan order, the first run's canonical first model on which
+    the run's open axioms hold and the one-axiom conclusion fails, as a
+    witness entry, or none_at_order."""
+    (dropped,), (conclusion,) = removed, claim.conclusion
+    for run in _plan(label, order, dropped, workers)[0]:
+        # a conclusion that is one descriptor of the searched operation is
+        # searched negated, and checked first on every table the search emits
+        negated = run.descriptors_of(conclusion) or ()
+        constraints = ((("not", *negated),) if len(negated) == 1 else ()) + run.descriptors
+        accept = partial(_admitted_failure, claim.conclusion, run)
+        hit = search_first(order, [(constraints, accept)], workers)
+        if hit is not None:
+            table = hit[0]
+            what = f"the premises but {dropped} hold and {conclusion} fails"
+            _revalidate(engines.satisfies_all(table, constraints) and accept(table), what)
+            return {"model": serialize_model(run.model(table))}
+    return {"none_at_order": order}
+
+
+def _admitted_failure(conclusion, run, table) -> bool:
+    """The run's open axioms hold on its model with `table`, and the
+    conclusion fails there."""
+    model = run.model(table)
+    return run.admits(model) and _conclusion_fails(conclusion, False, run.zero, model)
+
+
+# drops no plan can search, with the reason reported
+_UNSEARCHED = {"additive-abelian-group": "the sign rule presupposes additive inverses"}
+
+
 def _drop_entries(claim, order, workers):
     """One independence entry per droppable premise (or premise group)."""
-    entries = []
+    entries, label = [], _two_op_label(claim)
     for drop in claim.drops:
         name, removed = drop if isinstance(drop, tuple) else (drop, (drop,))
-        if order > DROP_CAP:
-            entries.append({"dropped": name, "not_searched": NOT_SEARCHED})
-            continue
-        kept_runs = dict.fromkeys(
-            tuple(i for i in run if i not in removed) for run in claim.premises
-        )
-        entries.append({"dropped": name, **_independence(claim, list(kept_runs), order, workers)})
+        reason = NOT_SEARCHED if order > DROP_CAP else _UNSEARCHED.get(name)
+        if reason is not None:
+            outcome = {"not_searched": reason}
+        elif label is not None:
+            outcome = _plan_independence(claim, label, removed, order, workers)
+        else:
+            kept_runs = dict.fromkeys(
+                tuple(i for i in run if i not in removed) for run in claim.premises
+            )
+            outcome = _independence(claim, list(kept_runs), order, workers)
+        entries.append({"dropped": name, **outcome})
     return entries
 
 
@@ -541,6 +618,25 @@ def _t27_extras(s: Swept):
     }
 
 
+def _t6_extras(s: Swept):
+    # row-emptiness coherence: one empty product empties its row
+    rows = [[m.mul.cell(w, z) for z in range(s.order)] for m, _ in s.models for w in range(s.order)]
+    coherent = not any(0 in row and any(row) for row in rows)
+    return {"additive_groups": len(s.runs), "row_emptiness_coherent": coherent}
+
+
+def _t28_extras(s: Swept):
+    def15 = [m for m, _ in s.models]
+    def14 = _label_models("hyperfield", s.order, s.oracle, s.workers)[0]
+    reversible = [m for m, zero in s.models if not _fails(s.claim, m, zero)]
+    _revalidate(def14 == reversible, "the Def-14 models are the reversible Def-15 models")
+    return {
+        "def15_models": len(def15),
+        "def14_models": len(def14),
+        "model_sets_identical": def14 == def15,
+    }
+
+
 _QMP = _ids_of("qmp-hypergroup")
 _CANONICAL = _ids_of("canonical-hypergroup")
 
@@ -554,6 +650,16 @@ CLAIMS = {
     "T3": Claim(
         (("associative", "reproductive"),), ("cellwise-nonempty",),
         drops=("associative", "reproductive"), pruned=True,
+    ),
+    # Def-7 names multiplicative associativity and non-degeneracy as one
+    # axiom; T6 drops its two descriptors one at a time
+    "T6": Claim(
+        ((_DEF7,),), ("mul-cellwise-nonempty",),
+        drops=(
+            ("mul-associative", (classify.ASSOC,)), "distributive-inclusion", "sign-rule",
+            ("non-degenerate", (("non-degenerate",),)), "additive-abelian-group",
+        ),
+        extras=_t6_extras,
     ),
     "T7": Claim(
         (("weakly-associative",),), ("cellwise-nonempty",),
@@ -592,6 +698,16 @@ CLAIMS = {
         biconditional=lambda rev, opp: {"reversibility": rev, "opposite_additivity": opp},
         element="zero", drops=_CANONICAL[:3], extras=_t27_extras, pruned=True,
     ),
+    "T28": Claim(
+        ((_DEF15,),), (classify.REVERSIBILITY,),
+        drops=(
+            ("additive-associative", (classify.ASSOC,)),
+            ("additive-commutative", (classify.COMM,)),
+            ("unique-opposite", (classify.UNIQUE_OPPOSITE,)),
+            "multiplicative-group-on-H*", "absorbing-zero", "distributive-equal",
+        ),
+        extras=_t28_extras,
+    ),
 }
 
 # T24's weak reading, swept by its extras hook
@@ -605,183 +721,13 @@ _WEAK_QMP = Claim(
 _NORMAL = Claim((_ids_of("normal-hypergroup"),), (), element="zero", pruned=True)
 
 
-# -- T6: multiplicative hyperrings ---------------------------------------------
-
-
-# report names of the descriptors of T6's plan runs by tag, in report order
-_T6_AXES = {
-    "law": "mul-associative",
-    "distributive-inclusion-over": "distributive-inclusion",
-    "sign-rule-over": "sign-rule",
-    "non-degenerate": "non-degenerate",
-}
-
-
-def _verify_t6(order, drop_premises, oracle, workers):
-    runs = list(two_op_plan(order, classify.axioms_of(_DEF7)))  # one per additive group
-    premise_models = 0
-    first = None
-    lemma_violation = None
-    for run in runs:
-        for mul in sweep(order, [run.descriptors], oracle, workers, pruned=True)[0]:
-            model = TwoOpModel(order, *run.operations(mul))
-            # row-emptiness coherence: one empty product empties its row
-            for w in range(order):
-                row = [mul.cell(w, z) for z in range(order)]
-                if 0 in row and any(row):
-                    lemma_violation = lemma_violation or model
-            premise_models += 1
-            if first is None and not axioms.check_law(mul, "cellwise-nonempty").holds:
-                first = model
-    counterexample = None
-    if first is not None:
-        counterexample = {
-            "model": serialize_model(first),
-            "witness": _witness(first.mul, "cellwise-nonempty", None),
-        }
-    elif lemma_violation is not None:
-        counterexample = {
-            "model": serialize_model(lemma_violation),
-            "witness": {"note": "row-emptiness coherence failed"},
-        }
-    report = VerificationReport(
-        theorem="T6",
-        order=order,
-        space_size=len(runs) * engines.space_size(order, "hyper"),
-        premise_models=premise_models,
-        conclusion_holds=counterexample is None,
-        counterexample=counterexample,
-        extras={
-            "additive_groups": len(runs),
-            "row_emptiness_coherent": lemma_violation is None,
-        },
-    )
-    if drop_premises:
-        report.independence_witnesses = _t6_drops(order, runs, workers)
-    return report
-
-
-def _t6_drops(order, runs, workers):
-    """Per dropped axis: the first table of the first plan run where the
-    other axes hold and some product is empty, found by a first-hit search
-    that rejects tables without an empty product first."""
-    entries, some_empty = [], (("not", ("law", "cellwise-nonempty")),)
-    for tag, dropped in _T6_AXES.items():
-        searches = (
-            (run, some_empty + tuple(c for c in run.descriptors if c[0] != tag), None)
-            for run in runs
-        )
-        hit = _plan_first(order, searches, workers, f"the axes but {dropped} hold")
-        entries.append(
-            {"dropped": dropped, "none_at_order": order} if hit is None
-            else {"dropped": dropped, "model": serialize_model(TwoOpModel(order, *hit))}
-        )
-    not_searched = "the sign rule presupposes additive inverses"
-    return entries + [{"dropped": "additive-abelian-group", "not_searched": not_searched}]
-
-
-def _plan_first(order, searches, workers, what):
-    """The drop loop of the two-operation verifiers: over (plan run,
-    constraints, accept) in plan order, the first `search_first` hit,
-    revalidated, as (add, mul, zero); None if no run has one."""
-    for run, constraints, accept in searches:
-        hit = search_first(order, [(constraints, accept)], workers=workers)
-        if hit is not None:
-            ok = engines.satisfies_all(hit[0], constraints) and (accept is None or accept(hit[0]))
-            _revalidate(ok, what)
-            return run.operations(hit[0])
-    return None
-
-
-# -- T28: hyperfields --------------------------------------------------------------
-
-
-def _t28_name(axiom) -> str:
-    """Report name of a Def-15 axiom: additive laws are prefixed."""
-    name = classify.axiom_name(axiom)
-    return "additive-" + name if axiom == ("law", name) else name
-
-
-def _enumerated(workers, order, structure, **job_fields):
-    models = []
-    enumerate_models(EnumerationJob(order, (structure,), emit=models.append, **job_fields), workers)
-    return models
-
-
-def _verify_t28(order, drop_premises, oracle, workers):
-    pins = dict(zero=0, one=1 if order > 1 else None, oracle=oracle)
-    def15 = _enumerated(workers, order, _DEF15, **pins)
-    def14 = _enumerated(workers, order, "hyperfield", **pins)
-    mismatch = set(def15) ^ set(def14)
-
-    first = next(
-        (m for m in def15 if not axioms.check_reversibility_canonical(m.add, m.zero).holds), None
-    )
-    counterexample = None
-    if mismatch:
-        diff = min(map(serialize_model, mismatch))
-        counterexample = {"model": diff, "witness": {"note": "model-set mismatch"}}
-    elif first is not None:
-        res = axioms.check_reversibility_canonical(first.add, first.zero)
-        counterexample = {
-            "model": serialize_model(first),
-            "witness": res.witness.to_json(),
-        }
-    mul_space = order ** (order * order)
-    report = VerificationReport(
-        theorem="T28",
-        order=order,
-        space_size=engines.space_size(order, "hyper") * mul_space,
-        premise_models=len(def15),
-        conclusion_holds=counterexample is None,
-        counterexample=counterexample,
-        extras={
-            "def15_models": len(def15),
-            "def14_models": len(def14),
-            "model_sets_identical": not mismatch,
-        },
-    )
-    if drop_premises:
-        for dropped in classify.axioms_of(_DEF15):
-            name = _t28_name(dropped)
-            if order > DROP_CAP:
-                entry = {"not_searched": NOT_SEARCHED}
-            else:
-                hit = _t28_drop_search(order, dropped, workers)
-                entry = {"none_at_order": order} if hit is None else {"model": serialize_model(hit)}
-            report.independence_witnesses.append({"dropped": name, **entry})
-    return report
-
-
-def _t28_drop_search(order, dropped, workers):
-    """First model (zero 0, and one 1 pinned for the multiplications, as in
-    T28's sweeps) where every Def-15 axiom but `dropped` holds and
-    reversibility fails; its `one` is the detected identity, if any."""
-    def15 = classify.axioms_of(_DEF15)
-    ring = tuple(a for a in def15 if isinstance(a, str) and a != dropped)
-    runs = two_op_plan(order, def15, 0, 1 if order > 1 else None, dropped, workers)
-    searches = ((run, run.descriptors, partial(_t28_fails, ring, run)) for run in runs)
-    what = f"the Def-15 axioms but {_t28_name(dropped)} hold, reversibility fails"
-    hit = _plan_first(order, searches, workers, what)
-    return None if hit is None else with_detected_one(order, *hit)
-
-
-def _t28_fails(ring, run, table) -> bool:
-    """The ring axioms hold on the run's model with `table` and reversibility
-    fails (an undefined opposite map counts as failed reversibility)."""
-    model = with_detected_one(table.order, *run.operations(table))
-    return all(classify.axiom_holds(model, a, 0) for a in ring) and not (
-        classify.axiom_holds(model, classify.REVERSIBILITY, 0)
-    )
-
-
 # -- T29: hypermodules ---------------------------------------------------------
 
 
 def _t29_scalar_family(workers):
     family = [("krasner", krasner_hyperfield()), ("sign", sign_hyperfield())]
     for order in (2, 3):
-        for i, m in enumerate(_enumerated(workers, order, "hyperfield", zero=0, one=1)):
+        for i, m in enumerate(_label_models("hyperfield", order, False, workers)[0]):
             family.append((f"hyperfield-{order}-{i}", m))
     unique = {}
     for name, m in family:
@@ -859,4 +805,4 @@ def _verify_t29(order, drop_premises, oracle, workers):
     return report
 
 
-_VERIFIERS = {"T6": _verify_t6, "T28": _verify_t28, "T29": _verify_t29}
+_VERIFIERS = {"T29": _verify_t29}

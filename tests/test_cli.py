@@ -76,6 +76,36 @@ def test_classify_two_op_and_component():
     assert "canonical-hypergroup" in out
 
 
+ONE_IS_NOT_THE_IDENTITY = """\
+order 3
+op add hyper
+{0} {1} {2}
+{1} {0,1,2} {1,2}
+{2} {1,2} {0,1,2}
+op mul composition
+0 0 0
+0 1 2
+0 2 1
+zero 0
+one 2
+"""
+
+
+def test_classify_refuses_a_declared_one_that_is_not_the_identity(tmp_path):
+    # element 1 is the identity; the model was classified without
+    # unitary-hyperring and without its `one` before the parser checked it
+    path = tmp_path / "one2.model"
+    path.write_text(ONE_IS_NOT_THE_IDENTITY)
+    code, out, err = run(["classify", str(path)])
+    assert (code, out) == (1, "")
+    assert "line 11, column 1: `one 2` is not the multiplicative identity" in err
+    path.write_text(ONE_IS_NOT_THE_IDENTITY.replace("one 2", "one 1"))
+    code, out, _ = run(["classify", str(path), "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert "unitary-hyperring" in payload["labels"] and payload["constants"]["one"] == 1
+
+
 def test_classify_hypermodule():
     code, out, _ = run(["classify", f"{MODELS}/krasner_module.model"])
     assert code == 0

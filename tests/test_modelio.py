@@ -128,6 +128,17 @@ def test_hypermodule_round_trip():
     assert serialize_model(parsed) == text
 
 
+def test_a_declared_one_must_be_the_multiplicative_identity():
+    text = K_TEXT.replace("0 0\n0 1\n", "0 1\n1 1\n")  # 0 is the identity
+    with pytest.raises(ParseError, match="`one 1` is not the multiplicative identity") as err:
+        parse_model(text)
+    assert err.value.line == 9  # the `one` line
+    model = model_json(krasner_hyperfield())
+    model["ops"]["mul"]["table"] = [[[0], [1]], [[1], [1]]]
+    with pytest.raises(ParseError, match="`one 1` is not"):
+        parse_model(json.dumps(model), fmt="json")
+
+
 def test_hypermodule_requires_one_and_zerom():
     hm = krasner_self_module()
     text = serialize_model(hm)
@@ -191,11 +202,12 @@ def random_model(rng):
     table = HyperTable(order, cells, kind)
     if rng.random() < 0.5:
         return table
-    mul = HyperTable(
-        order, tuple(1 << rng.randrange(order) for _ in range(order * order)), "composition"
-    )
+    mul = [1 << rng.randrange(order) for _ in range(order * order)]
     one = rng.choice([None, 1]) if order > 1 else None
-    return TwoOpModel(order, table if kind == "hyper" else table, mul, 0, one)
+    if one is not None:  # a declared one must be the multiplicative identity
+        for x in range(order):
+            mul[one * order + x] = mul[x * order + one] = 1 << x
+    return TwoOpModel(order, table, HyperTable(order, tuple(mul), "composition"), 0, one)
 
 
 def test_structural_round_trip_random():

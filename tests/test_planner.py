@@ -1,26 +1,27 @@
-"""The sweep planner's engine choice, pinned for every spec-driven verifier
-and T6, every order and mode and for each enumeration kind, plus the runner's
-revalidation and the bounded worker pool.  Apart from one small order-3
-cross-check of the witness-map split and the small two-operation jobs whose
-planned engines are recorded, nothing here runs a sweep.
+"""The sweep planner's engine choice, pinned for every claim, every order
+and mode and for each enumeration kind, plus the runner's revalidation and
+the bounded worker pool.  Apart from one small order-3 cross-check of the
+witness-map split and the small two-operation jobs whose planned engines are
+recorded, nothing here runs a sweep.
 
-T6 and T28 read the two-operation search plan (`enumeration.two_op_plan`)
-that two-operation enumeration jobs sweep: T6 sweeps each of its runs, one
-per additive group, through `enumeration.sweep` (pinned below by its first
-run), and T28 compares enumeration jobs (covered by the two-operation rows).
-T29's module additions are the premise models of the claim `_NORMAL` (pinned
-below with T24's weak reading); its action search over a bundled family runs
-no sweep.  Drop searches always run on the backtracker's shards
+T6 and T28 are claims on a two-operation label: their premise sweeps run on
+the label's search plan (`enumeration.two_op_plan`), which two-operation
+enumeration jobs sweep too, and each of its runs goes through
+`enumeration.sweep` on the pruned generator; their rows pin every run of the
+plan.  T29's module additions are the premise models of the claim `_NORMAL`
+(pinned below with T24's weak reading); its action search over a bundled
+family runs no sweep.  Drop searches always run on the backtracker's shards
 (`enumeration.search_first`), so they have no row here.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from hyperlab import classify, engines, enumeration, parallel, theorems
+from hyperlab import engines, enumeration, parallel, theorems
 from hyperlab.enumeration import EnumerationJob
 
 PURE = engines.PURE
@@ -44,14 +45,16 @@ VERIFIER_PLANS = {
     "T25": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
     "T26": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
     "T27": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
-    # bespoke, but planned by the same rule
+    # two-operation premises: every run of the plan; T28 has no run at order 1,
+    # where the multiplicative group on the empty H* does not exist
     "T6": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT)},
+    "T28": {1: (None, None), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
 }
 
 
 def test_every_spec_driven_verifier_and_order_is_pinned():
-    assert set(VERIFIER_PLANS) == set(theorems.CLAIMS) | {"T6"}
-    assert set(theorems.THEOREM_IDS) - set(theorems.CLAIMS) == {"T6", "T28", "T29"}
+    assert set(VERIFIER_PLANS) == set(theorems.CLAIMS)
+    assert set(theorems.THEOREM_IDS) - set(theorems.CLAIMS) == {"T29"}
     for theorem, plans in VERIFIER_PLANS.items():
         assert set(plans) == set(range(1, theorems._ORDER_CAPS[theorem] + 1)), theorem
 
@@ -66,11 +69,14 @@ def test_every_spec_driven_verifier_and_order_is_pinned():
     ],
 )
 def test_verifier_engine(theorem, order, oracle, engine):
-    if theorem == "T6":  # each run of the plan sweeps like the first
-        run = next(enumeration.two_op_plan(order, classify.axioms_of(theorems._DEF7)))
-        assert engines.plan_sweep(order, run.descriptors, oracle, pruned=True) == engine
-    else:
-        assert theorems.sweep_engine(theorems.CLAIMS[theorem], order, oracle) == engine
+    claim = theorems.CLAIMS[theorem]
+    label = theorems._two_op_label(claim)
+    if label is None:
+        assert theorems.sweep_engine(claim, order, oracle) == engine
+        return
+    runs = theorems._plan(label, order)[0]
+    planned = {engines.plan_sweep(order, run.descriptors, oracle, pruned=True) for run in runs}
+    assert planned == ({engine} if engine else set())
 
 
 @pytest.mark.parametrize("theorem", ["T7", "T11"])
@@ -224,6 +230,12 @@ def _python(*args):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], capture_output=True, timeout=120, env=env)
+
+
+def test_the_candidate_placeholder_survives_pickling():
+    # drop searches send conclusions holding E to worker processes
+    sent = pickle.loads(pickle.dumps(("reversibility-at", engines.E)))
+    assert engines.at(sent, 0) == ("reversibility-at", 0)
 
 
 class _FakePool:
