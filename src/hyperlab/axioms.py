@@ -4,6 +4,11 @@ Every check is a full quantifier expansion over the carrier.  Witnesses carry
 the first violating tuple in row-major scan order (outer variable first), so
 verdicts are deterministic.  Universally quantified conditions over empty
 ranges hold vacuously.
+
+The four triple laws read each side of a triple as one lookup: a check
+builds, once per table, the row unions x·m and the column unions m·z of
+every row, column and element set m.  These checks are the backtracker's
+emission re-check, so they run all n³ triples of every emitted table.
 """
 
 from dataclasses import dataclass
@@ -20,6 +25,13 @@ LAW_IDS = (
     "cellwise-nonempty",
     "total",
     "degenerate",
+)
+
+TRIPLE_LAW_IDS = (
+    "associative",
+    "weakly-associative",
+    "left-inverted-associative",
+    "right-inverted-associative",
 )
 
 RING_AXIOM_IDS = (
@@ -79,49 +91,50 @@ def _fail(axiom, elements, lhs, rhs) -> AxiomResult:
 _HOLDS = AxiomResult(True)
 
 
-def _cp_set_elem(table: HyperTable, mask: int, z: int) -> int:
-    """Complex product of a cell set with the singleton {z}."""
-    out = 0
-    n = table.order
-    cells = table.cells
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= cells[i * n + z]
-        mask >>= 1
-        i += 1
+def _unions(lines) -> list[list[int]]:
+    """unions[l][m]: the union of lines[l][i] over the elements i of mask m.
+    The masks below 2^(i+1) are those below 2^i, then the same with bit i."""
+    out = []
+    for line in lines:
+        u = [0]
+        for cell in line:
+            u += [v | cell for v in u]
+        out.append(u)
     return out
 
 
-def _cp_elem_set(table: HyperTable, x: int, mask: int) -> int:
-    out = 0
-    base = x * table.order
-    cells = table.cells
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= cells[base + i]
-        mask >>= 1
-        i += 1
-    return out
-
-
-def assoc_sides(table: HyperTable, x: int, y: int, z: int) -> tuple[int, int]:
-    """((x·y)·z, x·(y·z))."""
-    return (
-        _cp_set_elem(table, table.cell(x, y), z),
-        _cp_elem_set(table, x, table.cell(y, z)),
-    )
-
-
-def _check_triple_law(table, law, sides, violated) -> AxiomResult:
-    n = table.order
+def _triple_law_verdict(table: HyperTable, law: str) -> AxiomResult:
+    """A triple law from the row unions x·m and the column unions m·z of the
+    table, so each side of a triple is one lookup.  For each (x, y) the
+    sides are listed over z, and the first z that violates gives the
+    witness, so the scan stays row-major."""
+    n, cells = table.order, table.cells
+    rows = [cells[x * n : x * n + n] for x in range(n)]
+    cols = [cells[z::n] for z in range(n)]
+    row_u = _unions(rows) if law != "left-inverted-associative" else None
+    col_u = _unions(cols) if law != "right-inverted-associative" else None
+    weak = law == "weakly-associative"
     for x in range(n):
         for y in range(n):
-            for z in range(n):
-                lhs, rhs = sides(table, x, y, z)
-                if violated(lhs, rhs):
-                    return _fail(law, (x, y, z), lhs, rhs)
+            if law == "left-inverted-associative":  # (xy)z, (zy)x
+                xy, cx = rows[x][y], col_u[x]
+                lhs = [cu[xy] for cu in col_u]
+                rhs = [cx[m] for m in cols[y]]
+            elif law == "right-inverted-associative":  # x(yz), z(yx)
+                rx, yx = row_u[x], rows[y][x]
+                lhs = [rx[m] for m in rows[y]]
+                rhs = [ru[yx] for ru in row_u]
+            else:  # (xy)z, x(yz)
+                xy, rx = rows[x][y], row_u[x]
+                lhs = [cu[xy] for cu in col_u]
+                rhs = [rx[m] for m in rows[y]]
+            if weak:
+                for z, (a, b) in enumerate(zip(lhs, rhs)):
+                    if not a & b:
+                        return _fail(law, (x, y, z), a, b)
+            elif lhs != rhs:
+                z = next(z for z in range(n) if lhs[z] != rhs[z])
+                return _fail(law, (x, y, z), lhs[z], rhs[z])
     return _HOLDS
 
 
@@ -144,22 +157,8 @@ def _reproductive(table: HyperTable) -> AxiomResult:
 def check_law(table: HyperTable, law: str) -> AxiomResult:
     """Verdict for one named law, with the first row-major violation on failure."""
     n = table.order
-    if law == "associative":
-        return _check_triple_law(table, law, assoc_sides, lambda a, b: a != b)
-    if law == "weakly-associative":
-        return _check_triple_law(table, law, assoc_sides, lambda a, b: not (a & b))
-    if law == "left-inverted-associative":
-        sides = lambda t, x, y, z: (
-            _cp_set_elem(t, t.cell(x, y), z),
-            _cp_set_elem(t, t.cell(z, y), x),
-        )
-        return _check_triple_law(table, law, sides, lambda a, b: a != b)
-    if law == "right-inverted-associative":
-        sides = lambda t, x, y, z: (
-            _cp_elem_set(t, x, t.cell(y, z)),
-            _cp_elem_set(t, z, t.cell(y, x)),
-        )
-        return _check_triple_law(table, law, sides, lambda a, b: a != b)
+    if law in TRIPLE_LAW_IDS:
+        return _triple_law_verdict(table, law)
     if law == "reproductive":
         return _reproductive(table)
     if law == "commutative":

@@ -248,15 +248,9 @@ _V3_TAIL_CELLS = tuple(
     _V3_CODE_TO_MASK.reshape(tuple(8 if j == k else 1 for j in range(6))) for k in range(6)
 )
 
-_TRIPLE_LAW_IDS = (
-    "associative",
-    "weakly-associative",
-    "left-inverted-associative",
-    "right-inverted-associative",
-)
-_TRIPLE_LAWS = {("law", law) for law in _TRIPLE_LAW_IDS}
+_TRIPLE_LAWS = {("law", law) for law in axioms.TRIPLE_LAW_IDS}
 _VECTOR_LAWS = {
-    *_TRIPLE_LAW_IDS,
+    *axioms.TRIPLE_LAW_IDS,
     "reproductive",
     "commutative",
     "cellwise-nonempty",
@@ -348,7 +342,7 @@ def _v3_predicate(cells, c):
                 parts.append(row == 7)
                 parts.append(col == 7)
             return _v3_conj(parts)
-        if law in _TRIPLE_LAW_IDS:
+        if law in axioms.TRIPLE_LAW_IDS:
             return _v3_triple_law(cells, law)
     if tag == "identity-at":
         e = c[1]
@@ -569,56 +563,98 @@ class SearchSpec:
 
 
 def _triple_sides(law, x, y, z, n):
-    """The two sides of a triple law at (x, y, z), each as (outer cell, line):
-    the side is the union of cell line[i] over the elements i of the outer
-    cell.  A line is a row or a column of cell positions."""
-
-    def row(r):
-        return tuple(range(r * n, r * n + n))
-
-    def col(c):
-        return tuple(range(c, n * n, n))
-
+    """The two sides of a triple law at (x, y, z), each as (outer cell,
+    line): the side is the union of the line's cells at the elements of the
+    outer cell.  Lines 0..n-1 are the rows, n..2n-1 the columns."""
     if law in ("associative", "weakly-associative"):  # (xy)z, x(yz)
-        return (x * n + y, col(z)), (y * n + z, row(x))
+        return (x * n + y, n + z), (y * n + z, x)
     if law == "left-inverted-associative":  # (xy)z, (zy)x
-        return (x * n + y, col(z)), (z * n + y, col(x))
-    return (y * n + z, row(x)), (y * n + x, row(z))  # x(yz), z(yx)
+        return (x * n + y, n + z), (z * n + y, n + x)
+    return (y * n + z, x), (y * n + x, z)  # x(yz), z(yx)
 
 
-def _triple_watcher(sides, weak):
-    """One watcher over (outer pos, selection, outer pos, selection) tuples,
-    where selection[m] lists the line cells that mask m reads.  A side with
-    an unset outer cell is empty and incomplete, so a strict triple passes
-    when either outer cell is unset, and a weak one when both are."""
+def _line_cells(n, line):
+    if line < n:
+        return tuple(range(line * n, line * n + n))
+    return tuple(range(line - n, n * n, n))
+
+
+def _law_triples(law, n):
+    """The triples of a law as (dependency mask, outer mask, outer a, line a,
+    outer b, line b), masks over cell positions.  An inverted law reads the
+    same pair of sides at (x, y, z) and (z, y, x), and equal sides at x = z,
+    so it keeps x < z."""
+    out = []
+    for x, y, z in product(range(n), repeat=3):
+        if law in ("left-inverted-associative", "right-inverted-associative") and x >= z:
+            continue
+        (pa, la), (pb, lb) = _triple_sides(law, x, y, z, n)
+        outer = 1 << pa | 1 << pb
+        deps = outer
+        for p in _line_cells(n, la) + _line_cells(n, lb):
+            deps |= 1 << p
+        out.append((deps, outer, pa, la, pb, lb))
+    return tuple(out)
+
+
+def _strict_watch(entries):
+    """A strict triple law over compiled entries (see `Backtracker`).  An
+    incomplete side is only known from below, so a triple fails when both
+    sides are complete and differ, or when one complete side misses an
+    element the other side already has."""
 
     def watch(cur):
-        for pa, sa, pb, sb in sides:
-            ma, mb = cur[pa], cur[pb]
-            if ma is None or mb is None:
-                if not weak or (ma is None and mb is None):
-                    continue
-            la = lb = 0
-            ca, cb = ma is not None, mb is not None
-            for p in sa[ma] if ca else ():
-                c = cur[p]
-                if c is None:
-                    ca = False
-                else:
-                    la |= c
-            for p in sb[mb] if cb else ():
-                c = cur[p]
-                if c is None:
-                    cb = False
-                else:
-                    lb |= c
-            if weak:
-                if not la & lb and ((ca and cb) or (ca and not la) or (cb and not lb)):
+        for pa, sa, ua, pb, sb, ub, ga, gb in entries:
+            ma = cur[pa]
+            mb = cur[pb]
+            if not (ma & ga or mb & gb):
+                continue
+            ia = ma & ua
+            ib = mb & ub
+            if ia and ib:
+                continue
+            la = 0
+            for q in sa[ma]:
+                la |= cur[q]
+            lb = 0
+            for q in sb[mb]:
+                lb |= cur[q]
+            if ia:
+                if la & ~lb:
                     return False
-            elif ca:
-                if (la != lb) if cb else (lb & ~la):
+            elif ib:
+                if lb & ~la:
                     return False
-            elif cb and la & ~lb:
+            elif la != lb:
+                return False
+        return True
+
+    return watch
+
+
+def _weak_watch(written, entries):
+    """Weak associativity over compiled entries.  An empty outer cell makes
+    its side empty, which fails every triple it is in, so each written cell
+    must be non-empty; given that, a side over a non-empty outer cell is
+    non-empty once complete, and a triple fails only when both sides are
+    complete and disjoint."""
+
+    def watch(cur):
+        for p in written:
+            if not cur[p]:
+                return False
+        for pa, sa, ua, pb, sb, ub, ga, gb in entries:
+            ma = cur[pa]
+            mb = cur[pb]
+            if ma & ua or mb & ub or not (ma & ga or mb & gb):
+                continue
+            la = 0
+            for q in sa[ma]:
+                la |= cur[q]
+            lb = 0
+            for q in sb[mb]:
+                lb |= cur[q]
+            if not la & lb:
                 return False
         return True
 
@@ -742,58 +778,92 @@ def _poly_watcher(n, x, e, weak):
     return watch
 
 
+class _WatchTable:
+    """The watchers of one order and non-`forced` descriptor set that do not
+    depend on the search's assignment order: per cell position the watchers
+    of the descriptors other than the triple laws, and per triple law
+    (weak, its `_law_triples`).  `lines` lists the rows, then the columns;
+    `selection` lists, per line and set of its known cells, the known cells
+    each mask reads."""
+
+    def __init__(self, n, constraints):
+        self.n = n
+        watchers = [[] for _ in range(n * n)]
+        self.triple_laws = tuple(
+            (c[1] == "weakly-associative", _law_triples(c[1], n))
+            for c in constraints
+            if c in _TRIPLE_LAWS
+        )
+        for c in constraints:
+            if c == ("law", "reproductive"):
+                for pos in range(n * n):
+                    watchers[pos].append(_reproductive_watcher(n, pos))
+            elif c[0] == "unique-opposite-at":
+                for pos in range(n * n):
+                    watchers[pos].append(_opposite_watcher(n, pos // n, c[1]))
+            elif c[0] == "polysymmetry-at":
+                e, weak = c[1], c[2]
+                for pos in range(n * n):
+                    for x in set(divmod(pos, n)):
+                        watchers[pos].append(_poly_watcher(n, x, e, weak))
+            elif c[0] == "distributive-inclusion-over":
+                for pos, fn in _distributive_watchers(n, c[1]):
+                    watchers[pos].append(fn)
+        self.watchers = tuple(map(tuple, watchers))
+        self.lines = tuple(_line_cells(n, line) for line in range(2 * n))
+        self._subsets = [
+            [tuple(p for i, p in enumerate(line) if m >> i & 1) for m in range(1 << n)]
+            for line in self.lines
+        ]
+        self._selections = {}
+
+    def line_bits(self, mask):
+        """Per line, the bits i of its cells in the cell mask `mask`."""
+        return [sum(1 << i for i, p in enumerate(line) if mask >> p & 1) for line in self.lines]
+
+    def selection(self, line, known):
+        """Per mask m, the cells line[i] with i in m and in `known`."""
+        sel = self._selections.get((line, known))
+        if sel is None:
+            subsets = self._subsets[line]
+            sel = tuple(subsets[m & known] for m in range(1 << self.n))
+            self._selections[line, known] = sel
+        return sel
+
+
 @lru_cache(maxsize=1)
-def _watcher_table(n, constraints):
-    """Per cell position, the watchers of the non-`forced` `constraints`;
-    the single cache entry serves every shard of a sweep (see Backtracker)."""
-    watchers = [[] for _ in range(n * n)]
-    for c in constraints:
-        if c in _TRIPLE_LAWS:
-            selections = {}  # line -> per mask m, the cells line[i] for i in m
-            by_pos = {}
-            for x, y, z in product(range(n), repeat=3):
-                (pa, la), (pb, lb) = _triple_sides(c[1], x, y, z, n)
-                for line in (la, lb):
-                    if line not in selections:
-                        selections[line] = tuple(
-                            tuple(p for i, p in enumerate(line) if m >> i & 1)
-                            for m in range(1 << n)
-                        )
-                for pos in {pa, pb, *la, *lb}:
-                    by_pos.setdefault(pos, []).append(
-                        (pa, selections[la], pb, selections[lb])
-                    )
-            for pos, sides in by_pos.items():
-                watchers[pos].append(_triple_watcher(sides, c[1] == "weakly-associative"))
-        elif c == ("law", "reproductive"):
-            for pos in range(n * n):
-                watchers[pos].append(_reproductive_watcher(n, pos))
-        elif c[0] == "unique-opposite-at":
-            for pos in range(n * n):
-                watchers[pos].append(_opposite_watcher(n, pos // n, c[1]))
-        elif c[0] == "polysymmetry-at":
-            e, weak = c[1], c[2]
-            for pos in range(n * n):
-                for x in set(divmod(pos, n)):
-                    watchers[pos].append(_poly_watcher(n, x, e, weak))
-        elif c[0] == "distributive-inclusion-over":
-            for pos, fn in _distributive_watchers(n, c[1]):
-                watchers[pos].append(fn)
-    return tuple(map(tuple, watchers))
+def _watch_table(n, constraints):
+    """The single cache entry serves every shard of a sweep (see Backtracker)."""
+    return _WatchTable(n, constraints)
 
 
 class Backtracker:
     """Row-major DFS over orbit representatives with watcher-based pruning.
 
-    `watchers[pos]` holds the checks that rerun when cell pos is set, each a
-    closure that returns False when no completion of the partial table can
-    satisfy its constraint.  A triple law turns each triple into its two
-    sides, an outer cell and the row or column its elements index, and one
-    closure per position evaluates its triples inline.  The table depends
-    only on the order and the non-`forced` descriptors, so it is built once
-    and shared (`_watcher_table`, a single-entry cache): the witness-map
-    shards of one sweep differ only in their pins.  A table is emitted only
-    after `satisfies_all` re-checks it."""
+    The DFS writes its slots in a fixed order, so when slot k is written the
+    cells set are exactly the prefill and the cells of slots 0..k.  The
+    checks that run after slot k (`_checks_after`, -1 for the prefill) are
+    compiled once per slot, on first use, against that set.  Each returns
+    False when no completion of the partial table can satisfy its
+    constraint:
+
+    * the watchers of the cells the slot writes, from `_watch_table`, a
+      single-entry cache keyed by the order and the non-`forced` descriptors,
+      so the witness-map shards of one sweep, which differ only in their
+      pins, share one build;
+    * per triple law, the triples that a cell written by the slot can
+      decide.  A triple has two sides, each an outer cell and the row or
+      column that its elements index.  A triple whose outer cell is still
+      unset is dropped: its side is empty and incomplete, which no strict
+      law fails on, and weak associativity fails on it only when the other
+      outer cell is empty, which its empty-cell check catches.  Each side
+      keeps, per mask, the line cells already set and the bits of the
+      unset ones, so the check reads no unset cell.  A triple runs only when
+      the slot wrote one of its outer cells or a line cell that an outer
+      cell's mask selects; the others read nothing that changed since the
+      slot that last decided them.
+
+    A table is emitted only after `satisfies_all` re-checks it."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
@@ -863,9 +933,8 @@ class Backtracker:
         self.forced = forced
         self.required = required
         self._build_domains()
-        self.watchers = _watcher_table(
-            n, tuple(c for c in spec.constraints if c[0] != "forced")
-        )
+        self.table = _watch_table(n, tuple(c for c in spec.constraints if c[0] != "forced"))
+        self._checks = [None] * (len(self.slots) + 1)
 
     def _close_orbits(self, links):
         seen = [False] * self.n2
@@ -949,6 +1018,48 @@ class Backtracker:
             self.slot_writes.append(writes)
             self.domains.append(dom)
 
+    def _checks_after(self, depth):
+        checks = self._checks[depth + 1]
+        if checks is None:
+            checks = self._checks[depth + 1] = self._compile(depth)
+        return checks
+
+    def _compile(self, depth):
+        """The checks that run after slot `depth` (-1: the prefill) is written."""
+        table = self.table
+        if depth < 0:
+            written = tuple(self.prefill)
+        else:
+            written = tuple(dict.fromkeys(pos for pos, _ in self.slot_writes[depth]))
+        checks = [fn for pos in written for fn in table.watchers[pos]]
+        if not table.triple_laws or not written:
+            return tuple(checks)
+        full = self.full
+        wmask = sum(1 << pos for pos in written)
+        known = sum(1 << pos for pos in self.prefill)
+        for writes in self.slot_writes[: depth + 1]:
+            for pos, _ in writes:
+                known |= 1 << pos
+        known_bits = table.line_bits(known)
+        written_bits = table.line_bits(wmask)
+        sides = [
+            (table.selection(line, bits), full ^ bits) for line, bits in enumerate(known_bits)
+        ]
+        for weak, triples in table.triple_laws:
+            entries = []
+            for deps, outer, pa, la, pb, lb in triples:
+                if deps & wmask and outer & known == outer:
+                    if outer & wmask:  # an outer cell was written
+                        ga = gb = -1
+                    else:  # runs when an outer mask selects a written line cell
+                        ga, gb = written_bits[la], written_bits[lb]
+                    entries.append((pa, *sides[la], pb, *sides[lb], ga, gb))
+            if weak:
+                checks.append(_weak_watch(written, tuple(entries)))
+            elif entries:
+                checks.append(_strict_watch(tuple(entries)))
+        return tuple(checks)
+
     # -- search ----------------------------------------------------------------
 
     def search(self, first_value_index=None):
@@ -958,11 +1069,10 @@ class Backtracker:
         cur = [None] * self.n2
         for pos, v in self.prefill.items():
             cur[pos] = v
-        for pos, v in self.prefill.items():
-            for fn in self.watchers[pos]:
-                if not fn(cur):
-                    self.pruned += 1
-                    return
+        for fn in self._checks_after(-1):
+            if not fn(cur):
+                self.pruned += 1
+                return
         if not self.slots:
             yield from self._emit(cur)
             return
@@ -978,33 +1088,21 @@ class Backtracker:
             if first_value_index >= len(domain):
                 return
             domain = domain[first_value_index : first_value_index + 1]
-        watchers = self.watchers
+        # every value in the domain writes unset cells, and agrees with
+        # itself where the slot writes a cell twice (see _build_domains)
+        checks = self._checks_after(depth) if domain else ()
         for v in domain:
             self.nodes += 1
-            written = []
-            ok = True
             for pos, lut in writes:
-                w = lut[v]
-                if cur[pos] is None:
-                    cur[pos] = w
-                    written.append(pos)
-                elif cur[pos] != w:
-                    ok = False
+                cur[pos] = lut[v]
+            for fn in checks:
+                if not fn(cur):
+                    self.pruned += 1
                     break
-            if ok:
-                for pos in written:
-                    for fn in watchers[pos]:
-                        if not fn(cur):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                yield from self._dfs(cur, depth + 1, None)
             else:
-                self.pruned += 1
-            for pos in written:
-                cur[pos] = None
+                yield from self._dfs(cur, depth + 1, None)
+        for pos, _ in writes:
+            cur[pos] = None
 
     def _emit(self, cur):
         table = HyperTable(self.n, tuple(cur), self.kind)

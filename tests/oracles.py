@@ -264,26 +264,8 @@ def dorroh_probe(model, radius, base_name="base"):
     }
 
 
-def triple_positions(law, x, y, z, n):
-    """The cells a triple-law watcher reads at (x, y, z): the backtracker's
-    dependency set before its watchers read per-law line tuples."""
-    if law in ("associative", "weakly-associative"):
-        pos = {x * n + y, y * n + z}
-        pos.update(a * n + z for a in range(n))
-        pos.update(x * n + b for b in range(n))
-    elif law == "left-inverted-associative":
-        pos = {x * n + y, z * n + y}
-        pos.update(a * n + z for a in range(n))
-        pos.update(a * n + x for a in range(n))
-    else:  # right-inverted-associative
-        pos = {y * n + z, y * n + x}
-        pos.update(x * n + b for b in range(n))
-        pos.update(z * n + b for b in range(n))
-    return pos
-
-
 def triple_watch(law, triples, n, cur):
-    """The backtracker's triple-law watcher verdict on the partial cell list
+    """The reference triple-law watcher verdict on the partial cell list
     `cur` (None = unset) over `triples`, one `outer_union` per side: False
     only when some triple is violated by every completion of `cur`."""
 

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from hyperlab.axioms import (
     opposite_map,
     symmetric_set,
 )
+from hyperlab.engines import Backtracker, SearchSpec
 from hyperlab.model import HyperTable, TwoOpModel, table_from_rows
 from hyperlab.samples import (
     cyclic_group_table,
@@ -102,26 +103,65 @@ def test_laws_match_oracle_randomized():
             assert check_law(t, law).holds == oracles.law_holds(rows, law), (t, law)
 
 
+TRIPLE_SIDES = {
+    "associative": (oracles.assoc_sides, lambda a, b: a != b),
+    "weakly-associative": (oracles.assoc_sides, lambda a, b: not a & b),
+    "left-inverted-associative": (oracles.lia_sides, lambda a, b: a != b),
+    "right-inverted-associative": (oracles.ria_sides, lambda a, b: a != b),
+}
+
+
+def assert_first_triple_witness(t, law):
+    """check_law's verdict on a triple law is the oracle's: its witness is
+    the first row-major triple whose oracle sides violate the law."""
+    sides, violated = TRIPLE_SIDES[law]
+    rows = oracles.from_table(t)
+    expected = next(
+        (
+            (law, (x, y, z), lhs, rhs)
+            for x, y, z in product(range(t.order), repeat=3)
+            for lhs, rhs in [sides(rows, x, y, z)]
+            if violated(lhs, rhs)
+        ),
+        None,
+    )
+    res = check_law(t, law)
+    if expected is None:
+        assert res.holds, (t, law)
+    else:
+        w = res.witness
+        got = (w.axiom, w.elements, oracles.from_mask(w.lhs), oracles.from_mask(w.rhs))
+        assert got == expected, (t, law)
+
+
 def test_witness_soundness_randomized():
+    """Uniform tables, and near-total ones whose first violation comes late."""
     rng = random.Random(43)
-    sides = {
-        "associative": oracles.assoc_sides,
-        "left-inverted-associative": oracles.lia_sides,
-        "right-inverted-associative": oracles.ria_sides,
-    }
-    for _ in range(300):
-        order = rng.randrange(1, 4)
-        t = random_table(rng, order)
-        rows = oracles.from_table(t)
-        for law, fn in sides.items():
-            res = check_law(t, law)
-            if res.holds:
-                continue
-            x, y, z = res.witness.elements
-            lhs, rhs = fn(rows, x, y, z)
-            assert lhs != rhs
-            assert lhs == set(i for i in range(order) if res.witness.lhs >> i & 1)
-            assert rhs == set(i for i in range(order) if res.witness.rhs >> i & 1)
+    for order in range(1, 5):
+        full = (1 << order) - 1
+        for i in range(150):
+            t = random_table(rng, order)
+            if i % 2:
+                t = HyperTable(order, tuple(full if rng.random() < 0.9 else c for c in t.cells))
+            for law in TRIPLE_SIDES:
+                assert_first_triple_witness(t, law)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_triple_law_witnesses_on_groups_and_hypergroups(order):
+    """Tables where the laws hold scan every triple: the cyclic group, where
+    all four hold, and backtracker-emitted hypergroups (associative and
+    reproductive), where the inverted laws mostly fail."""
+    hypergroups = Backtracker(
+        SearchSpec(order, (("law", "associative"), ("law", "reproductive")))
+    ).search()
+    tables = [cyclic_group_table(order)]
+    tables += [HyperTable(order, cells) for cells in islice(hypergroups, 40)]
+    for law in TRIPLE_SIDES:
+        assert check_law(tables[0], law).holds
+    for t in tables:
+        for law in TRIPLE_SIDES:
+            assert_first_triple_witness(t, law)
 
 
 # -- identities ---------------------------------------------------------------

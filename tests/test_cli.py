@@ -188,6 +188,26 @@ def test_enumerate_pins_pruned_node_counts(argv, pruned, raw):
     assert (summary["pruned_nodes"], summary["raw_count"]) == (pruned, raw)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "structure, raw, classes, pruned",
+    [("canonical-hypergroup", 390, 97, 4095451), ("normal-hypergroup", 968, 196, 541508)],
+)
+def test_order4_enumerate_pins_the_search_tree(structure, raw, classes, pruned, workers):
+    # the largest searches that the triple-law watchers prune, at one and
+    # two workers: the node count guards the whole search tree
+    code, _, err = run(
+        ["enumerate", "--order", "4", "--structure", structure, "--zero", "0",
+         "--format", "json", "--workers", workers]
+    )
+    assert code == 0, err
+    summary = json.loads(err.strip().splitlines()[-1])
+    assert (summary["raw_count"], summary["canonical_count"], summary["pruned_nodes"]) == (
+        raw, classes, pruned
+    )
+
+
 def test_enumerate_out_file(tmp_path):
     target = tmp_path / "models.txt"
     code, out, _ = run(
