@@ -62,10 +62,14 @@ cell to its row and column negations, equivariance links each cell to its
 relabeled image, forced, scalar-zero, total and degenerate pin cells,
 cellwise non-emptiness keeps the empty value out of every domain, and the
 triple laws, reproductivity, unique opposites, polysymmetry and inclusion
-distributivity get watchers.
+distributivity get pruning checks, compiled per slot (`Backtracker`).
 
-Every engine emits only tables that pass the authoritative axiom-module
-predicates; pruning is a conservative accelerator, never the verdict.
+The pure engine and the backtracker emit only tables that pass the
+authoritative predicates; pruning is a conservative accelerator, never the
+verdict.  The vector engine's verdict on a vectorizable descriptor is its
+vector predicate (certified against the authoritative one by
+tests/test_vector_kernel.py); collect mode re-checks only the descriptors
+that it cannot vectorize.
 """
 
 from dataclasses import dataclass
@@ -276,31 +280,20 @@ def vectorizable(c) -> bool:
 
 
 def _v3_triple_law(cells, law):
-    """Mask of a triple law.  (xy)z is the union over a in xy of az and
-    x(yz) the union over b in yz of xb, built from the element bits of
-    every cell; each side is computed once per triple."""
+    """Mask of a triple law over the sides of `_law_triples`: a side is the
+    union of its line's cells at the element bits of its outer cell, and
+    each side is computed once."""
     bit = [[(cell >> a) & 1 for a in range(3)] for cell in cells]
 
-    def xy_z(x, y, z):
-        xy = bit[3 * x + y]
-        return xy[0] * cells[z] | xy[1] * cells[3 + z] | xy[2] * cells[6 + z]
+    def side(p, line):
+        q = _line_cells(3, line)
+        return bit[p][0] * cells[q[0]] | bit[p][1] * cells[q[1]] | bit[p][2] * cells[q[2]]
 
-    def x_yz(x, y, z):
-        yz = bit[3 * y + z]
-        return yz[0] * cells[3 * x] | yz[1] * cells[3 * x + 1] | yz[2] * cells[3 * x + 2]
-
-    triples = list(product(range(3), repeat=3))
-    if law in ("left-inverted-associative", "right-inverted-associative"):
-        # (xy)z = (zy)x, or x(yz) = z(yx): symmetric in x and z
-        side = xy_z if law == "left-inverted-associative" else x_yz
-        pairs = [(t, t[::-1]) for t in triples if t[0] < t[2]]
-        memo = {t: side(*t) for t in triples if t[0] != t[2]}
-        return _v3_conj([memo[a] == memo[b] for a, b in pairs])
-    lhs = [xy_z(*t) for t in triples]
-    rhs = [x_yz(*t) for t in triples]
-    if law == "associative":
-        return _v3_conj([a == b for a, b in zip(lhs, rhs)])
-    return _v3_conj([(a & b) != 0 for a, b in zip(lhs, rhs)])
+    parts = []
+    for _, _, pa, la, pb, lb in _law_triples(law, 3):
+        a, b = side(pa, la), side(pb, lb)
+        parts.append((a & b) != 0 if law == "weakly-associative" else a == b)
+    return _v3_conj(parts)
 
 
 def _v3_conj(parts):
@@ -556,7 +549,7 @@ def identity_lut(order: int) -> tuple[int, ...]:
 
 @dataclass
 class SearchSpec:
-    """Declarative input to the backtracker; picklable for worker processes."""
+    """The order and descriptors of one backtracking search."""
 
     order: int
     constraints: tuple = ()
@@ -579,6 +572,7 @@ def _line_cells(n, line):
     return tuple(range(line - n, n * n, n))
 
 
+@lru_cache(maxsize=None)
 def _law_triples(law, n):
     """The triples of a law as (dependency mask, outer mask, outer a, line a,
     outer b, line b), masks over cell positions.  An inverted law reads the
@@ -661,29 +655,14 @@ def _weak_watch(written, entries):
     return watch
 
 
-def _reproductive_watcher(n, pos):
-    r, c = divmod(pos, n)
-    full = full_mask(n)
-    row_idx = [r * n + i for i in range(n)]
-    col_idx = [i * n + c for i in range(n)]
+def _union_watch(lines, full):
+    """Reproductivity: the union of each complete line is the carrier."""
 
     def watch(cur):
-        union = 0
-        for i in row_idx:
-            v = cur[i]
-            if v is None:
-                break
-            union |= v
-        else:
-            if union != full:
-                return False
-        union = 0
-        for i in col_idx:
-            v = cur[i]
-            if v is None:
-                break
-            union |= v
-        else:
+        for cells in lines:
+            union = 0
+            for p in cells:
+                union |= cur[p]
             if union != full:
                 return False
         return True
@@ -691,125 +670,98 @@ def _reproductive_watcher(n, pos):
     return watch
 
 
-def _opposite_watcher(n, row, z):
-    idx = [row * n + i for i in range(n)]
-    bit = 1 << z
+def _opposite_watch(bit, rows):
+    """Unique opposites: no row has two set cells that hold the element
+    `bit`, and a complete row has one."""
 
     def watch(cur):
-        count = 0
-        complete = True
-        for i in idx:
-            v = cur[i]
-            if v is None:
-                complete = False
-            elif v & bit:
-                count += 1
-                if count > 1:
-                    return False
-        return not (complete and count != 1)
+        for cells, complete in rows:
+            count = 0
+            for p in cells:
+                if cur[p] & bit:
+                    count += 1
+            if count > 1 or complete and not count:
+                return False
+        return True
 
     return watch
 
 
-def _distributive_watchers(n, add):
-    """(pos, watcher) pairs for a(b+c) in ab+ac and (b+c)a in ba+ca,
-    plus an emptiness rule: no row or column holds both an empty and a
-    non-empty product.  The rule is sound because `add` is a group:
-    every d is b + (-b+d), so ab = {} gives ad in ab + a(-b+d) = {}, and
-    one empty product empties its whole row (its column likewise)."""
-    sums = _complex_sums(add)
-    out = []
-
-    def inclusion(lhs_pos, left_pos, right_pos):
-        def watch(cur):
-            lhs, left, right = cur[lhs_pos], cur[left_pos], cur[right_pos]
-            if lhs is None or left is None or right is None:
-                return True
-            return not (lhs & ~sums[left][right])
-
-        return watch
-
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                d = singleton_value(add.cell(b, c))
-                for lhs, left, right in (
-                    (a * n + d, a * n + b, a * n + c),
-                    (d * n + a, b * n + a, c * n + a),
-                ):
-                    w = inclusion(lhs, left, right)
-                    out.extend((pos, w) for pos in {lhs, left, right})
-
-    def emptiness(r, c):
-        lines = ([r * n + i for i in range(n)], [i * n + c for i in range(n)])
-
-        def watch(cur):
-            for line in lines:
-                vals = [cur[i] for i in line]
-                if 0 in vals and any(vals):
-                    return False
-            return True
-
-        return watch
-
-    out.extend((pos, emptiness(*divmod(pos, n))) for pos in range(n * n))
-    return out
-
-
-def _poly_watcher(n, x, e, weak):
-    bit = 1 << e
+def _poly_watch(bit, keep, witnesses):
+    """Polysymmetry at the element `bit`: per x, some x' whose set cells
+    among x*x' and x'*x all equal {e} (`keep` = full) or all hold e
+    (`keep` = bit, the weak reading)."""
 
     def watch(cur):
-        witness_possible = False
-        for xp in range(n):
-            a = cur[x * n + xp]
-            b = cur[xp * n + x]
-            if weak:
-                ok_a = a is None or (a & bit)
-                ok_b = b is None or (b & bit)
+        for candidates in witnesses:
+            for cells in candidates:
+                for p in cells:
+                    if cur[p] & keep != bit:
+                        break
+                else:
+                    break
             else:
-                ok_a = a is None or a == bit
-                ok_b = b is None or b == bit
-            if ok_a and ok_b:
-                witness_possible = True
-                break
-        return witness_possible
+                return False
+        return True
+
+    return watch
+
+
+def _inclusion_watch(sums, entries, lines):
+    """Inclusion distributivity over an additive group: a(b+c) in ab+ac and
+    (b+c)a in ba+ca on the (lhs, left, right) entries, and no line holds both
+    an empty and a non-empty product.  The emptiness rule is sound because
+    the addition is a group: every d is b + (-b+d), so ab = {} gives ad in
+    ab + a(-b+d) = {}, and one empty product empties its whole row (its
+    column likewise)."""
+
+    def watch(cur):
+        for lhs, left, right in entries:
+            if cur[lhs] & ~sums[cur[left]][cur[right]]:
+                return False
+        for cells in lines:
+            seen = 0  # 1: a non-empty cell, 2: an empty one
+            for p in cells:
+                seen |= 1 if cur[p] else 2
+            if seen == 3:
+                return False
+        return True
 
     return watch
 
 
 class _WatchTable:
-    """The watchers of one order and non-`forced` descriptor set that do not
-    depend on the search's assignment order: per cell position the watchers
-    of the descriptors other than the triple laws, and per triple law
-    (weak, its `_law_triples`).  `lines` lists the rows, then the columns;
-    `selection` lists, per line and set of its known cells, the known cells
-    each mask reads."""
+    """What the checks of one order and non-`forced` descriptor set share,
+    whatever the search's assignment order: per triple law (weak, its
+    `_law_triples`), whether reproductivity is asked, the element bit of
+    each unique-opposite descriptor, (bit, keep) per polysymmetry (see
+    `_poly_watch`), and per inclusion distributivity its complex sums and
+    (cell mask, lhs, left, right) entries.  `lines` lists the rows, then
+    the columns; `selection` lists, per line and set of its known cells,
+    the known cells each mask reads."""
 
     def __init__(self, n, constraints):
         self.n = n
-        watchers = [[] for _ in range(n * n)]
         self.triple_laws = tuple(
             (c[1] == "weakly-associative", _law_triples(c[1], n))
             for c in constraints
             if c in _TRIPLE_LAWS
         )
-        for c in constraints:
-            if c == ("law", "reproductive"):
-                for pos in range(n * n):
-                    watchers[pos].append(_reproductive_watcher(n, pos))
-            elif c[0] == "unique-opposite-at":
-                for pos in range(n * n):
-                    watchers[pos].append(_opposite_watcher(n, pos // n, c[1]))
-            elif c[0] == "polysymmetry-at":
-                e, weak = c[1], c[2]
-                for pos in range(n * n):
-                    for x in set(divmod(pos, n)):
-                        watchers[pos].append(_poly_watcher(n, x, e, weak))
-            elif c[0] == "distributive-inclusion-over":
-                for pos, fn in _distributive_watchers(n, c[1]):
-                    watchers[pos].append(fn)
-        self.watchers = tuple(map(tuple, watchers))
+        self.reproductive = ("law", "reproductive") in constraints
+        self.opposites = tuple(1 << c[1] for c in constraints if c[0] == "unique-opposite-at")
+        self.polysymmetries = tuple(
+            (1 << c[1], 1 << c[1] if c[2] else full_mask(n))
+            for c in constraints
+            if c[0] == "polysymmetry-at"
+        )
+        self.inclusions = []
+        for add in (c[1] for c in constraints if c[0] == "distributive-inclusion-over"):
+            entries = []
+            for x, y, z in product(range(n), repeat=3):  # x(y+z) in xy+xz, (y+z)x in yx+zx
+                s = singleton_value(add.cell(y, z))
+                for e in ((x * n + s, x * n + y, x * n + z), (s * n + x, y * n + x, z * n + x)):
+                    entries.append((1 << e[0] | 1 << e[1] | 1 << e[2], *e))
+            self.inclusions.append((_complex_sums(add), tuple(entries)))
         self.lines = tuple(_line_cells(n, line) for line in range(2 * n))
         self._subsets = [
             [tuple(p for i, p in enumerate(line) if m >> i & 1) for m in range(1 << n)]
@@ -838,19 +790,27 @@ def _watch_table(n, constraints):
 
 
 class Backtracker:
-    """Row-major DFS over orbit representatives with watcher-based pruning.
+    """Row-major DFS over orbit representatives with compiled pruning checks.
 
     The DFS writes its slots in a fixed order, so when slot k is written the
     cells set are exactly the prefill and the cells of slots 0..k.  The
     checks that run after slot k (`_checks_after`, -1 for the prefill) are
-    compiled once per slot, on first use, against that set.  Each returns
-    False when no completion of the partial table can satisfy its
-    constraint:
+    compiled once per slot, on first use, against that set, and read no
+    other cell.  What they share whatever the slot order comes from
+    `_watch_table`, a single-entry cache keyed by the order and the
+    non-`forced` descriptors, so the witness-map shards of one sweep, which
+    differ only in their pins, share one build.  Each check returns False
+    when no completion of the partial table can satisfy its constraint, and
+    covers only what the slot's cells can change; the rest passed at an
+    earlier slot:
 
-    * the watchers of the cells the slot writes, from `_watch_table`, a
-      single-entry cache keyed by the order and the non-`forced` descriptors,
-      so the witness-map shards of one sweep, which differ only in their
-      pins, share one build;
+    * reproductivity, on each line the slot completes;
+    * unique opposites, on the set cells of each row the slot writes to;
+    * polysymmetry, per x whose row or column the slot writes to, unless
+      some x' still has both x*x' and x'*x unset;
+    * inclusion distributivity, on the triples of cells that the slot
+      completes, and its emptiness rule on the set cells of each line the
+      slot writes to;
     * per triple law, the triples that a cell written by the slot can
       decide.  A triple has two sides, each an outer cell and the row or
       column that its elements index.  A triple whose outer cell is still
@@ -858,10 +818,9 @@ class Backtracker:
       law fails on, and weak associativity fails on it only when the other
       outer cell is empty, which its empty-cell check catches.  Each side
       keeps, per mask, the line cells already set and the bits of the
-      unset ones, so the check reads no unset cell.  A triple runs only when
-      the slot wrote one of its outer cells or a line cell that an outer
-      cell's mask selects; the others read nothing that changed since the
-      slot that last decided them.
+      unset ones.  A triple runs only when the slot wrote one of its outer
+      cells or a line cell that an outer cell's mask selects; the others
+      read nothing that changed since the slot that last decided them.
 
     A table is emitted only after `satisfies_all` re-checks it."""
 
@@ -1031,10 +990,9 @@ class Backtracker:
             written = tuple(self.prefill)
         else:
             written = tuple(dict.fromkeys(pos for pos, _ in self.slot_writes[depth]))
-        checks = [fn for pos in written for fn in table.watchers[pos]]
-        if not table.triple_laws or not written:
-            return tuple(checks)
-        full = self.full
+        if not written:
+            return ()
+        n, full = self.n, self.full
         wmask = sum(1 << pos for pos in written)
         known = sum(1 << pos for pos in self.prefill)
         for writes in self.slot_writes[: depth + 1]:
@@ -1045,6 +1003,38 @@ class Backtracker:
         sides = [
             (table.selection(line, bits), full ^ bits) for line, bits in enumerate(known_bits)
         ]
+        checks = []
+        touched = []  # per line the slot wrote to: its set cells, and whether it is complete
+        if table.reproductive or table.opposites or table.inclusions:  # the line devices
+            touched = [
+                (line, sides[line][0][full], not sides[line][1])
+                for line in range(2 * n)
+                if written_bits[line]
+            ]
+        if table.reproductive:
+            complete = tuple(cells for _, cells, done in touched if done)
+            if complete:
+                checks.append(_union_watch(complete, full))
+        if table.opposites:
+            rows = tuple((cells, done) for line, cells, done in touched if line < n)
+            checks += [_opposite_watch(bit, rows) for bit in table.opposites]
+        if table.polysymmetries:
+            witnesses = []  # per x whose row or column the slot wrote to: per x', its set cells
+            for x in range(n):
+                if written_bits[x] or written_bits[n + x]:
+                    candidates = [
+                        tuple(p for p in {x * n + xp, xp * n + x} if known >> p & 1)
+                        for xp in range(n)
+                    ]
+                    if all(candidates):  # else some x' is still a candidate whatever is set
+                        witnesses.append(candidates)
+            if witnesses:
+                checks += [_poly_watch(bit, keep, witnesses) for bit, keep in table.polysymmetries]
+        lines = tuple(cells for _, cells, _ in touched if len(cells) > 1)
+        for sums, entries in table.inclusions:
+            entries = tuple(e for mask, *e in entries if mask & wmask and mask & known == mask)
+            if entries or lines:
+                checks.append(_inclusion_watch(sums, entries, lines))
         for weak, triples in table.triple_laws:
             entries = []
             for deps, outer, pa, la, pb, lb in triples:
@@ -1088,8 +1078,10 @@ class Backtracker:
             if first_value_index >= len(domain):
                 return
             domain = domain[first_value_index : first_value_index + 1]
-        # every value in the domain writes unset cells, and agrees with
-        # itself where the slot writes a cell twice (see _build_domains)
+        # every value in the domain writes cells unset at this slot, and
+        # agrees with itself where the slot writes a cell twice (see
+        # _build_domains); no check reads a cell that is unset at its slot,
+        # so a deeper slot's stale cells need no reset
         checks = self._checks_after(depth) if domain else ()
         for v in domain:
             self.nodes += 1
@@ -1101,8 +1093,6 @@ class Backtracker:
                     break
             else:
                 yield from self._dfs(cur, depth + 1, None)
-        for pos, _ in writes:
-            cur[pos] = None
 
     def _emit(self, cur):
         table = HyperTable(self.n, tuple(cur), self.kind)

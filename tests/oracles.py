@@ -316,6 +316,72 @@ def triple_watch(law, triples, n, cur):
     return True
 
 
+def partial_rows(cur, n):
+    """The partial cell list `cur` (None = unset) as rows of frozensets, with
+    None for an unset cell."""
+    return [
+        [None if cur[x * n + y] is None else from_mask(cur[x * n + y]) for y in range(n)]
+        for x in range(n)
+    ]
+
+
+def _lines(rows):
+    return [list(row) for row in rows] + [list(col) for col in zip(*rows)]
+
+
+def reproductive_fails(rows):
+    """Some complete row or column has a union that is not the carrier."""
+    carrier = frozenset(range(len(rows)))
+    return any(
+        None not in line and frozenset().union(*line) != carrier for line in _lines(rows)
+    )
+
+
+def opposite_fails(rows, z):
+    """Some row has two set cells that contain z, or a complete row has none."""
+    for row in rows:
+        hits = sum(1 for cell in row if cell is not None and z in cell)
+        if hits > 1 or (None not in row and hits == 0):
+            return True
+    return False
+
+
+def polysymmetry_fails(rows, e, weak=False):
+    """Some x has no x' whose set cells among x*x' and x'*x are all {e} (all
+    contain e when weak)."""
+    n = len(rows)
+
+    def fits(cell):
+        return cell is None or (e in cell if weak else cell == {e})
+
+    return any(
+        not any(fits(rows[x][xp]) and fits(rows[xp][x]) for xp in range(n)) for x in range(n)
+    )
+
+
+def inclusion_fails(add_rows, rows):
+    """A triple whose cells are all set breaks a(b+c) <= ab+ac or
+    (b+c)a <= ba+ca, or a row or column holds both an empty and a non-empty
+    set cell."""
+    n = len(rows)
+    for a, b, c in product(range(n), repeat=3):
+        left = [rows[a][d] for d in add_rows[b][c]] + [rows[a][b], rows[a][c]]
+        if None not in left and not (
+            cp_sets(rows, {a}, add_rows[b][c]) <= cp_sets(add_rows, rows[a][b], rows[a][c])
+        ):
+            return True
+        right = [rows[d][a] for d in add_rows[b][c]] + [rows[b][a], rows[c][a]]
+        if None not in right and not (
+            cp_sets(rows, add_rows[b][c], {a}) <= cp_sets(add_rows, rows[b][a], rows[c][a])
+        ):
+            return True
+    for line in _lines(rows):
+        cells = [cell for cell in line if cell is not None]
+        if frozenset() in cells and any(cells):
+            return True
+    return False
+
+
 def cell_key_table_key(table):
     """A table's comparison key as the tuple of its cells' `cell_key`s."""
     return tuple(cell_key(c) for c in table.cells)

@@ -3,11 +3,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "hyperlab").glob("*.py")
-    if path.name != "__init__.py"
-)
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "hyperlab").glob("*.py"))
+SOURCES = [path for path in MODULES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -60,3 +57,50 @@ def test_private_import_detector():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_private_name_imported_from_another_module(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(source: str) -> list[str]:
+    """Module-level underscore functions, classes and assignments that the
+    module never reads.  No other module may import them (see above), so
+    such a name is dead code."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        name
+        for name in defined
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    ]
+
+
+def test_dead_private_name_detector():
+    source = (
+        "__all__ = []\n"
+        "_USED = 1\n"
+        "_DEAD: int = 2\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1)\n"
+        "class _Unused:\n"
+        "    pass\n"
+        "def public():\n"
+        "    _local = 3\n"
+        "    return _helper\n"
+    )
+    assert dead_private_names(source) == ["_DEAD", "_Unused"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_dead_private_module_level_name(path):
+    assert dead_private_names(path.read_text(encoding="utf-8")) == []

@@ -1,14 +1,16 @@
-"""The backtracker's triple-law checks.
+"""The backtracker's compiled pruning checks.
 
 A slot's checks are compiled against the cells that the DFS has set when
 the slot is written, so they are only defined on the states the search
 reaches.  They are held to a reference DFS over the same slots and domains
-that prunes a node exactly when `oracles.triple_watch` over every triple of
-the law fails: the two searches must visit the same nodes, prune the same
-ones and emit the same tables, and at every visited node the checks of the
-written slot must give the reference's verdict.  The rank-independent part
-of the checks is built once and shared by every sweep task that differs
-from the previous one only in its `forced` pins.
+that prunes a node exactly when a reference predicate of `oracles` fails on
+the partial table: `triple_watch` over every triple of a triple law, and
+the partial predicates of reproductivity, unique opposites, polysymmetry
+and inclusion distributivity.  The two searches must visit the same nodes,
+prune the same ones and emit the same tables, and at every visited node the
+checks of the written slot must give the reference's verdict.  The
+rank-independent part of the checks is built once and shared by every sweep
+task that differs from the previous one only in its `forced` pins.
 """
 
 import random
@@ -27,27 +29,81 @@ TRIPLE_LAWS = (
     "left-inverted-associative",
     "right-inverted-associative",
 )
+DEVICES = TRIPLE_LAWS + (
+    "reproductive",
+    "unique-opposite-at",
+    "polysymmetry-at",
+    "weak-polysymmetry-at",
+    "distributive-inclusion-over",
+)
 LINKS = ("none", "commutative", "identity-at", "equivariant-under", "witness-map")
 # free slots per order: few enough that the reference DFS stays small
 FREE = {2: 4, 3: 3, 4: 2}
+# Inclusion distributivity runs over Z_2 and Z_3, the abelian groups of
+# order 2 and 3.
+# The witness-map pins fix a polysymmetry skeleton, so under them
+# polysymmetry never prunes (its witness-map tasks drop it).  No table of
+# order 2 is strictly polysymmetric at 0 and equivariant under x -> 1-x, and
+# at order 4 none of `candidate_tables` is so under x -> 3-x.
+CASES = [
+    (device, n, link)
+    for device in DEVICES
+    for n in (2, 3, 4)
+    for link in LINKS
+    if not (device == "distributive-inclusion-over" and n == 4)
+    and not (device.endswith("polysymmetry-at") and link == "witness-map")
+    and not (device == "polysymmetry-at" and n != 3 and link == "equivariant-under")
+]
 
 
 def join_table(n):
-    """x*y = {x, y}: every triple law holds, and so do commutativity, the
-    identity axiom at each element and equivariance under every permutation."""
+    """x*y = {x, y}: every triple law holds, and so do reproductivity, weak
+    polysymmetry, commutativity, the identity axiom at each element and
+    equivariance under every permutation."""
     return [1 << (p // n) | 1 << (p % n) for p in range(n * n)]
 
 
-def cyclic_table(n):
-    """The cyclic group Z_n: every triple law holds, and x -> -x pairs each
-    element with its inverse, a witness map of strict polysymmetry at 0."""
-    return [1 << ((p // n + p % n) % n) for p in range(n * n)]
+def cyclic_table(n, e=0):
+    """The cyclic group Z_n with identity e: every triple law, every device
+    but inclusion distributivity and every link at e hold, and x -> -x pairs
+    each element with its inverse, a witness map of strict polysymmetry at
+    0."""
+    return [1 << ((p // n + p % n - e) % n) for p in range(n * n)]
 
 
-def seeded_spec(law, n, link, rng):
-    """One triple law with a link and `forced` pins on the cells of all but
-    FREE[n] of its orbits, mostly from a table where the law holds, now and
-    then a random value."""
+def candidate_tables(n):
+    """Seed tables, in order of preference: the join table, the cyclic
+    groups, the zero product {0} (inclusion-distributive over Z_n), the right
+    projection {y} (unique opposites at 0, equivariant under every
+    permutation) and the total table."""
+    return [
+        join_table(n),
+        *(cyclic_table(n, e) for e in range(n)),
+        [1] * (n * n),
+        [1 << (p % n) for p in range(n * n)],
+        [(1 << n) - 1] * (n * n),
+    ]
+
+
+def descriptor(device, n):
+    if device in TRIPLE_LAWS:
+        return ("law", device)
+    return {
+        "reproductive": ("law", "reproductive"),
+        "unique-opposite-at": ("unique-opposite-at", 0),
+        "polysymmetry-at": ("polysymmetry-at", 0, False),
+        "weak-polysymmetry-at": ("polysymmetry-at", 0, True),
+        "distributive-inclusion-over": (
+            "distributive-inclusion-over",
+            HyperTable(n, tuple(cyclic_table(n))),
+        ),
+    }[device]
+
+
+def seeded_spec(device, n, link, rng):
+    """One device with a link and `forced` pins on the cells of all but
+    FREE[n] of its orbits, mostly from the first candidate table where the
+    device and the link hold, now and then a random value."""
     links = {
         "none": (),
         "commutative": (("law", "commutative"),),
@@ -55,14 +111,16 @@ def seeded_spec(law, n, link, rng):
         "equivariant-under": (("equivariant-under", tuple(range(n))[::-1]),),
     }
     if link == "witness-map":
-        rest = (("law", law), ("polysymmetry-at", 0, False))
-        _, tasks = engines.sweep_tasks(engines.WITNESS_MAP, n, rest)
+        _, tasks = engines.sweep_tasks(engines.WITNESS_MAP, n, (("polysymmetry-at", 0, False),))
         inverse = tuple(-x % n for x in range(n))
         spec_args, _ = tasks[list(product(range(n), repeat=n)).index(inverse)]
         pins = tuple(c for c in spec_args["constraints"] if c[0] == "forced")
-        base, constraints = cyclic_table(n), pins + (("law", law),)
+        constraints = pins + (descriptor(device, n),)
     else:
-        base, constraints = join_table(n), (("law", law),) + links[link]
+        constraints = (descriptor(device, n),) + links[link]
+    base = next(
+        t for t in candidate_tables(n) if satisfies_all(HyperTable(n, tuple(t)), constraints)
+    )
     slots = Backtracker(SearchSpec(n, constraints)).slot_writes
     free = {pos for writes in rng.sample(slots, min(FREE[n], len(slots))) for pos, _ in writes}
     noise = rng.choice((0, 0.1))
@@ -74,12 +132,34 @@ def seeded_spec(law, n, link, rng):
     return SearchSpec(n, constraints + pins)
 
 
-def reference_search(bt, law):
-    """The DFS of `bt` over its slots and domains, pruning by the reference
-    watcher over every triple; asserts at each visited node that the checks
-    of the written slot agree.  Returns (solutions, nodes, pruned)."""
-    n = bt.n
+def reference_fails(constraints, n, cur):
+    """Whether the reference predicate of some pruning device among
+    `constraints` fails on the partial cell list `cur` (None = unset)."""
+    rows = oracles.partial_rows(cur, n)
     triples = list(product(range(n), repeat=3))
+    for c in constraints:
+        if c[0] == "law" and c[1] in TRIPLE_LAWS:
+            failed = not oracles.triple_watch(c[1], triples, n, cur)
+        elif c == ("law", "reproductive"):
+            failed = oracles.reproductive_fails(rows)
+        elif c[0] == "unique-opposite-at":
+            failed = oracles.opposite_fails(rows, c[1])
+        elif c[0] == "polysymmetry-at":
+            failed = oracles.polysymmetry_fails(rows, c[1], c[2])
+        elif c[0] == "distributive-inclusion-over":
+            failed = oracles.inclusion_fails(oracles.from_table(c[1]), rows)
+        else:  # links and pins shape the slots and domains
+            failed = False
+        if failed:
+            return True
+    return False
+
+
+def reference_search(bt):
+    """The DFS of `bt` over its slots and domains, pruning by
+    `reference_fails`; asserts at each visited node that the checks of the
+    written slot agree.  Returns (solutions, nodes, pruned)."""
+    n = bt.n
     cur = [None] * bt.n2
     for pos, v in bt.prefill.items():
         cur[pos] = v
@@ -87,7 +167,7 @@ def reference_search(bt, law):
     solutions = []
 
     def passes(depth):
-        expected = oracles.triple_watch(law, triples, n, cur)
+        expected = not reference_fails(bt.spec.constraints, n, cur)
         assert all(fn(cur) for fn in bt._checks_after(depth)) == expected, (depth, cur)
         return expected
 
@@ -120,15 +200,13 @@ def reference_search(bt, law):
     return solutions, counts["nodes"], counts["pruned"]
 
 
-@pytest.mark.parametrize("link", LINKS)
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("law", TRIPLE_LAWS)
-def test_search_equals_the_reference_dfs(law, n, link):
-    rng = random.Random(f"{law}/{n}/{link}")
+@pytest.mark.parametrize("device, n, link", CASES)
+def test_search_equals_the_reference_dfs(device, n, link):
+    rng = random.Random(f"{device}/{n}/{link}")
     outcomes = set()
     for _ in range(8):
-        spec = seeded_spec(law, n, link, rng)
-        expected = reference_search(Backtracker(spec), law)
+        spec = seeded_spec(device, n, link, rng)
+        expected = reference_search(Backtracker(spec))
         bt = Backtracker(spec)
         assert (list(bt.search()), bt.nodes, bt.pruned) == expected, spec
         solutions, nodes, pruned = expected
