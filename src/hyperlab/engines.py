@@ -15,7 +15,9 @@ Three engines with one constraint vocabulary:
 * backtrack - row-major cell assignment with constraint propagation,
               sharded over the first slot's values from order 3 on (the
               only engine that scales past toy spaces for strongly
-              constrained jobs).
+              constrained jobs); strict polysymmetry at order >= 4 splits
+              instead over one witness map per orbit of the permutations
+              fixing its element (`_witness_map_tasks`).
 
 `plan_sweep` is the one place that picks an engine for a sweep, oracle
 sweeps included.  `sweep_tasks` and `merge_sweep` run a planned table sweep
@@ -74,7 +76,7 @@ that it cannot vectorize.
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -85,6 +87,7 @@ from .model import (
     KIND_HYPER,
     HyperTable,
     TwoOpModel,
+    apply_permutation,
     complex_product,
     full_mask,
     key_sorted_masks,
@@ -730,65 +733,6 @@ def _inclusion_watch(sums, entries, lines):
     return watch
 
 
-class _WatchTable:
-    """What the checks of one order and non-`forced` descriptor set share,
-    whatever the search's assignment order: per triple law (weak, its
-    `_law_triples`), whether reproductivity is asked, the element bit of
-    each unique-opposite descriptor, (bit, keep) per polysymmetry (see
-    `_poly_watch`), and per inclusion distributivity its complex sums and
-    (cell mask, lhs, left, right) entries.  `lines` lists the rows, then
-    the columns; `selection` lists, per line and set of its known cells,
-    the known cells each mask reads."""
-
-    def __init__(self, n, constraints):
-        self.n = n
-        self.triple_laws = tuple(
-            (c[1] == "weakly-associative", _law_triples(c[1], n))
-            for c in constraints
-            if c in _TRIPLE_LAWS
-        )
-        self.reproductive = ("law", "reproductive") in constraints
-        self.opposites = tuple(1 << c[1] for c in constraints if c[0] == "unique-opposite-at")
-        self.polysymmetries = tuple(
-            (1 << c[1], 1 << c[1] if c[2] else full_mask(n))
-            for c in constraints
-            if c[0] == "polysymmetry-at"
-        )
-        self.inclusions = []
-        for add in (c[1] for c in constraints if c[0] == "distributive-inclusion-over"):
-            entries = []
-            for x, y, z in product(range(n), repeat=3):  # x(y+z) in xy+xz, (y+z)x in yx+zx
-                s = singleton_value(add.cell(y, z))
-                for e in ((x * n + s, x * n + y, x * n + z), (s * n + x, y * n + x, z * n + x)):
-                    entries.append((1 << e[0] | 1 << e[1] | 1 << e[2], *e))
-            self.inclusions.append((_complex_sums(add), tuple(entries)))
-        self.lines = tuple(_line_cells(n, line) for line in range(2 * n))
-        self._subsets = [
-            [tuple(p for i, p in enumerate(line) if m >> i & 1) for m in range(1 << n)]
-            for line in self.lines
-        ]
-        self._selections = {}
-
-    def line_bits(self, mask):
-        """Per line, the bits i of its cells in the cell mask `mask`."""
-        return [sum(1 << i for i, p in enumerate(line) if mask >> p & 1) for line in self.lines]
-
-    def selection(self, line, known):
-        """Per mask m, the cells line[i] with i in m and in `known`."""
-        sel = self._selections.get((line, known))
-        if sel is None:
-            subsets = self._subsets[line]
-            sel = tuple(subsets[m & known] for m in range(1 << self.n))
-            self._selections[line, known] = sel
-        return sel
-
-
-@lru_cache(maxsize=1)
-def _watch_table(n, constraints):
-    """The single cache entry serves every shard of a sweep (see Backtracker)."""
-    return _WatchTable(n, constraints)
-
-
 class Backtracker:
     """Row-major DFS over orbit representatives with compiled pruning checks.
 
@@ -796,13 +740,14 @@ class Backtracker:
     cells set are exactly the prefill and the cells of slots 0..k.  The
     checks that run after slot k (`_checks_after`, -1 for the prefill) are
     compiled once per slot, on first use, against that set, and read no
-    other cell.  What they share whatever the slot order comes from
-    `_watch_table`, a single-entry cache keyed by the order and the
-    non-`forced` descriptors, so the witness-map shards of one sweep, which
-    differ only in their pins, share one build.  Each check returns False
-    when no completion of the partial table can satisfy its constraint, and
-    covers only what the slot's cells can change; the rest passed at an
-    earlier slot:
+    other cell.  What does not depend on the slot is built with the
+    backtracker: per triple law (weak, its `_law_triples`), whether
+    reproductivity is asked, the element bit of each unique-opposite
+    descriptor, (bit, keep) per polysymmetry (see `_poly_watch`), and per
+    inclusion distributivity its complex sums and (cell mask, lhs, left,
+    right) entries.  Each check returns False when no completion of the
+    partial table can satisfy its constraint, and covers only what the
+    slot's cells can change; the rest passed at an earlier slot:
 
     * reproductivity, on each line the slot completes;
     * unique opposites, on the set cells of each row the slot writes to;
@@ -892,7 +837,34 @@ class Backtracker:
         self.forced = forced
         self.required = required
         self._build_domains()
-        self.table = _watch_table(n, tuple(c for c in spec.constraints if c[0] != "forced"))
+        self.triple_laws = tuple(
+            (c[1] == "weakly-associative", _law_triples(c[1], n))
+            for c in spec.constraints
+            if c in _TRIPLE_LAWS
+        )
+        self.reproductive = ("law", "reproductive") in spec.constraints
+        self.opposites = tuple(1 << c[1] for c in spec.constraints if c[0] == "unique-opposite-at")
+        self.polysymmetries = tuple(
+            (1 << c[1], 1 << c[1] if c[2] else self.full)
+            for c in spec.constraints
+            if c[0] == "polysymmetry-at"
+        )
+        self.inclusions = []
+        for add in (c[1] for c in spec.constraints if c[0] == "distributive-inclusion-over"):
+            entries = []
+            for x, y, z in product(range(n), repeat=3):  # x(y+z) in xy+xz, (y+z)x in yx+zx
+                s = singleton_value(add.cell(y, z))
+                for e in ((x * n + s, x * n + y, x * n + z), (s * n + x, y * n + x, z * n + x)):
+                    entries.append((1 << e[0] | 1 << e[1] | 1 << e[2], *e))
+            self.inclusions.append((_complex_sums(add), tuple(entries)))
+        # lines: the rows, then the columns; _subsets[line][m]: the cells
+        # line[i] with i in m, which `_selection` reads per set of known cells
+        self.lines = tuple(_line_cells(n, line) for line in range(2 * n))
+        self._subsets = [
+            [tuple(p for i, p in enumerate(line) if m >> i & 1) for m in range(1 << n)]
+            for line in self.lines
+        ]
+        self._selections = {}
         self._checks = [None] * (len(self.slots) + 1)
 
     def _close_orbits(self, links):
@@ -977,6 +949,19 @@ class Backtracker:
             self.slot_writes.append(writes)
             self.domains.append(dom)
 
+    def _line_bits(self, mask):
+        """Per line, the bits i of its cells in the cell mask `mask`."""
+        return [sum(1 << i for i, p in enumerate(line) if mask >> p & 1) for line in self.lines]
+
+    def _selection(self, line, known):
+        """Per mask m, the cells line[i] with i in m and in `known`."""
+        sel = self._selections.get((line, known))
+        if sel is None:
+            subsets = self._subsets[line]
+            sel = tuple(subsets[m & known] for m in range(1 << self.n))
+            self._selections[line, known] = sel
+        return sel
+
     def _checks_after(self, depth):
         checks = self._checks[depth + 1]
         if checks is None:
@@ -985,7 +970,6 @@ class Backtracker:
 
     def _compile(self, depth):
         """The checks that run after slot `depth` (-1: the prefill) is written."""
-        table = self.table
         if depth < 0:
             written = tuple(self.prefill)
         else:
@@ -998,27 +982,27 @@ class Backtracker:
         for writes in self.slot_writes[: depth + 1]:
             for pos, _ in writes:
                 known |= 1 << pos
-        known_bits = table.line_bits(known)
-        written_bits = table.line_bits(wmask)
+        known_bits = self._line_bits(known)
+        written_bits = self._line_bits(wmask)
         sides = [
-            (table.selection(line, bits), full ^ bits) for line, bits in enumerate(known_bits)
+            (self._selection(line, bits), full ^ bits) for line, bits in enumerate(known_bits)
         ]
         checks = []
         touched = []  # per line the slot wrote to: its set cells, and whether it is complete
-        if table.reproductive or table.opposites or table.inclusions:  # the line devices
+        if self.reproductive or self.opposites or self.inclusions:  # the line devices
             touched = [
                 (line, sides[line][0][full], not sides[line][1])
                 for line in range(2 * n)
                 if written_bits[line]
             ]
-        if table.reproductive:
+        if self.reproductive:
             complete = tuple(cells for _, cells, done in touched if done)
             if complete:
                 checks.append(_union_watch(complete, full))
-        if table.opposites:
+        if self.opposites:
             rows = tuple((cells, done) for line, cells, done in touched if line < n)
-            checks += [_opposite_watch(bit, rows) for bit in table.opposites]
-        if table.polysymmetries:
+            checks += [_opposite_watch(bit, rows) for bit in self.opposites]
+        if self.polysymmetries:
             witnesses = []  # per x whose row or column the slot wrote to: per x', its set cells
             for x in range(n):
                 if written_bits[x] or written_bits[n + x]:
@@ -1029,13 +1013,13 @@ class Backtracker:
                     if all(candidates):  # else some x' is still a candidate whatever is set
                         witnesses.append(candidates)
             if witnesses:
-                checks += [_poly_watch(bit, keep, witnesses) for bit, keep in table.polysymmetries]
+                checks += [_poly_watch(bit, keep, witnesses) for bit, keep in self.polysymmetries]
         lines = tuple(cells for _, cells, _ in touched if len(cells) > 1)
-        for sums, entries in table.inclusions:
+        for sums, entries in self.inclusions:
             entries = tuple(e for mask, *e in entries if mask & wmask and mask & known == mask)
             if entries or lines:
                 checks.append(_inclusion_watch(sums, entries, lines))
-        for weak, triples in table.triple_laws:
+        for weak, triples in self.triple_laws:
             entries = []
             for deps, outer, pa, la, pb, lb in triples:
                 if deps & wmask and outer & known == outer:
@@ -1117,8 +1101,10 @@ def plan_sweep(order, constraints, oracle=False, counts=False, pruned=False):
       count when only counts are needed and every constraint vectorizes,
       else vector collect, which filters its survivors through the
       constraints it cannot vectorize; the backtracker above order 3;
-    * strict polysymmetry at order >= 4, unless the caller asks for the
-      pruned generator: the witness-map split;
+    * strict polysymmetry at some e at order >= 4, unless the caller asks
+      for the pruned generator: the witness-map split, when every descriptor
+      is invariant under the permutations that fix e (others, such as a
+      `forced` pin, go to the backtracker);
     * the backtracker when the caller asks for the pruned generator, at
       order != 3, or when some constraint is not vectorizable (as
       ("singleton-cells",) is not);
@@ -1132,8 +1118,12 @@ def plan_sweep(order, constraints, oracle=False, counts=False, pruned=False):
         if order > 3:
             return BACKTRACK
         return VECTOR_COUNT if counts and vector else VECTOR_COLLECT
-    if not pruned and order >= 4 and any(
-        c[0] == "polysymmetry-at" and not c[2] for c in constraints
+    strict = [c[1] for c in constraints if c[0] == "polysymmetry-at" and not c[2]]
+    # invariant under the permutations fixing e: laws, descriptors without
+    # arguments, and `*-at` descriptors at e, which read no other element
+    if not pruned and order >= 4 and strict and all(
+        c[0] == "law" or len(c) == 1 or c[0].endswith("-at") and c[1] == strict[0]
+        for c in constraints
     ):
         return WITNESS_MAP
     if pruned or order != 3 or not vector:
@@ -1165,10 +1155,13 @@ def merge_sweep(engine, order, constraints, results):
     """(cell tuples in canonical order, pruned nodes) from the task results."""
     cells = [cc for part, _ in results for cc in part]
     if engine == WITNESS_MAP:
-        # a table is found once per witness map it admits
+        # the permutations fixing e relabel each task's tables onto the rest of
+        # its orbit (`_witness_map_tasks`); a table is found once per map it admits
         poly = [c for c in constraints if c[0] == "polysymmetry-at"]
-        tables = (HyperTable(order, cc) for cc in set(cells))
-        cells = [t.cells for t in sorted(tables, key=table_key) if satisfies_all(t, poly)]
+        (e,) = {c[1] for c in poly}
+        perms = [p for p in permutations(range(order)) if p[e] == e]
+        found = {apply_permutation(HyperTable(order, cc), p) for cc in cells for p in perms}
+        cells = [t.cells for t in sorted(found, key=table_key) if satisfies_all(t, poly)]
     return cells, sum(p for _, p in results)
 
 
@@ -1199,18 +1192,22 @@ def first_hit_task(args, accept=None):
     return None
 
 
-def _witness_map_tasks(order, constraints):
+def _witness_map_tasks(n, constraints):
     """Strict polysymmetry at e pins a singleton skeleton: every x owns some
-    x' with both x*x' and x'*x equal to {e}.  One backtracking task per
-    witness map x -> x' forces that skeleton, so each is heavily constrained;
-    together they cover the model set, and merge_sweep applies the
-    polysymmetry check itself."""
-    n = order
+    x' with both x*x' and x'*x equal to {e}.  A witness map x -> x' forces
+    that skeleton, so a search under it is heavily constrained.  A
+    permutation p fixing e, under which `plan_sweep` made sure the other
+    descriptors are invariant, relabels the tables of map w onto those of
+    p w p^-1.  So one task per orbit of maps, on its least map, covers the
+    model set once merge_sweep relabels the results and re-checks them."""
     (e,) = {c[1] for c in constraints if c[0] == "polysymmetry-at"}
+    perms = [p for p in permutations(range(n)) if p[e] == e]
     rest = tuple(c for c in constraints if c[0] != "polysymmetry-at")
     tasks = []
-    for witness in product(range(n), repeat=n):
-        skeleton = {pos for x, xp in enumerate(witness) for pos in (x * n + xp, xp * n + x)}
+    for w in product(range(n), repeat=n):
+        if any(tuple(p[w[p.index(y)]] for y in range(n)) < w for p in perms):
+            continue  # not the least map of its orbit
+        skeleton = {pos for x, xp in enumerate(w) for pos in (x * n + xp, xp * n + x)}
         forced = tuple(("forced", pos, 1 << e) for pos in sorted(skeleton))
         tasks.append((dict(order=n, constraints=forced + rest), None))
     return tasks

@@ -1,7 +1,8 @@
 """The sweep planner's engine choice, pinned for every claim, every order
 and mode and for each enumeration kind, plus the runner's revalidation and
-the bounded worker pool.  Apart from one small order-3 cross-check of the
-witness-map split and the small two-operation jobs whose planned engines are
+the bounded worker pool.  Apart from the cross-checks of the witness-map
+split against the backtracker (qMp premise sets at orders 3 and 4, each
+under a second) and the small two-operation jobs whose planned engines are
 recorded, nothing here runs a sweep.
 
 T6 and T28 are claims on a two-operation label: their premise sweeps run on
@@ -14,6 +15,7 @@ family runs no sweep.  Drop searches always run on the backtracker's shards
 (`enumeration.search_first`), so they have no row here.
 """
 
+import itertools
 import os
 import pickle
 import subprocess
@@ -180,13 +182,68 @@ def test_planner_rule():
     assert plan(4, weak) == BT
 
 
-def test_witness_map_split_finds_the_backtracker_model_set():
-    cs = (("law", "associative"), ("identity-at", 1), ("polysymmetry-at", 1, False))
-    found = {}
-    for engine in (WMAP, BT):
-        fn, tasks = engines.sweep_tasks(engine, 3, cs)
-        found[engine], _ = engines.merge_sweep(engine, 3, cs, [fn(t) for t in tasks])
-    assert found[WMAP] == found[BT] and found[BT]
+def _qmp(e, *extra):
+    """The qMp premises at e, as T13, T24 and P14-P23 sweep them."""
+    return (("law", "associative"), ("identity-at", e), ("polysymmetry-at", e, False)) + extra
+
+
+def _swept(engine, order, cs):
+    fn, tasks = engines.sweep_tasks(engine, order, cs)
+    return engines.merge_sweep(engine, order, cs, [fn(t) for t in tasks])[0]
+
+
+@pytest.mark.parametrize(
+    "order, cs",
+    [
+        (3, _qmp(1)),
+        (4, _qmp(0)),
+        (4, _qmp(1)),
+        (4, _qmp(0, ("law", "commutative"))),
+        pytest.param(4, _qmp(2), marks=pytest.mark.slow),  # the backtracker takes seconds
+    ],
+    ids=["3-qmp-at-1", "4-qmp-at-0", "4-qmp-at-1", "4-commutative-qmp-at-0", "4-qmp-at-2"],
+)
+def test_witness_map_split_finds_the_backtracker_model_set(order, cs):
+    assert engines.plan_sweep(order, cs) == (WMAP if order >= 4 else COLLECT)
+    found = _swept(WMAP, order, cs)
+    assert found == _swept(BT, order, cs) and found
+
+
+def _conjugate(witness, perm):
+    """perm . witness . perm^-1 as a tuple: it maps perm[x] to perm[witness[x]]."""
+    out = [None] * len(witness)
+    for x, xp in enumerate(witness):
+        out[perm[x]] = perm[xp]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("order, orbits", [(3, 15), (4, 52)])
+def test_witness_map_split_searches_one_map_per_orbit(order, orbits):
+    # the orbits of the witness maps under the permutations fixing e, by
+    # brute force; the tasks pin the skeletons of their least maps, in order
+    maps = list(itertools.product(range(order), repeat=order))
+    for e in range(order):
+        fixing = [p for p in itertools.permutations(range(order)) if p[e] == e]
+        least = sorted({min(_conjugate(w, p) for p in fixing) for w in maps})
+        assert len(least) == orbits
+        _, tasks = engines.sweep_tasks(WMAP, order, (("polysymmetry-at", e, False),))
+        pinned = [{c[1:] for c in args["constraints"] if c[0] == "forced"} for args, _ in tasks]
+        assert pinned == [
+            {(p, 1 << e) for x, xp in enumerate(w) for p in (x * order + xp, xp * order + x)}
+            for w in least
+        ]
+
+
+def test_witness_map_split_needs_descriptors_invariant_under_the_relabelings():
+    # a pin on cell (1, 1) is moved by the permutations fixing 0: splitting
+    # this set by orbits would relabel tables that break the pin
+    cs = _qmp(0, ("forced", 5, 0b100))
+    assert engines.plan_sweep(4, cs) == BT
+    tables, _ = enumeration.sweep(4, [cs])
+    assert len(tables) == 2
+    assert [t.cells for t in tables] == _swept(BT, 4, cs)
+    assert engines.plan_sweep(4, _qmp(0, ("unique-opposite-at", 1))) == BT
+    assert engines.plan_sweep(4, _qmp(0, ("unique-opposite-at", 0))) == WMAP
 
 
 def _rejecting(ident, real):

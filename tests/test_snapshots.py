@@ -1,9 +1,10 @@
 """Verifier reports reproduce the recorded snapshots byte for byte.
 
 tests/data/verify_snapshots.json holds `to_json(include_wall_time=False)` for
-every theorem id at orders 2 and 3, with and without --drop-premises, and at
-order 2 with and without --oracle (tests/make_verify_snapshots.py records
-it).  The order-3 drop cases run under `-m slow`.  Cases go through
+every theorem id at orders 2 and 3, with and without --drop-premises, at
+order 2 with and without --oracle, and at order 4 for every id whose cap is 4
+(tests/make_verify_snapshots.py records it).  The order-3 drop cases and
+T25, T26 and T27 at order 4 (several seconds each) run under `-m slow`.  Cases go through
 `verify_cached` with the argument spelling the other tests use, so no sweep
 runs twice in one session.
 """
@@ -26,9 +27,15 @@ def _case_id(case):
     return "-".join([case["theorem"], str(case["order"])] + flags)
 
 
+SLOW_ORDER4 = {"T25", "T26", "T27"}
+
+
 def _params():
     for case in CASES:
-        marks = [pytest.mark.slow] if case["order"] == 3 and case["drop_premises"] else []
+        slow = case["order"] == 3 and case["drop_premises"] or (
+            case["order"] == 4 and case["theorem"] in SLOW_ORDER4
+        )
+        marks = [pytest.mark.slow] if slow else []
         yield pytest.param(case, marks=marks, id=_case_id(case))
 
 
