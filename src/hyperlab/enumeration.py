@@ -3,8 +3,9 @@
 A job names its constraints with public ids: any law id from
 axioms.LAW_IDS, or a structure label of `classify.STRUCTURES`.  The search
 comes from that axiom table: a single-operation job sweeps the conjunction of
-its laws and its structures' descriptors, once per candidate element when a
-structure is quantified over one (every element, or only the pinned zero).
+its laws and its structures' descriptors, at every candidate element or the
+pinned zero when a structure is quantified over one: `element_sweep`, shared
+with the verifier, searches element 0 and relabels by (0 k) for the others.
 A two-operation job sweeps the runs of `two_op_plan`: each fixes one
 operation and the zero and searches the other, the addition at the zero
 under each multiplication composition when the axioms make the
@@ -50,6 +51,7 @@ from . import axioms, classify, engines
 from .model import (
     HyperTable,
     TwoOpModel,
+    apply_permutation,
     canonical_form,
     canonical_form_two_op,
     singleton_value,
@@ -122,23 +124,22 @@ def _check_job(job: EnumerationJob):
 
 
 def _candidates(job: EnumerationJob):
+    """The candidate elements of the job's quantified structures, or (None,)."""
+    if not any(c in classify.STRUCTURES and classify.candidate_rule(c) for c in job.constraints):
+        return (None,)
     return range(job.order) if job.zero is None else (job.zero,)
 
 
 # -- single-operation jobs -------------------------------------------------------
 
-def _single_runs(job: EnumerationJob):
+def _single_runs(job: EnumerationJob, cand):
     """Descriptor conjunctions from the axiom table whose model sets
-    together make up the job's.  Structures quantified over a candidate
-    element share it: every element, or the pinned zero."""
+    together make up the job's at the candidate element, which every
+    quantified structure shares (None when none is quantified)."""
     laws = tuple(("law", c) for c in job.constraints if c in axioms.LAW_IDS)
     structures = [c for c in job.constraints if c in classify.STRUCTURES]
-    quantified = any(
-        classify.candidate_rule(s) in (classify.ELEMENTS, classify.IDENTITIES) for s in structures
-    )
     return [
         laws + sum(parts, ())
-        for cand in (_candidates(job) if quantified else (None,))
         for parts in product(*(classify.runs_at(s, cand) for s in structures))
     ]
 
@@ -163,6 +164,26 @@ def sweep(order, runs, oracle=False, workers=1, pruned=False):
     union = {cc: kind for cells, kind in found for cc in cells}
     tables = (HyperTable(order, cc, kind) for cc, kind in union.items())
     return sorted(tables, key=table_key), pruned_nodes
+
+
+def element_sweep(order, runs_at, candidates, oracle=False, workers=1, pruned=False):
+    """((table, e) pairs in (table_key, e) order, pruned nodes) for the
+    descriptor runs `runs_at(e)` at each candidate element e (None: no
+    element).  The descriptors name an element only through E, so the
+    generator searches element 0 and maps its set to each candidate k by the
+    transposition (0 k); the oracle searches every candidate on its own."""
+    searched = candidates if oracle or None in candidates else (0,)
+    swept = {e: sweep(order, runs_at(e), oracle, workers, pruned) for e in searched}
+    pairs = []
+    for k in candidates:
+        if k in swept:
+            pairs += [(t, k) for t in swept[k][0]]
+        else:
+            tau = [k if x == 0 else 0 if x == k else x for x in range(order)]
+            pairs += [(apply_permutation(t, tau), k) for t in swept[0][0]]
+    if len(candidates) > 1 or candidates[0]:  # one untransposed sweep is sorted already
+        pairs.sort(key=lambda pe: (table_key(pe[0]), pe[1]))
+    return pairs, sum(nodes for _, nodes in swept.values())
 
 
 def count_sweep(runs, conclusion, biconditional, workers=1):
@@ -365,7 +386,9 @@ def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummar
         models, pruned = _enumerate_two_op(job, workers)
         reps = sorted(set(map(canonical_form_two_op, models)), key=two_op_key)
     else:
-        models, pruned = sweep(job.order, _single_runs(job), job.oracle, workers, pruned=True)
+        runs_at, cands = partial(_single_runs, job), _candidates(job)
+        pairs, pruned = element_sweep(job.order, runs_at, cands, job.oracle, workers, True)
+        models = list({t.cells: t for t, _ in pairs}.values())  # each table once
         fixed = [p for p in (job.zero, job.one) if p is not None]
         forms = {cm.cells: cm for cm in (canonical_form(m, fixed) for m in models)}
         reps = sorted(forms.values(), key=table_key)

@@ -29,14 +29,14 @@ two-operation enumeration, T28's Def-14 set and T29's scalar family share,
 and its drop searches walk the plan's runs with one axiom or descriptor left
 out.  T29's module additions are the premise models of the claim `_NORMAL`;
 only its action search over a bundled scalar family is bespoke.  No verifier
-runs an engine itself: premise sweeps go through `enumeration.sweep` or
-`count_sweep` (each engine from `engines.plan_sweep`), and every drop and
+runs an engine itself: premise sweeps go through `enumeration.element_sweep`
+or `count_sweep` (each engine from `engines.plan_sweep`), and every drop and
 independence search is one first-hit search, `enumeration.search_first`, at
 orders <= DROP_CAP (above it each drop is reported as `not_searched`).
 
 Sweeps quantified over a distinguished element (identity or zero) count
-(table, element) pairs as premise models, all from one sweep,
-`_premise_models`.  Every counterexample and independence witness is
+(table, element) pairs as premise models, all from enumeration's one
+element-quantified sweep, `element_sweep`.  Every counterexample and independence witness is
 revalidated through the axiom predicates before a report is emitted (a
 disagreement raises RuntimeError), and reports are identical for any worker
 count.
@@ -50,15 +50,8 @@ from itertools import product
 
 from . import axioms, classify, engines
 from .engines import E, at
-from .enumeration import count_sweep, search_first, sweep, two_op_plan, two_op_sweep
-from .model import (
-    HyperTable,
-    HypermoduleModel,
-    TwoOpModel,
-    apply_permutation,
-    members_of,
-    table_key,
-)
+from .enumeration import count_sweep, element_sweep, search_first, two_op_plan, two_op_sweep
+from .model import HyperTable, HypermoduleModel, TwoOpModel, members_of
 from .modelio import serialize_model
 from .parallel import parallel_map
 from .samples import krasner_hyperfield, sign_hyperfield
@@ -349,26 +342,10 @@ def _count_premises(claim, workers):
 def _premise_models(claim, order, oracle, workers):
     """(table, element) premise models in canonical order; the element is
     None when the claim quantifies none."""
-
-    def tables(e):
-        runs = [_descriptors_at(run, e) for run in claim.premises]
-        return sweep(order, runs, oracle, workers, claim.pruned)[0]
-
-    if claim.element is None:
-        return [(t, None) for t in tables(0)]
-    if oracle:
-        pairs = [(t, e) for e in range(order) for t in tables(e)]
-    else:
-        # the premises are permutation-equivariant: the model set at k is the
-        # image of the element-0 set under the transposition (0 k)
-        base = tables(0)
-        pairs = [(t, 0) for t in base]
-        for k in range(1, order):
-            tau = list(range(order))
-            tau[0], tau[k] = k, 0
-            pairs.extend((apply_permutation(t, tau), k) for t in base)
-    pairs.sort(key=lambda pe: (table_key(pe[0]), pe[1]))
-    return pairs
+    return element_sweep(
+        order, lambda e: [_descriptors_at(run, e) for run in claim.premises],
+        range(order) if claim.element else (None,), oracle, workers, claim.pruned,
+    )[0]
 
 
 def _two_op_label(claim):

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from hyperlab.axioms import check_law
+from hyperlab.classify import holds_at
 from hyperlab.cli import _component, default_catalog_path, main
 from hyperlab.modelio import parse_model
 
@@ -177,8 +178,16 @@ def test_enumerate_json_format():
         (["--structure", "ra-hypergroup", "--order", "2"], 78, 13),
         (["--structure", "semihypergroup", "--order", "2"], 35, 30),
         (["--structure", "qmp-hypergroup", "--order", "4", "--zero", "0"], 165651, 8),
+        # element-quantified jobs search element 0 and relabel: the same tree
+        (["--structure", "qmp-hypergroup", "--order", "4"], 165651, 32),
+        (["--structure", "qmp-hypergroup", "--order", "4", "--zero", "3"], 165651, 8),
+        (["--structure", "m-polysymmetrical-hypergroup", "--order", "4"], 142911, 32),
     ],
-    ids=["hv-group/2", "la-hypergroup/2", "ra-hypergroup/2", "semihypergroup/2", "qmp-hypergroup/4"],
+    ids=[
+        "hv-group/2", "la-hypergroup/2", "ra-hypergroup/2", "semihypergroup/2",
+        "qmp-hypergroup/4", "qmp-hypergroup/4-unpinned", "qmp-hypergroup/4-zero-3",
+        "m-polysymmetrical-hypergroup/4-unpinned",
+    ],
 )
 def test_enumerate_pins_pruned_node_counts(argv, pruned, raw):
     # the watchers may get faster, never weaker or stronger
@@ -186,6 +195,18 @@ def test_enumerate_pins_pruned_node_counts(argv, pruned, raw):
     assert code == 0, err
     summary = json.loads(err.strip().splitlines()[-1])
     assert (summary["pruned_nodes"], summary["raw_count"]) == (pruned, raw)
+
+
+def test_enumerate_pinned_away_from_zero_emits_models_at_the_pin():
+    # the models are the (0 3) images of the element-0 search
+    code, out, err = run(
+        ["enumerate", "--order", "4", "--structure", "qmp-hypergroup", "--zero", "3",
+         "--format", "json", "--workers", "1"]
+    )
+    assert code == 0, err
+    tables = [parse_model(json.dumps(m), "json") for m in json.loads(out)]
+    assert len(tables) == 8
+    assert all(holds_at("qmp-hypergroup", t, 3) for t in tables)
 
 
 @pytest.mark.slow

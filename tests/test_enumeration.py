@@ -7,10 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from hyperlab import enumeration
+from hyperlab import enumeration, theorems
 from hyperlab.axioms import LAW_IDS, check_law
-from hyperlab.classify import SINGLE_LABELS, STRUCTURES, TWO_OP_LABELS, classify_two_op, max_order
-from hyperlab.engines import Backtracker, SearchSpec, key_sorted_masks
+from hyperlab.classify import (
+    SINGLE_LABELS,
+    STRUCTURES,
+    TWO_OP_LABELS,
+    candidate_rule,
+    classify_two_op,
+    max_order,
+    runs_at,
+)
+from hyperlab.engines import E, Backtracker, SearchSpec, key_sorted_masks
 from hyperlab.enumeration import (
     EnumerationJob,
     _check_job,
@@ -33,6 +41,14 @@ from hyperlab.modelio import serialize_model
 from hyperlab.samples import cyclic_group_table, krasner_hyperfield
 
 CATALOG = resources.files("hyperlab") / "data" / "golden_catalog.json"
+# the single-operation labels quantified over an element
+QUANTIFIED = [
+    "qmp-hypergroup",
+    "m-polysymmetrical-hypergroup",
+    "canonical-hypergroup",
+    "quasicanonical-hypergroup",
+    "normal-hypergroup",
+]
 
 
 def run_job(**kw):
@@ -59,16 +75,7 @@ def test_order2_hypergroup_oracle_equals_pruned():
 
 
 @pytest.mark.parametrize("zero", [0, 1])
-@pytest.mark.parametrize(
-    "structure",
-    [
-        "qmp-hypergroup",
-        "m-polysymmetrical-hypergroup",
-        "canonical-hypergroup",
-        "quasicanonical-hypergroup",
-        "normal-hypergroup",
-    ],
-)
+@pytest.mark.parametrize("structure", QUANTIFIED)
 def test_oracle_honours_pinned_element(structure, zero):
     _, pruned = run_job(order=2, constraints=[structure], zero=zero)
     _, oracle = run_job(order=2, constraints=[structure], zero=zero, oracle=True)
@@ -81,6 +88,37 @@ def test_oracle_honours_pinned_element_order3():
     _, oracle = run_job(order=3, constraints=["canonical-hypergroup"], zero=1, oracle=True)
     assert summary.raw_count == 15
     assert [m.cells for m in oracle] == [m.cells for m in pruned]
+
+
+def test_relabeled_pin_equals_oracle_order3():
+    # the pin away from 0 is the (0 2) image of the element-0 search
+    summary, pruned = run_job(order=3, constraints=["qmp-hypergroup"], zero=2)
+    _, oracle = run_job(order=3, constraints=["qmp-hypergroup"], zero=2, oracle=True)
+    assert summary.raw_count == len(oracle) > 0
+    assert [m.cells for m in oracle] == [m.cells for m in pruned]
+
+
+def _quantified_runs():
+    """Every descriptor run that `element_sweep` relabels by (0 k): the
+    element-quantified labels' and claims', at the placeholder E."""
+    labels = [lb for lb in SINGLE_LABELS if candidate_rule(lb)]
+    claims = (*theorems.CLAIMS.values(), theorems._WEAK_QMP, theorems._NORMAL)
+    claims = [c for c in claims if c.element]
+    assert len(labels) == 5 and len(claims) == 8
+    yield from (run for lb in labels for run in runs_at(lb, E))
+    yield from (theorems._descriptors_at(run, E) for c in claims for run in c.premises)
+
+
+def test_quantified_descriptors_name_elements_only_through_e():
+    # the image of a model at 0 under (0 k) is a model at k only if no
+    # descriptor names an element itself: a `forced` pin or a literal
+    # element breaks the transposition; law ids and boolean flags do not
+    for run in _quantified_runs():
+        for d in run:
+            if d[0] == "law":
+                assert len(d) == 2 and d[1] in LAW_IDS, d
+            else:
+                assert all(a is E or type(a) is bool for a in d[1:]), d
 
 
 def test_emission_is_strictly_increasing():
@@ -356,9 +394,13 @@ def test_order4_hyperfield_matches_linkless_search():
 
 
 @pytest.mark.slow
-def test_order3_qmp_pruned_equals_vector_oracle():
-    pruned, pruned_models = run_job(order=3, constraints=["qmp-hypergroup"])
-    oracle, oracle_models = run_job(order=3, constraints=["qmp-hypergroup"], oracle=True)
+@pytest.mark.parametrize("zero", [None, 0, 1, 2])
+@pytest.mark.parametrize("structure", QUANTIFIED)
+def test_order3_qmp_pruned_equals_vector_oracle(structure, zero):
+    # the generator relabels its element-0 models by (0 k); the oracle
+    # searches every candidate on its own
+    pruned, pruned_models = run_job(order=3, constraints=[structure], zero=zero)
+    oracle, oracle_models = run_job(order=3, constraints=[structure], zero=zero, oracle=True)
     assert pruned.raw_count == oracle.raw_count
     assert [m.cells for m in pruned_models] == [m.cells for m in oracle_models]
 

@@ -106,14 +106,18 @@ def test_sweeps_outside_the_claims_table(order):
         (3, ("hypergroup",), True, [COLLECT]),
         (3, ("group",), False, [BT]),
         (3, ("group",), True, [PURE]),
-        (4, ("qmp-hypergroup",), False, [BT] * 4),  # pruned, not the witness-map split
-        (3, ("canonical-hypergroup",), True, [COLLECT] * 3),
+        (4, ("qmp-hypergroup",), False, [BT]),  # pruned, not the witness-map split
+        (3, ("canonical-hypergroup",), True, [COLLECT] * 3),  # the oracle tries each element
         (2, ("associative",), True, [PURE]),
     ],
 )
 def test_enumeration_engine(order, constraints, oracle, engines_per_run):
-    # enumeration.sweep plans each run of the job exactly like this
-    runs = enumeration._single_runs(EnumerationJob(order, constraints, oracle=oracle))
+    # enumeration.element_sweep plans each run of the job exactly like this:
+    # the generator searches a quantified job at element 0 alone
+    job = EnumerationJob(order, constraints, oracle=oracle)
+    cands = enumeration._candidates(job)
+    searched = cands if oracle or None in cands else (0,)
+    runs = [run for e in searched for run in enumeration._single_runs(job, e)]
     plans = [engines.plan_sweep(order, run, oracle, pruned=True) for run in runs]
     assert plans == engines_per_run
 
