@@ -43,7 +43,6 @@ Constraints are serializable descriptors:
                                   (b+c)a in ba+ca
     ("sign-rule-over", add, z)    a(-b) = (-a)b = -(ab), negation taken in
                                   the additive group (add, z)
-    ("non-degenerate",)           some cell is non-empty
     ("reversibility-poly-at", e, weak)
                                   z in x*y forces z' in y'*x' for every
                                   symmetric pick wrt e
@@ -188,7 +187,6 @@ _RESULTS = {
     "equivariant-under": _equivariant,
     "distributive-inclusion-over": _over("distributive-inclusion"),
     "sign-rule-over": _over("sign-rule"),
-    "non-degenerate": lambda t: _negation(t, ("law", "degenerate")),
     "not": _negation,
 }
 
@@ -270,6 +268,8 @@ def vectorizable(c) -> bool:
     tag = c[0]
     if tag == "law":
         return c[1] in _VECTOR_LAWS
+    if tag == "not":
+        return vectorizable(c[1])
     return tag in {
         "identity-at",
         "polysymmetry-at",
@@ -278,7 +278,6 @@ def vectorizable(c) -> bool:
         "divisions-nonempty",
         "distributive-inclusion-over",
         "sign-rule-over",
-        "non-degenerate",
     }
 
 
@@ -384,8 +383,8 @@ def _v3_predicate(cells, c):
         return v3_distributive_inclusion(cells, c[1])
     if tag == "sign-rule-over":
         return v3_sign_rule(cells, axioms.group_inverse_map(c[1], c[2]))
-    if tag == "non-degenerate":
-        return ~_v3_predicate(cells, ("law", "degenerate"))
+    if tag == "not":
+        return ~_v3_predicate(cells, c[1])
     raise ValueError(f"constraint not vectorizable: {c!r}")
 
 
@@ -1109,7 +1108,9 @@ def plan_sweep(order, constraints, oracle=False, counts=False, pruned=False):
       order != 3, or when some constraint is not vectorizable (as
       ("singleton-cells",) is not);
     * otherwise at order 3: vector count when only the premise count and
-      the first failure are needed, vector collect when the tables are.
+      the first failure are needed; when the tables are, vector collect
+      under weak polysymmetry, whose backtracker checks prune little, and
+      the backtracker for every other set.
     """
     vector = all(vectorizable(c) for c in constraints)
     if oracle:
@@ -1126,7 +1127,8 @@ def plan_sweep(order, constraints, oracle=False, counts=False, pruned=False):
         for c in constraints
     ):
         return WITNESS_MAP
-    if pruned or order != 3 or not vector:
+    weak = any(c[0] == "polysymmetry-at" and c[2] for c in constraints)
+    if pruned or order != 3 or not vector or not (counts or weak):
         return BACKTRACK
     return VECTOR_COUNT if counts else VECTOR_COLLECT
 

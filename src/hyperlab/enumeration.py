@@ -116,6 +116,14 @@ def _check_job(job: EnumerationJob):
         raise ValueError(f"order {job.order} above the cap {cap} for {owner}")
     if job.oracle and job.order > (2 if two_op else 3):
         raise ValueError("oracle mode caps two-operation jobs at order 2, the others at 3")
+    # canonical forms fix a pinned element, so a pin the search ignores would
+    # only split the job's isomorphism classes
+    if job.one is not None and not two_op:
+        raise ValueError("a `one` pin needs a two-operation structure")
+    if job.zero is not None and _candidates(job) == (None,):
+        raise ValueError(
+            "a `zero` pin needs a two-operation structure or one quantified over an element"
+        )
     for pin in (job.zero, job.one):
         if pin is not None and not 0 <= pin < job.order:
             raise ValueError("pinned constant out of range")
@@ -223,7 +231,7 @@ _ON_H_STAR = {"multiplicative-group-on-H*", "multiplicative-semigroup-on-H*"}
 _MUL_DESCRIPTORS = {
     "mul-nondegenerate-associative": lambda add, zero: (
         ("law", "associative"),
-        ("non-degenerate",),
+        ("not", ("law", "degenerate")),
     ),
     "distributive-inclusion": lambda add, zero: (("distributive-inclusion-over", add),),
     "sign-rule": lambda add, zero: (("sign-rule-over", add, zero),),

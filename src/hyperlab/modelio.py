@@ -365,6 +365,11 @@ def model_json(model) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _json_table(entry) -> HyperTable:
     if not isinstance(entry, dict):
         raise ParseError("each operation must be an object")
@@ -381,7 +386,7 @@ def _json_table(entry) -> HyperTable:
             raise ParseError("operation table must be square")
         for cell in row:
             if not isinstance(cell, list) or any(
-                not isinstance(i, int) or i < 0 or i >= order for i in cell
+                not _is_int(i) or i < 0 or i >= order for i in cell
             ):
                 raise ParseError("cells must be lists of in-range indices")
             if sorted(set(cell)) != cell:
@@ -404,7 +409,7 @@ def _parse_json(text: str):
         raise ParseError("model JSON must be an object")
     order = obj.get("order")
     ops = obj.get("ops")
-    if not isinstance(order, int) or not isinstance(ops, dict) or not ops:
+    if not _is_int(order) or not isinstance(ops, dict) or not ops:
         raise ParseError("model JSON needs integer `order` and non-empty `ops`")
     tables = [_json_table(entry) for entry in ops.values()]
     for t in tables[:2]:
@@ -416,7 +421,7 @@ def _parse_json(text: str):
     consts = {}
     for key in ("zero", "one", "zerom"):
         if key in constants:
-            if not isinstance(constants[key], int):
+            if not _is_int(constants[key]):
                 raise ParseError(f"constant `{key}` must be an integer")
             consts[key] = constants[key]
     action = obj.get("action")
@@ -428,7 +433,7 @@ def _parse_json(text: str):
             raise ParseError("`action` must carry a non-empty `table`")
         for r in table:
             if not isinstance(r, list) or len(r) != len(table[0]) or any(
-                not isinstance(v, int) for v in r
+                not _is_int(v) for v in r
             ):
                 raise ParseError("action rows must be equal-length integer lists")
         rows = [tuple(r) for r in table]

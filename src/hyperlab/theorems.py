@@ -51,7 +51,7 @@ from itertools import product
 from . import axioms, classify, engines
 from .engines import E, at
 from .enumeration import count_sweep, element_sweep, search_first, two_op_plan, two_op_sweep
-from .model import HyperTable, HypermoduleModel, TwoOpModel, members_of
+from .model import HyperTable, HypermoduleModel, members_of
 from .modelio import serialize_model
 from .parallel import parallel_map
 from .samples import krasner_hyperfield, sign_hyperfield
@@ -153,28 +153,22 @@ def _ids_of(label):
     return tuple(_ID_OF[c] for c in classify.axioms_of(label))
 
 
-def _id_holds(table, ident, cand) -> bool:
-    if isinstance(table, TwoOpModel):  # a two-operation label or axiom, at the zero
-        ids = classify.axioms_of(ident) if ident in classify.TWO_OP_LABELS else (ident,)
-        return all(classify.axiom_holds(table, i, cand) for i in ids)
-    if ident in _DESCRIPTOR_IDS:
-        return engines.constraint_holds(table, at(_DESCRIPTOR_IDS[ident], cand))
+def _id_holds(model, ident, cand) -> bool:
+    """Whether an id holds on a table or two-operation model at the
+    candidate; an id without a predicate is an axiom of the table
+    (`classify.axiom_holds`), and a two-operation label all of its axioms."""
     if ident in _PREDICATE_IDS:
-        return _PREDICATE_IDS[ident](table, cand)
-    raise ValueError(f"unknown id: {ident!r}")
+        return _PREDICATE_IDS[ident](model, cand)
+    ids = classify.axioms_of(ident) if ident in classify.TWO_OP_LABELS else (ident,)
+    return all(classify.axiom_holds(model, _DESCRIPTOR_IDS.get(i, i), cand) for i in ids)
 
 
-def _witness(table, ident, cand):
-    """JSON witness of a conclusion id that fails on (table, cand)."""
+def _witness(model, ident, cand):
+    """JSON witness of a conclusion id that fails on (model, cand)."""
     if ident == "qmp-properties":
-        _revalidate(not _id_holds(table, ident, cand), "a qMp property fails")
-        return {"check": next(cid for cid, ok in qmp_property_checks(table, cand) if not ok)}
-    if isinstance(table, TwoOpModel):
-        res = classify.axiom_result(table, ident, cand)
-    elif ident in _DESCRIPTOR_IDS:
-        res = engines.constraint_result(table, at(_DESCRIPTOR_IDS[ident], cand))
-    else:
-        raise ValueError(f"no witness for {ident!r}")
+        _revalidate(not _id_holds(model, ident, cand), "a qMp property fails")
+        return {"check": next(cid for cid, ok in qmp_property_checks(model, cand) if not ok)}
+    res = classify.axiom_result(model, _DESCRIPTOR_IDS.get(ident, ident), cand)
     _revalidate(not res.holds, f"{ident} fails")
     return res.witness.to_json()
 
@@ -208,8 +202,10 @@ class Claim:
                    drop witness is the canonical first (model, element) pair;
                    a two-operation premise drops one axiom or descriptor of
                    its plan runs, and the first run with a hit wins
-    pruned         sweep on the backtracker even where the vector engine
-                   fits: a measured engine choice the planner cannot see
+    pruned         sweep on the backtracker even where vector count fits;
+                   T3 sets it so that criterion 2 certifies its order-3
+                   backtracker sweep against the vector count (engines for
+                   speed are the planner's choice alone)
     extras         hook(Swept) -> the report's extras
 
     Count mode is derived in `sweep_engine`: without a quantified element
@@ -634,7 +630,7 @@ CLAIMS = {
         ((_DEF7,),), ("mul-cellwise-nonempty",),
         drops=(
             ("mul-associative", (classify.ASSOC,)), "distributive-inclusion", "sign-rule",
-            ("non-degenerate", (("non-degenerate",),)), "additive-abelian-group",
+            ("non-degenerate", (("not", ("law", "degenerate")),)), "additive-abelian-group",
         ),
         extras=_t6_extras,
     ),
@@ -668,12 +664,10 @@ CLAIMS = {
         (_CANONICAL,), ("reproductive", "cellwise-nonempty"), element="zero", drops=_CANONICAL
     ),
     "T26": Claim((_CANONICAL,), ("scalar-zero",), element="zero", drops=_CANONICAL),
-    # pruned: the backtracker ran the order-3 sweep about ten times faster
-    # than vector collect, with the same report
     "T27": Claim(
         (_CANONICAL[:3],), ("reversibility-canonical", "opposite-additivity"),
         biconditional=lambda rev, opp: {"reversibility": rev, "opposite_additivity": opp},
-        element="zero", drops=_CANONICAL[:3], extras=_t27_extras, pruned=True,
+        element="zero", drops=_CANONICAL[:3], extras=_t27_extras,
     ),
     "T28": Claim(
         ((_DEF15,),), (classify.REVERSIBILITY,),
@@ -695,7 +689,7 @@ _WEAK_QMP = Claim(
 )
 
 # T29's module additions: (table, zero) pairs of the normal-hypergroup axioms
-_NORMAL = Claim((_ids_of("normal-hypergroup"),), (), element="zero", pruned=True)
+_NORMAL = Claim((_ids_of("normal-hypergroup"),), (), element="zero")
 
 
 # -- T29: hypermodules ---------------------------------------------------------

@@ -347,6 +347,34 @@ def test_flags_a_command_cannot_apply_are_refused(argv, reason):
     assert f"error: {reason}" in err
 
 
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--structure", "hypergroup", "--up-to-iso", "--one", "2"], "`one` pin needs"),
+        (["--structure", "qmp-hypergroup", "--one", "0"], "`one` pin needs"),
+        (["--structure", "group", "--zero", "0"], "`zero` pin needs"),
+        (["--laws", "associative,reproductive", "--zero", "1"], "`zero` pin needs"),
+    ],
+    ids=["one-hypergroup", "one-qmp", "zero-group", "zero-laws"],
+)
+def test_enumerate_refuses_pins_the_job_cannot_apply(flags, reason):
+    # canonical forms fix a pinned element, so a pin the search ignores splits
+    # the classes (hypergroup/3 with `--one 2` would give 11721, not 3999)
+    code, out, err = run(["enumerate", "--order", "3", *flags, "--workers", "1"])
+    assert code == 1 and out == ""
+    assert reason in err
+
+
+def test_classify_refuses_json_booleans_for_integers(tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(
+        '{"order": 1, "ops": {"law": {"kind": "hyper", "table": [[[false]]]}}}'
+    )
+    code, out, err = run(["classify", str(path), "--format", "json"])
+    assert code == 1 and out == ""
+    assert "in-range indices" in err
+
+
 def test_enumerate_validation_error():
     code, _, err = run(["enumerate", "--order", "9", "--structure", "hypergroup"])
     assert code == 1

@@ -1,8 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import hyperlab
 from hyperlab.model import HyperTable, HypermoduleModel, TwoOpModel
 from hyperlab.modelio import (
     ParseError,
@@ -14,10 +16,27 @@ from hyperlab.modelio import (
 )
 from hyperlab.samples import (
     cyclic_group_table,
+    degenerate_table,
     krasner_hyperfield,
     krasner_self_module,
     sign_hyperfield,
+    subtraction_table,
+    total_table,
 )
+
+MODELS = Path(hyperlab.__file__).parent / "data" / "models"
+
+# every bundled model file -> the builder it must equal
+BUNDLED = {
+    "krasner": krasner_hyperfield,
+    "sign": sign_hyperfield,
+    "krasner_module": krasner_self_module,
+    "z2": lambda: cyclic_group_table(2),
+    "z3": lambda: cyclic_group_table(3),
+    "z3_reversed_difference": lambda: subtraction_table(3),
+    "degenerate2": lambda: degenerate_table(2),
+    "total2": lambda: total_table(2),
+}
 
 Z2_TEXT = """\
 order 2
@@ -159,6 +178,15 @@ def test_action_shape_validated():
         parse_model(bad)
 
 
+def test_bundled_models_equal_their_builders():
+    # T29 and the tests build these models; the CLI examples and the
+    # benchmark read the files, so each file must be its builder's model
+    files = {path.stem: path for path in MODELS.glob("*.model")}
+    assert set(files) == set(BUNDLED)  # a new file needs a builder here
+    for name, path in sorted(files.items()):
+        assert parse_model(path.read_text(encoding="utf-8")) == BUNDLED[name](), name
+
+
 def test_json_round_trip():
     for model in (
         cyclic_group_table(3),
@@ -190,6 +218,45 @@ def test_json_reports_bad_input():
     model["action"] = {"table": [5]}
     with pytest.raises(ParseError, match="action rows must be equal-length integer lists"):
         parse_model(json.dumps(model), fmt="json")
+
+
+def _bool_json(model, path, value):
+    """The model's JSON text with the entry at `path` replaced by value."""
+    obj = model_json(model)
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(obj)
+
+
+# each place the format wants an integer, given the JSON boolean equal to the
+# integer there: Python's bool is an int, so the value would parse unchanged
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (
+            '{"order": true, "ops": {"law": {"kind": "hyper", "table": [[[0]]]}}}',
+            "integer `order`",
+        ),
+        (
+            '{"order": 1, "ops": {"law": {"kind": "hyper", "table": [[[false]]]}}}',
+            "in-range indices",
+        ),
+        (_bool_json(krasner_hyperfield(), ("constants", "zero"), False), "constant `zero`"),
+        (_bool_json(krasner_hyperfield(), ("constants", "one"), True), "constant `one`"),
+        (
+            _bool_json(krasner_self_module(), ("action", "table", 1, 1), True),
+            "equal-length integer lists",
+        ),
+    ],
+    ids=["order", "cell-index", "zero", "one", "action-entry"],
+)
+def test_json_booleans_are_not_integers(text, reason):
+    with pytest.raises(ParseError, match=reason):
+        parse_model(text, fmt="json")
+    # the integer in its place parses
+    parse_model(text.replace("true", "1").replace("false", "0"), fmt="json")
 
 
 def random_model(rng):

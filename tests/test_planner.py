@@ -39,9 +39,9 @@ VERIFIER_PLANS = {
     "T7": {1: (BT, PURE), 2: (BT, PURE), 3: (COUNT, COUNT)},
     "T9": {1: (BT, PURE), 2: (BT, PURE), 3: (COUNT, COUNT)},
     "T11": {1: (BT, PURE), 2: (BT, PURE), 3: (COUNT, COUNT)},
-    "T13": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (WMAP, BT)},
-    "T24": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (WMAP, BT)},
-    "P14-P23": {1: (BT, PURE), 2: (BT, PURE), 3: (COLLECT, COLLECT), 4: (WMAP, BT)},
+    "T13": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (WMAP, BT)},
+    "T24": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (WMAP, BT)},
+    "P14-P23": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (WMAP, BT)},
     # canonical reversibility does not vectorize: the oracle's vector
     # collect filters the survivors through its predicate
     "T25": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
@@ -96,6 +96,13 @@ def test_sweeps_outside_the_claims_table(order):
     assert theorems.sweep_engine(theorems._NORMAL, order) == BT
     weak = theorems.sweep_engine(theorems._WEAK_QMP, order)
     assert weak == (COLLECT if order == 3 else BT)
+
+
+def test_only_t3_pins_its_engine():
+    # T3's pin is certification (criterion 2); the planner picks for speed
+    pinned = [name for name, claim in theorems.CLAIMS.items() if claim.pruned]
+    assert pinned == ["T3"]
+    assert not theorems._NORMAL.pruned and not theorems._WEAK_QMP.pruned
 
 
 @pytest.mark.parametrize(
@@ -175,7 +182,10 @@ def test_planner_rule():
     assert plan(3, reversible, oracle=True) == COLLECT
     assert plan(3, reversible, oracle=True, counts=True) == COLLECT
     assert plan(4, assoc, oracle=True) == BT
-    assert plan(3, assoc) == COLLECT
+    # the tables of an order-3 set: vector collect only under weak polysymmetry
+    assert plan(3, assoc) == BT
+    assert plan(3, weak) == COLLECT
+    assert plan(3, strict) == BT
     assert plan(3, assoc, counts=True) == COUNT
     assert plan(3, assoc, pruned=True) == BT
     assert plan(3, reversible) == BT
@@ -208,7 +218,7 @@ def _swept(engine, order, cs):
     ids=["3-qmp-at-1", "4-qmp-at-0", "4-qmp-at-1", "4-commutative-qmp-at-0", "4-qmp-at-2"],
 )
 def test_witness_map_split_finds_the_backtracker_model_set(order, cs):
-    assert engines.plan_sweep(order, cs) == (WMAP if order >= 4 else COLLECT)
+    assert engines.plan_sweep(order, cs) == (WMAP if order >= 4 else BT)
     found = _swept(WMAP, order, cs)
     assert found == _swept(BT, order, cs) and found
 

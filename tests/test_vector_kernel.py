@@ -34,7 +34,8 @@ def _vectorizable_descriptors():
             ("unique-opposite-at", e),
             ("scalar-zero-at", e),
         ]
-    out += [("divisions-nonempty",), ("non-degenerate",)]
+    out += [("divisions-nonempty",), ("not", ("law", "degenerate"))]
+    out += [("not", ("law", "associative"))]
     for run in T6_RUNS:  # the multiplication over each additive group
         out += [("distributive-inclusion-over", run.fixed), ("sign-rule-over", run.fixed, run.zero)]
     return out
