@@ -12,13 +12,15 @@
 * a refinement is its base plus extra axioms that read no candidate;
 * partial-hypergroupoid is the complement of hypergroupoid.
 
-Every label also carries the largest order an enumeration job runs at
-(`max_order`); a refinement inherits its base's.
+Every label also states the largest order an enumeration job with it runs
+at (`max_order`), a refinement as well as a base.
 
 `classify_single` and `classify_two_op` take labels, constants and evidence
 from one trail builder, which reads `engines.constraint_result` for every
-descriptor.  Enumeration builds its search runs and final checks from the
-table (`runs_at`, `axioms_of`), and T29 picks module zeros with `holds_at`.
+descriptor.  Every evidence entry is `evaluate`'s, and the CLI's `check`
+prints the same entries.  Enumeration builds its search runs and final
+checks from the table (`runs_at`, `axioms_of`), and T29 picks module zeros
+with `holds_at`.
 
 A classification never raises on a negative verdict: every tested structure
 gets an evidence trail of axiom results (descriptor entries carry the
@@ -64,7 +66,7 @@ class Structure:
     constant: str | None = None  # constants key of the first working candidate
     base: str | None = None  # a refinement: the base's axioms, then these
     complement_of: str | None = None
-    max_order: int = 5  # ignored on a refinement, which inherits its base's
+    max_order: int = field(kw_only=True)  # the largest order an enumeration job runs at
 
 
 ASSOC = ("law", "associative")
@@ -78,26 +80,30 @@ REVERSIBILITY = ("reversibility-at", E)
 _RING_TAIL = ("absorbing-zero", "distributive-equal")
 
 STRUCTURES = {
-    # the caps of 2 refuse order-3 model sets of 6 to 95 million tables
+    # the caps of 2 refuse order-3 model sets of 6 to 95 million tables, and
+    # the caps of 3 and 4 the searches one order up that did not finish in 30 s
     "partial-hypergroupoid": Structure(complement_of="hypergroupoid", max_order=2),
     "hypergroupoid": Structure((NONEMPTY,), max_order=2),
-    "semihypergroup": Structure((NONEMPTY, ASSOC)),
+    "semihypergroup": Structure((NONEMPTY, ASSOC), max_order=3),
     "quasihypergroup": Structure((NONEMPTY, REPRO), max_order=2),
-    "hypergroup": Structure((ASSOC, REPRO)),
-    "group": Structure((("singleton-cells",),), base="hypergroup"),
+    "hypergroup": Structure((ASSOC, REPRO), max_order=3),
+    "group": Structure((("singleton-cells",),), base="hypergroup", max_order=5),
     "hv-group": Structure((REPRO, ("law", "weakly-associative")), max_order=2),
-    "la-hypergroup": Structure((REPRO, ("law", "left-inverted-associative"))),
-    "ra-hypergroup": Structure((REPRO, ("law", "right-inverted-associative"))),
-    "qmp-hypergroup": Structure((ASSOC, IDENTITY, POLYSYMMETRY), IDENTITIES, "qmp-identity"),
-    "m-polysymmetrical-hypergroup": Structure((COMM,), base="qmp-hypergroup"),
+    "la-hypergroup": Structure((REPRO, ("law", "left-inverted-associative")), max_order=3),
+    "ra-hypergroup": Structure((REPRO, ("law", "right-inverted-associative")), max_order=3),
+    "qmp-hypergroup": Structure(
+        (ASSOC, IDENTITY, POLYSYMMETRY), IDENTITIES, "qmp-identity", max_order=4
+    ),
+    "m-polysymmetrical-hypergroup": Structure((COMM,), base="qmp-hypergroup", max_order=4),
     "normal-hypergroup": Structure(
-        (ASSOC, REPRO, ("scalar-zero-at", E), UNIQUE_OPPOSITE), ELEMENTS, "normal-zero"
+        (ASSOC, REPRO, ("scalar-zero-at", E), UNIQUE_OPPOSITE), ELEMENTS, "normal-zero",
+        max_order=4,
     ),
     "canonical-hypergroup": Structure(
-        (ASSOC, COMM, UNIQUE_OPPOSITE, REVERSIBILITY), ELEMENTS, "canonical-zero"
+        (ASSOC, COMM, UNIQUE_OPPOSITE, REVERSIBILITY), ELEMENTS, "canonical-zero", max_order=4
     ),
     "quasicanonical-hypergroup": Structure(
-        (ASSOC, UNIQUE_OPPOSITE, REVERSIBILITY), ELEMENTS, "quasicanonical-zero"
+        (ASSOC, UNIQUE_OPPOSITE, REVERSIBILITY), ELEMENTS, "quasicanonical-zero", max_order=3
     ),
     # two operations: the descriptors read the addition at the zero; without a
     # multiplicative group on H* the order-4 searches do not finish in bounded time
@@ -107,7 +113,9 @@ STRUCTURES = {
         ZERO,
         max_order=3,
     ),
-    "unitary-hyperring": Structure(("multiplicative-identity",), base="krasner-hyperring"),
+    "unitary-hyperring": Structure(
+        ("multiplicative-identity",), base="krasner-hyperring", max_order=3
+    ),
     "hyperfield": Structure(
         (ASSOC, COMM, UNIQUE_OPPOSITE, REVERSIBILITY, "multiplicative-group-on-H*") + _RING_TAIL,
         ZERO,
@@ -127,7 +135,7 @@ STRUCTURES = {
         max_order=3,
     ),
     "multiplicative-hyperring-def6": Structure(
-        ("mul-cellwise-nonempty",), base="multiplicative-hyperring-def7"
+        ("mul-cellwise-nonempty",), base="multiplicative-hyperring-def7", max_order=3
     ),
     "m-polysymmetrical-hyperring": Structure(
         (ASSOC, COMM, IDENTITY, POLYSYMMETRY, "multiplicative-semigroup-on-H*") + _RING_TAIL,
@@ -148,8 +156,7 @@ TWO_OP_LABELS = tuple(lb for lb in STRUCTURES if candidate_rule(lb) == ZERO)
 
 def max_order(label: str) -> int:
     """The largest order an enumeration job with the label runs at."""
-    s = STRUCTURES[label]
-    return max_order(s.base) if s.base else s.max_order
+    return STRUCTURES[label].max_order
 
 
 def axioms_of(label: str) -> tuple:
@@ -222,8 +229,10 @@ def axiom_holds(model, axiom, cand=None) -> bool:
     return res if isinstance(res, bool) else res.holds
 
 
-def _evaluate(model, axiom, cand) -> dict:
-    """The untagged evidence entry of one axiom at the candidate."""
+def evaluate(model, axiom, cand=None) -> dict:
+    """The untagged evidence entry of one axiom at the candidate: its name,
+    its verdict, and the witness of a failure or the reason a precondition
+    failed."""
     out = {"axiom": axiom_name(axiom)}
     try:
         res = axiom_result(model, axiom, cand)
@@ -249,7 +258,7 @@ def _trail_builder(model):
     def entry(axiom, cand, tag):
         key = axiom if isinstance(axiom, str) else at(axiom, cand)
         if key not in cache:
-            cache[key] = _evaluate(model, axiom, cand)
+            cache[key] = evaluate(model, axiom, cand)
         return cache[key] if isinstance(axiom, str) else cache[key] | tag
 
     return entry

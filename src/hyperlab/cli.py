@@ -15,8 +15,8 @@ from contextlib import nullcontext
 from importlib import resources
 
 from . import axioms, dorroh, enumeration, theorems
-from .classify import check_hypermodule, classify_single, classify_two_op
-from .model import HyperTable, TwoOpModel, members_of
+from .classify import check_hypermodule, classify_single, classify_two_op, evaluate
+from .model import HyperTable, TwoOpModel
 from .modelio import ParseError, model_json, model_parts, parse_model, serialize_model
 from .parallel import default_workers
 
@@ -108,8 +108,8 @@ def _component(model, op):
     return tables[name]
 
 
-def _set_str(mask):
-    return "{" + ",".join(str(i) for i in members_of(mask)) + "}"
+def _set_str(members):
+    return "{" + ",".join(map(str, members)) + "}"
 
 
 def _cmd_check(args, out):
@@ -124,41 +124,27 @@ def _cmd_check(args, out):
     if ring and not isinstance(model, TwoOpModel):
         raise ValueError("--ring-axioms needs a two-operation model")
 
-    results = []
-    for law in laws:
-        res = axioms.check_law(table, law)
-        results.append(("law", law, res))
+    # classification's evidence entries: {"axiom", "holds", "witness" or "precondition"}
+    entries = [evaluate(table, ("law", law)) for law in laws]
     for variant in ring:
-        try:
-            res = axioms.check_ring_axioms(model, variant)
-            results.append(("ring-axiom", variant, res))
-        except axioms.PreconditionError as exc:
-            results.append(("ring-axiom", variant, exc))
-
-    all_hold = all(
-        isinstance(r, axioms.AxiomResult) and r.holds for _, _, r in results
-    )
+        if variant not in axioms.RING_AXIOM_IDS:
+            raise ValueError(f"unknown ring axiom variant: {variant!r}")
+        entries.append(evaluate(model, variant))
+    all_hold = all(e["holds"] for e in entries)
     if args.format == "json":
-        payload = {"model": args.model, "results": {}, "all_hold": all_hold}
-        for _kind, name, res in results:
-            if isinstance(res, axioms.PreconditionError):
-                payload["results"][name] = {"holds": False, "precondition": str(res)}
-            else:
-                payload["results"][name] = res.to_json()
-        print(json.dumps(payload, sort_keys=True), file=out)
+        results = {e.pop("axiom"): e for e in entries}
+        print(json.dumps({"model": args.model, "results": results, "all_hold": all_hold},
+                         sort_keys=True), file=out)
     else:
-        for _kind, name, res in results:
-            if isinstance(res, axioms.PreconditionError):
-                print(f"{name}: precondition failed ({res})", file=out)
-            elif res.holds:
+        for e in entries:
+            name, w = e["axiom"], e.get("witness")
+            if "precondition" in e:
+                print(f"{name}: precondition failed ({e['precondition']})", file=out)
+            elif e["holds"]:
                 print(f"{name}: holds", file=out)
             else:
-                w = res.witness
-                print(
-                    f"{name}: fails at {tuple(w.elements)} "
-                    f"lhs={_set_str(w.lhs)} rhs={_set_str(w.rhs)}",
-                    file=out,
-                )
+                print(f"{name}: fails at {tuple(w['elements'])} "
+                      f"lhs={_set_str(w['lhs'])} rhs={_set_str(w['rhs'])}", file=out)
     return EXIT_OK if all_hold else EXIT_NEGATIVE
 
 

@@ -254,20 +254,12 @@ _V3_TAIL_CELLS = tuple(
 )
 
 _TRIPLE_LAWS = {("law", law) for law in axioms.TRIPLE_LAW_IDS}
-_VECTOR_LAWS = {
-    *axioms.TRIPLE_LAW_IDS,
-    "reproductive",
-    "commutative",
-    "cellwise-nonempty",
-    "total",
-    "degenerate",
-}
 
 
 def vectorizable(c) -> bool:
     tag = c[0]
     if tag == "law":
-        return c[1] in _VECTOR_LAWS
+        return c[1] in axioms.LAW_IDS
     if tag == "not":
         return vectorizable(c[1])
     return tag in {
@@ -931,18 +923,11 @@ class Backtracker:
                         break
                 if ok:
                     dom.append(v)
-            all_forced = all(pos in self.forced for pos, _ in writes)
-            if all_forced:
-                v = self.forced[rep]
-                # the rep's own lut is the identity, so v must be in values
-                chosen = [val for val in dom if val == v]
-                if not chosen:
-                    self.domains.append([])  # contradictory pins: empty search
-                    self.slots.append(rep)
-                    self.slot_writes.append(writes)
-                    continue
+            # a fully pinned orbit's domain is its pin, or empty when the pins
+            # contradict, which leaves the slot to make the search empty
+            if dom and all(pos in self.forced for pos, _ in writes):
                 for pos, lut in writes:
-                    self.prefill[pos] = lut[v]
+                    self.prefill[pos] = lut[dom[0]]
                 continue
             self.slots.append(rep)
             self.slot_writes.append(writes)
@@ -1049,18 +1034,17 @@ class Backtracker:
         if not self.slots:
             yield from self._emit(cur)
             return
-        yield from self._dfs(cur, 0, first_value_index)
+        domains = self.domains
+        if first_value_index is not None:  # a shard: the first slot's one value
+            domains = [domains[0][first_value_index : first_value_index + 1], *domains[1:]]
+        yield from self._dfs(cur, 0, domains)
 
-    def _dfs(self, cur, depth, first_value_index):
+    def _dfs(self, cur, depth, domains):
         if depth == len(self.slots):
             yield from self._emit(cur)
             return
         writes = self.slot_writes[depth]
-        domain = self.domains[depth]
-        if depth == 0 and first_value_index is not None:
-            if first_value_index >= len(domain):
-                return
-            domain = domain[first_value_index : first_value_index + 1]
+        domain = domains[depth]
         # every value in the domain writes cells unset at this slot, and
         # agrees with itself where the slot writes a cell twice (see
         # _build_domains); no check reads a cell that is unset at its slot,
@@ -1075,7 +1059,7 @@ class Backtracker:
                     self.pruned += 1
                     break
             else:
-                yield from self._dfs(cur, depth + 1, None)
+                yield from self._dfs(cur, depth + 1, domains)
 
     def _emit(self, cur):
         table = HyperTable(self.n, tuple(cur), self.kind)

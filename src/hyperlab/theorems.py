@@ -750,6 +750,11 @@ def _verify_t29(order, drop_premises, oracle, workers):
     opp_scalar_action_ok = all(negates for _, _, negates in premise)
     counterexample = None
     if first is not None:
+        labels = classify.check_hypermodule(first).labels
+        _revalidate(
+            "hypermodule" in labels and "madd-canonical-hypergroup" not in labels,
+            "T29's counterexample is a hypermodule whose module addition is not canonical",
+        )
         counterexample = {
             "model": serialize_model(first),
             "witness": {"note": "module addition is not canonical"},

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from hyperlab.axioms import check_law
-from hyperlab.classify import holds_at
+from hyperlab.classify import candidate_rule, holds_at
 from hyperlab.cli import _component, default_catalog_path, main
 from hyperlab.modelio import parse_model
 
@@ -46,6 +46,30 @@ def test_check_ring_axioms():
     )
     assert code == 0
     assert out.count("holds") == 3
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_reports_a_failed_precondition(fmt):
+    # the Krasner addition is a hyperoperation, so the sign rule has no negation
+    code, out, _ = run(
+        ["check", f"{MODELS}/krasner.model", "--ring-axioms", "sign-rule", "--format", fmt]
+    )
+    assert code == 2
+    reason = "the additive structure is not an abelian group"
+    if fmt == "text":
+        assert out == f"sign-rule: precondition failed ({reason})\n"
+    else:
+        assert json.loads(out)["results"] == {
+            "sign-rule": {"holds": False, "precondition": reason}
+        }
+
+
+@pytest.mark.parametrize("ident", ["multiplicative-identity", "mul-cellwise-nonempty", "nope"])
+def test_check_refuses_ids_outside_the_ring_axioms(ident):
+    # classification knows the first two, but they are not ring axiom variants
+    code, out, err = run(["check", f"{MODELS}/krasner.model", "--ring-axioms", ident])
+    assert code == 1 and out == ""
+    assert f"error: unknown ring axiom variant: {ident!r}" in err
 
 
 def test_check_usage_error():
@@ -407,6 +431,31 @@ def test_enumerate_refuses_order4_multiplicative_hyperrings(structure):
                           "--zero", "0", "--workers", "1"])
     assert code == 1 and out == ""
     assert f"above the cap 3 for {structure}" in err
+
+
+@pytest.mark.parametrize(
+    "structure, order, cap",
+    [
+        ("hypergroup", 4, 3),
+        ("semihypergroup", 4, 3),
+        ("la-hypergroup", 4, 3),
+        ("ra-hypergroup", 4, 3),
+        ("quasicanonical-hypergroup", 4, 3),
+        ("qmp-hypergroup", 5, 4),
+        ("m-polysymmetrical-hypergroup", 5, 4),
+        ("normal-hypergroup", 5, 4),
+        ("canonical-hypergroup", 5, 4),
+    ],
+)
+def test_enumerate_refuses_jobs_past_the_label_cap(structure, order, cap):
+    # each of these ran past 30 s before its label stated its own cap
+    pin = ["--zero", "0"] if candidate_rule(structure) else []
+    start = time.perf_counter()
+    code, out, err = run(["enumerate", "--order", str(order), "--structure", structure, *pin,
+                          "--workers", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert f"above the cap {cap} for {structure}" in err
 
 
 @pytest.mark.parametrize(

@@ -340,6 +340,19 @@ def test_t29_order3():
     assert r.extras["opposite_scalar_action_negates"]
 
 
+def test_t29_revalidates_its_counterexample(monkeypatch):
+    # a search that calls every module addition non-canonical emits a
+    # counterexample whose addition check_hypermodule finds canonical
+    real = classify.holds_at
+    monkeypatch.setattr(
+        classify,
+        "holds_at",
+        lambda label, table, cand: label != "canonical-hypergroup" and real(label, table, cand),
+    )
+    with pytest.raises(RuntimeError, match="revalidation failed"):
+        verify("T29", 1, workers=1)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_t29_module_additions_are_the_normal_hypergroup_pairs(order, workers):

@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from hyperlab import classify, engines, enumeration, theorems
+from hyperlab import axioms, classify, engines, enumeration, theorems
 from hyperlab.engines import at
 from hyperlab.model import HyperTable, table_key
 
@@ -25,7 +25,7 @@ T6_RUNS = list(enumeration.two_op_plan(3, classify.axioms_of("multiplicative-hyp
 
 
 def _vectorizable_descriptors():
-    out = [("law", law) for law in sorted(engines._VECTOR_LAWS)]
+    out = [("law", law) for law in sorted(axioms.LAW_IDS)]
     for e in range(3):
         out += [
             ("identity-at", e),
