@@ -5,13 +5,20 @@ the first violating tuple in row-major scan order (outer variable first), so
 verdicts are deterministic.  Universally quantified conditions over empty
 ranges hold vacuously.
 
-The four triple laws read each side of a triple as one lookup: a check
-builds, once per table, the row unions x·m and the column unions m·z of
-every row, column and element set m.  These checks are the backtracker's
-emission re-check, so they run all n³ triples of every emitted table.
+The four triple laws read each side of a triple as one lookup in the row
+unions x·m and the column unions m·z of the table, over every element set m.
+Each line's unions come from one bounded cache keyed by the line's cells
+(`line_unions`).  Both sides of every triple are listed in row-major order and
+the two lists compared, so the first index where they differ (for weak
+associativity, the first disjoint pair) gives the witness.  Reproductivity
+reads each line's full union from the same cache.  These checks are the
+backtracker's emission re-check, so they run all n³ triples of every emitted
+table.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import and_, ne
 
 from .model import HyperTable, TwoOpModel, complex_product, mask_image, members_of
 
@@ -91,64 +98,58 @@ def _fail(axiom, elements, lhs, rhs) -> AxiomResult:
 _HOLDS = AxiomResult(True)
 
 
-def _unions(lines) -> list[list[int]]:
-    """unions[l][m]: the union of lines[l][i] over the elements i of mask m.
-    The masks below 2^(i+1) are those below 2^i, then the same with bit i."""
-    out = []
-    for line in lines:
-        u = [0]
-        for cell in line:
-            u += [v | cell for v in u]
-        out.append(u)
-    return out
+# bounded: order 3 has 512 distinct lines, order 4 already 65,536
+@lru_cache(maxsize=1024)
+def line_unions(line: tuple[int, ...]) -> tuple[int, ...]:
+    """u[m]: the union of line[i] over the elements i of mask m, for a row
+    or column `line` of cells.  The masks below 2^(i+1) are those below
+    2^i, then the same with bit i."""
+    u = [0]
+    for cell in line:
+        u += [v | cell for v in u]
+    return tuple(u)
 
 
 def _triple_law_verdict(table: HyperTable, law: str) -> AxiomResult:
     """A triple law from the row unions x·m and the column unions m·z of the
-    table, so each side of a triple is one lookup.  For each (x, y) the
-    sides are listed over z, and the first z that violates gives the
-    witness, so the scan stays row-major."""
+    table, so each side of a triple is one lookup.  Both sides of every
+    (x, y, z) are listed in row-major order and the lists compared; the
+    first index where they violate the law gives the witness."""
     n, cells = table.order, table.cells
     rows = [cells[x * n : x * n + n] for x in range(n)]
     cols = [cells[z::n] for z in range(n)]
-    row_u = _unions(rows) if law != "left-inverted-associative" else None
-    col_u = _unions(cols) if law != "right-inverted-associative" else None
-    weak = law == "weakly-associative"
-    for x in range(n):
-        for y in range(n):
-            if law == "left-inverted-associative":  # (xy)z, (zy)x
-                xy, cx = rows[x][y], col_u[x]
-                lhs = [cu[xy] for cu in col_u]
-                rhs = [cx[m] for m in cols[y]]
-            elif law == "right-inverted-associative":  # x(yz), z(yx)
-                rx, yx = row_u[x], rows[y][x]
-                lhs = [rx[m] for m in rows[y]]
-                rhs = [ru[yx] for ru in row_u]
-            else:  # (xy)z, x(yz)
-                xy, rx = rows[x][y], row_u[x]
-                lhs = [cu[xy] for cu in col_u]
-                rhs = [rx[m] for m in rows[y]]
-            if weak:
-                for z, (a, b) in enumerate(zip(lhs, rhs)):
-                    if not a & b:
-                        return _fail(law, (x, y, z), a, b)
-            elif lhs != rhs:
-                z = next(z for z in range(n) if lhs[z] != rhs[z])
-                return _fail(law, (x, y, z), lhs[z], rhs[z])
-    return _HOLDS
+    row_u = list(map(line_unions, rows)) if law != "left-inverted-associative" else None
+    col_u = list(map(line_unions, cols)) if law != "right-inverted-associative" else None
+    if law == "left-inverted-associative":  # (xy)z, (zy)x
+        lhs = [cu[m] for m in cells for cu in col_u]
+        rhs = [cu[m] for cu in col_u for col in cols for m in col]
+    elif law == "right-inverted-associative":  # x(yz), z(yx)
+        lhs = [ru[m] for ru in row_u for m in cells]
+        rhs = [ru[m] for col in cols for m in col for ru in row_u]
+    else:  # (xy)z, x(yz)
+        lhs = [cu[m] for m in cells for cu in col_u]
+        rhs = [ru[m] for ru in row_u for m in cells]
+    if law == "weakly-associative":
+        meets = list(map(and_, lhs, rhs))
+        if all(meets):
+            return _HOLDS
+        i = meets.index(0)
+    elif lhs == rhs:
+        return _HOLDS
+    else:
+        i = list(map(ne, lhs, rhs)).index(True)
+    return _fail(law, (i // (n * n), i // n % n, i % n), lhs[i], rhs[i])
 
 
 def _reproductive(table: HyperTable) -> AxiomResult:
-    n = table.order
-    full = table.full
+    """x·H = H·x = H, from each line's full union; at each x the column
+    comes before the row."""
+    n, cells, full = table.order, table.cells, table.full
     for x in range(n):
-        row = 0
-        col = 0
-        for i in range(n):
-            col |= table.cell(i, x)
-            row |= table.cell(x, i)
+        col = line_unions(cells[x::n])[full]
         if col != full:
             return _fail("reproductive", (x,), col, full)
+        row = line_unions(cells[x * n : x * n + n])[full]
         if row != full:
             return _fail("reproductive", (x,), row, full)
     return _HOLDS

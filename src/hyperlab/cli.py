@@ -2,10 +2,12 @@
 golden-check.
 
 Exit codes: 0 success (or conclusion held), 2 a requested check failed or a
-counterexample was found, 1 usage or runtime error.  JSON output goes to
-stdout and nothing else does; diagnostics go to stderr.  The worker count
-never changes any output except wall_time; --seed is reserved for randomized
-property tooling and is ignored by the deterministic sweeps.
+counterexample was found, 1 usage or runtime error.  A failed self-check (a
+revalidation or an orbit certificate) is an internal error: exit 1 with
+"error: internal: ..." on stderr and nothing on stdout or in --out.  JSON
+output goes to stdout and nothing else does; diagnostics go to stderr.  The
+worker count never changes any output except wall_time; --seed is reserved
+for randomized property tooling and is ignored by the deterministic sweeps.
 """
 
 import argparse
@@ -189,7 +191,10 @@ def _cmd_enumerate(args, out, err):
     # the file is opened only once the job has run: a refused one leaves it as it was
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(out) as sink:
         if args.format == "json":
-            print(json.dumps([model_json(m) for m in emitted], sort_keys=True), file=sink)
+            # each model's JSON object is encoded and dropped in turn: holding
+            # all of them at once set the peak memory of a large enumeration
+            encode = json.JSONEncoder(sort_keys=True).encode
+            print("[" + ", ".join(encode(model_json(m)) for m in emitted) + "]", file=sink)
         else:
             for m in emitted:
                 print(serialize_model(m), file=sink)
@@ -300,6 +305,9 @@ def main(argv=None, out=None, err=None) -> int:
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, OSError, axioms.PreconditionError) as exc:
         print(f"error: {exc}", file=err)
+        return EXIT_ERROR
+    except RuntimeError as exc:  # a failed self-check: a fault of the program, not of its input
+        print(f"error: internal: {exc}", file=err)
         return EXIT_ERROR
 
 

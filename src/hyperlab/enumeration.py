@@ -16,7 +16,12 @@ two-operation jobs, the premise sweeps of T6 and T28, T28's Def-14 set and
 T29's scalar family take their models from it, and T6's and T28's drop
 searches walk the same plan's runs.  Models are emitted exactly once, in
 canonical table order; with up_to_iso each isomorphism class is emitted
-once, represented by its canonical form.
+once, represented by its canonical form.  A single-operation job finds its
+classes in one walk over its models in key order
+(`model.orbit_representatives`), which certifies that the models are closed
+under the relabelings fixing the pins, and each class it keeps is
+revalidated as its own canonical form; a failed certificate raises
+RuntimeError, which the CLI reports as an internal error.
 
 Every enumeration job and every verifier premise sweep share one sweep,
 `sweep`, which plans each descriptor run with `engines.plan_sweep`
@@ -54,6 +59,7 @@ from .model import (
     apply_permutation,
     canonical_form,
     canonical_form_two_op,
+    orbit_representatives,
     singleton_value,
     table_key,
     two_op_key,
@@ -398,8 +404,10 @@ def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummar
         pairs, pruned = element_sweep(job.order, runs_at, cands, job.oracle, workers, True)
         models = list({t.cells: t for t, _ in pairs}.values())  # each table once
         fixed = [p for p in (job.zero, job.one) if p is not None]
-        forms = {cm.cells: cm for cm in (canonical_form(m, fixed) for m in models)}
-        reps = sorted(forms.values(), key=table_key)
+        reps = orbit_representatives(models, fixed)
+        for r in reps:
+            if canonical_form(r, fixed) is not r:
+                raise RuntimeError(f"orbit walk kept {r.cells}, which is not its canonical form")
 
     emitted = reps if job.up_to_iso else models
     if job.emit is not None:

@@ -295,6 +295,41 @@ def canonical_form(table: HyperTable, fixed=()) -> HyperTable:
     return table if least is None else HyperTable(table.order, least, table.kind)
 
 
+def orbit_representatives(tables, fixed=()) -> list[HyperTable]:
+    """The least table of each orbit of `tables` under the permutations
+    fixing the pins, in `table_key` order.
+
+    `tables`, all of one order, come in `table_key` order.  The first table
+    of an orbit is kept and its images are marked, so every later table of
+    the orbit is passed over and each kept one is the least of its orbit in
+    the set; that is its canonical form when the set is closed.  An image
+    outside the set means the set is not closed: RuntimeError, the orbit
+    certificate of an enumeration."""
+    if not tables:
+        return []
+    order, pins = tables[0].order, tuple(sorted(set(fixed)))
+    masks = key_sorted_masks(order)
+    rels = [
+        (gather, tuple(masks[r] for r in rimg)) for gather, rimg in _relabelings(order, pins, 1)
+    ]
+    marked = dict.fromkeys((t.cells for t in tables), False)
+    reps = []
+    for t in tables:
+        if marked[t.cells]:
+            continue
+        marked[t.cells] = True
+        reps.append(t)
+        for gather, image in rels:
+            cells = tuple(map(image.__getitem__, gather(t.cells)))
+            if cells not in marked:
+                raise RuntimeError(
+                    f"orbit not closed: a relabeling of {t.cells} "
+                    f"fixing {list(pins)} is not in the set"
+                )
+            marked[cells] = True
+    return reps
+
+
 def two_op_key(model: TwoOpModel):
     one = -1 if model.one is None else model.one
     return table_key(model.add), table_key(model.mul), model.zero, one

@@ -17,6 +17,7 @@ from hyperlab.axioms import (
     check_scalar_zero,
     check_unique_opposite,
     find_identities,
+    line_unions,
     opposite_map,
     symmetric_set,
 )
@@ -79,6 +80,13 @@ def test_reproductive_with_empty_cells():
     t = table_from_rows([[set(), {0, 1}], [{0, 1}, set()]])
     assert check_law(t, "reproductive").holds
     assert not check_law(t, "associative").holds
+
+
+def test_reproductive_witness_takes_the_column_before_the_row():
+    # at x = 0 the column 0·0 ∪ 1·0 = {1} and the row 0·0 ∪ 0·1 = {0} both fall short
+    t = table_from_rows([[set(), {0}], [{1}, {0, 1}]])
+    w = check_law(t, "reproductive").witness
+    assert (w.elements, w.lhs, w.rhs) == ((0,), 0b10, 0b11)
 
 
 def test_total_and_degenerate_laws():
@@ -145,6 +153,32 @@ def test_witness_soundness_randomized():
                 t = HyperTable(order, tuple(full if rng.random() < 0.9 else c for c in t.cells))
             for law in TRIPLE_SIDES:
                 assert_first_triple_witness(t, law)
+
+
+def test_line_unions_are_cached_immutable_tuples():
+    line = (0b001, 0b010, 0b110)
+    unions = line_unions(line)
+    assert type(unions) is tuple and line_unions(line) is unions
+    assert unions == (0, 0b001, 0b010, 0b011, 0b110, 0b111, 0b110, 0b111)
+
+
+def test_triple_witnesses_at_order5_through_line_cache_evictions():
+    """Random and near-total order-5 tables bring more distinct lines than
+    the bounded cache holds; the first tables' lines are evicted, and their
+    witnesses are the oracle's again when checked once more."""
+    line_unions.cache_clear()
+    rng = random.Random(44)
+    tables = []
+    for i in range(240):
+        t = random_table(rng, 5)
+        if i % 2:
+            t = HyperTable(5, tuple(31 if rng.random() < 0.9 else c for c in t.cells))
+        tables.append(t)
+    for t in tables + tables[:10]:
+        for law in TRIPLE_SIDES:
+            assert_first_triple_witness(t, law)
+    info = line_unions.cache_info()
+    assert info.currsize == info.maxsize < info.misses, info
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])

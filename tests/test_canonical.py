@@ -2,13 +2,16 @@
 `oracles`, which build one relabeled table and one tuple of `cell_key`s per
 permutation."""
 
+import json
 import random
+from importlib import resources
 from itertools import permutations
 
 import pytest
 
-from hyperlab import model
-from hyperlab.enumeration import EnumerationJob, enumerate_models
+from hyperlab import enumeration, model
+from hyperlab.classify import SINGLE_LABELS, candidate_rule, max_order
+from hyperlab.enumeration import EnumerationJob, enumerate_models, job_is_two_op
 from hyperlab.model import (
     KIND_COMPOSITION,
     KIND_HYPER,
@@ -17,6 +20,7 @@ from hyperlab.model import (
     apply_permutation,
     canonical_form,
     canonical_form_two_op,
+    orbit_representatives,
     table_key,
 )
 
@@ -119,3 +123,92 @@ def test_canonical_form_equals_brute_force_on_every_order3_hypergroup():
         assert forms == [oracles.canonical_form(m, pins) for m in models]
     assert len({f.cells for f in forms}) == 11721
     assert len({canonical_form(m).cells for m in models}) == 3999
+    for pins, count in (((), 3999), ((0,), 11721)):
+        reps = orbit_representatives(models, pins)
+        assert len(reps) == count
+        assert all(oracles.canonical_form(r, pins) == r for r in reps)
+
+
+# -- the orbit walk of `enumerate_models` --------------------------------------
+
+
+def _single_catalog_jobs():
+    with (resources.files("hyperlab") / "data" / "golden_catalog.json").open() as fh:
+        entries = json.load(fh)["jobs"]
+    for e in entries:
+        job = EnumerationJob(e["order"], tuple(e["constraints"]), zero=e.get("zero"))
+        if job.order <= 3 and not job_is_two_op(job):
+            yield pytest.param(job, id=e["name"])
+
+
+def _pinned_jobs():
+    """Every zero pin of the element-quantified labels, up to order 3."""
+    for label in SINGLE_LABELS:
+        if candidate_rule(label):
+            for order in range(1, min(3, max_order(label)) + 1):
+                for zero in range(order):
+                    yield pytest.param(EnumerationJob(order, (label,), zero=zero),
+                                       id=f"{label}/{order}@{zero}")
+
+
+def _emitted(job, up_to_iso):
+    models = []
+    job = EnumerationJob(job.order, job.constraints, up_to_iso, job.zero, emit=models.append)
+    summary = enumerate_models(job)
+    return summary, models
+
+
+@pytest.mark.parametrize("job", [*_single_catalog_jobs(), *_pinned_jobs()])
+def test_orbit_walk_classes_are_the_oracle_canonical_forms(job):
+    summary, models = _emitted(job, False)
+    _, reps = _emitted(job, True)
+    pins = () if job.zero is None else (job.zero,)
+    forms = sorted({oracles.canonical_form(m, pins) for m in models}, key=table_key)
+    assert reps == forms
+    assert summary.canonical_count == len(forms) and summary.raw_count == len(models)
+
+
+def test_orbit_walk_keeps_the_first_table_of_each_orbit():
+    t = HyperTable(2, (1, 2, 2, 1))
+    swapped = apply_permutation(t, (1, 0))
+    tables = sorted({t, swapped}, key=table_key)
+    assert orbit_representatives(tables) == tables[:1]
+    assert orbit_representatives(tables, (0,)) == tables
+    assert orbit_representatives([]) == []
+
+
+@pytest.mark.usefixtures("drop_one_model")
+def test_orbit_walk_refuses_a_set_missing_one_model():
+    with pytest.raises(RuntimeError, match="orbit not closed"):
+        enumerate_models(EnumerationJob(3, ("canonical-hypergroup",)))
+    with pytest.raises(RuntimeError, match="orbit not closed"):
+        enumerate_models(EnumerationJob(3, ("canonical-hypergroup",), zero=1))
+
+
+def test_orbit_walk_refuses_a_set_mapped_by_a_wrong_transposition(monkeypatch):
+    # element_sweep maps the element-0 models to k by (0 k); swapping k with
+    # k + 1 instead maps them onto themselves for k = 1, so none sits at 1
+    real = enumeration.apply_permutation
+
+    def wrong(table, tau):
+        n, k = table.order, tau[0]
+        swap = {k: (k + 1) % n, (k + 1) % n: k}
+        return real(table, [swap.get(x, x) for x in range(n)])
+
+    monkeypatch.setattr(enumeration, "apply_permutation", wrong)
+    with pytest.raises(RuntimeError, match="orbit not closed"):
+        enumerate_models(EnumerationJob(3, ("canonical-hypergroup",)))
+
+
+def test_enumeration_refuses_a_representative_that_is_not_canonical(monkeypatch):
+    # out of key order the walk keeps the last table of each orbit, which is
+    # closed all the same; the revalidation of each kept table catches it
+    real = enumeration.element_sweep
+
+    def reversed_sweep(*args, **kwargs):
+        pairs, pruned = real(*args, **kwargs)
+        return pairs[::-1], pruned
+
+    monkeypatch.setattr(enumeration, "element_sweep", reversed_sweep)
+    with pytest.raises(RuntimeError, match="not its canonical form"):
+        enumerate_models(EnumerationJob(3, ("canonical-hypergroup",)))

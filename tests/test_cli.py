@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from hyperlab import theorems
 from hyperlab.axioms import check_law
 from hyperlab.classify import candidate_rule, holds_at
 from hyperlab.cli import _component, default_catalog_path, main
@@ -576,3 +577,38 @@ def test_seed_accepted_and_ignored():
     pa.pop("wall_time")
     pb.pop("wall_time")
     assert pa == pb
+
+
+# -- internal errors -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.usefixtures("drop_one_model")
+def test_enumerate_internal_error_exits_1_and_writes_nothing(tmp_path, fmt):
+    argv = ["enumerate", "--order", "3", "--structure", "canonical-hypergroup",
+            "--format", fmt, "--workers", "1"]
+    target = tmp_path / "models.out"
+    for extra in ([], ["--out", str(target)]):
+        code, out, err = run([*argv, *extra])
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal: orbit not closed") and "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.usefixtures("drop_one_model")
+def test_golden_check_internal_error_exits_1():
+    for fmt in ("text", "json"):
+        code, out, err = run(["golden-check", "--format", fmt, "--workers", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal: orbit not closed")
+
+
+def test_verify_internal_error_exits_1(monkeypatch):
+    # a drop witness that the authoritative predicates reject
+    real = theorems._id_holds
+    monkeypatch.setattr(theorems, "_id_holds", lambda t, i, e: i != "associative" and real(t, i, e))
+    for fmt in ("text", "json"):
+        argv = ["verify", "--theorem", "T3", "--order", "2", "--drop-premises", "--format", fmt]
+        code, out, err = run([*argv, "--workers", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal: revalidation failed")
