@@ -11,9 +11,9 @@ Each line's unions come from one bounded cache keyed by the line's cells
 (`line_unions`).  Both sides of every triple are listed in row-major order and
 the two lists compared, so the first index where they differ (for weak
 associativity, the first disjoint pair) gives the witness.  Reproductivity
-reads each line's full union from the same cache.  These checks are the
-backtracker's emission re-check, so they run all n³ triples of every emitted
-table.
+needs only each line's full union, so it ORs the line's cells.  These checks
+are the backtracker's emission re-check, so they run all n³ triples of every
+emitted table.
 """
 
 from dataclasses import dataclass
@@ -142,16 +142,16 @@ def _triple_law_verdict(table: HyperTable, law: str) -> AxiomResult:
 
 
 def _reproductive(table: HyperTable) -> AxiomResult:
-    """x·H = H·x = H, from each line's full union; at each x the column
+    """x·H = H·x = H, from the union of each line; at each x the column
     comes before the row."""
     n, cells, full = table.order, table.cells, table.full
     for x in range(n):
-        col = line_unions(cells[x::n])[full]
-        if col != full:
-            return _fail("reproductive", (x,), col, full)
-        row = line_unions(cells[x * n : x * n + n])[full]
-        if row != full:
-            return _fail("reproductive", (x,), row, full)
+        for line in (cells[x::n], cells[x * n : x * n + n]):
+            union = 0
+            for cell in line:
+                union |= cell
+            if union != full:
+                return _fail("reproductive", (x,), union, full)
     return _HOLDS
 
 

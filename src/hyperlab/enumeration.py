@@ -39,7 +39,9 @@ only under `--oracle` and in the tests that certify the generator; every
 other caller, golden-check included, runs the generator.  A two-operation
 job keeps a model only once `classify.classify_two_op` gives it the job's
 labels.  `search_first`
-is the one first-hit search behind every drop and independence search.
+is the one first-hit search behind every drop and independence search; it
+relabels as `element_sweep` does, searching every run at the first
+candidate and, at the others, only the runs with a hit there.
 
 Every label caps the order of its jobs (`classify.max_order`); a job with
 laws only stops at order 3 if associativity prunes it and at order 2
@@ -211,19 +213,31 @@ def count_sweep(runs, conclusion, biconditional, workers=1):
     return sum(count for count, _ in results), None if first is None else HyperTable(3, first)
 
 
-def search_first(order, searches, workers=1):
-    """The canonical first (table, i) where the table satisfies the
-    descriptors of searches[i] = (constraints, accept) and `accept(table)`
-    holds (None accepts every table), ties to the lower i; None if no search
-    has a hit.  Each search runs on the backtracker's shards in canonical
-    order and stops at its first shard with a hit."""
-    hits = []
-    for i, (constraints, accept) in enumerate(searches):
-        _, tasks = engines.sweep_tasks(engines.BACKTRACK, order, constraints)
-        cells = first_hit(partial(engines.first_hit_task, accept=accept), tasks, workers)
-        if cells is not None:
-            hits.append((HyperTable(order, cells, engines.table_kind(constraints)), i))
-    return min(hits, key=lambda hit: (table_key(hit[0]), hit[1]), default=None)
+def search_first(order, searches_at, candidates, workers=1):
+    """The canonical first (table, e, i) where the table satisfies the
+    descriptors of searches_at(e)[i] = (constraints, accept) at a candidate
+    element e (None: no element) and `accept(table)` holds (None accepts
+    every table), ties to the earlier candidate, then the lower i; None if
+    no search has a hit.  Each search runs on the backtracker's shards in
+    canonical order and stops at its first shard with a hit.  The searches
+    name an element only through E, so those at a candidate k are the images
+    under the transposition (c k) of those at the first candidate c: every
+    search runs at c, and at the other candidates only those with a hit at c
+    run, as a search with none there has none at k either."""
+    hits, live = [], None
+    for pos, e in enumerate(candidates):
+        for i, (constraints, accept) in enumerate(searches_at(e)):
+            if live is None or i in live:
+                _, tasks = engines.sweep_tasks(engines.BACKTRACK, order, constraints)
+                cells = first_hit(partial(engines.first_hit_task, accept=accept), tasks, workers)
+                if cells is not None:
+                    kind = engines.table_kind(constraints)
+                    hits.append((HyperTable(order, cells, kind), pos, i))
+        live = {i for _, _, i in hits}
+        if not live:
+            return None
+    table, pos, i = min(hits, key=lambda hit: (table_key(hit[0]), hit[1], hit[2]))
+    return table, candidates[pos], i
 
 
 # -- two-operation jobs -----------------------------------------------------------

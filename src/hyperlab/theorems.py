@@ -32,7 +32,9 @@ only its action search over a bundled scalar family is bespoke.  No verifier
 runs an engine itself: premise sweeps go through `enumeration.element_sweep`
 or `count_sweep` (each engine from `engines.plan_sweep`), and every drop and
 independence search is one first-hit search, `enumeration.search_first`, at
-orders <= DROP_CAP (above it each drop is reported as `not_searched`).
+orders <= DROP_CAP (above it each drop is reported as `not_searched`).  Like
+`element_sweep`, it searches an element-quantified run at element 0 first,
+and at the other elements only if it has a hit there.
 
 Sweeps quantified over a distinguished element (identity or zero) count
 (table, element) pairs as premise models, all from enumeration's one
@@ -375,19 +377,17 @@ def _independence(claim, runs, order, workers):
     the claim's conclusion fails, as a witness entry, or none_at_order.
     Element-dependent ids share the element, tried at every candidate."""
     quantified = any(_element_dependent(i) for run in runs for i in run + claim.conclusion)
-    cands = range(order) if quantified else (0,)
     biconditional = claim.biconditional is not None
-    searches = [
-        (_descriptors_at(run, e), partial(_conclusion_fails, claim.conclusion, biconditional, e))
-        for e in cands
-        for run in runs
-    ]
-    hit = search_first(order, searches, workers)
+
+    def searches_at(e):
+        fails = partial(_conclusion_fails, claim.conclusion, biconditional, e)
+        return [(_descriptors_at(run, e), fails) for run in runs]
+
+    hit = search_first(order, searches_at, range(order) if quantified else (None,), workers)
     if hit is None:
         return {"none_at_order": order}
-    table, i = hit
-    cand = cands[i // len(runs)]
-    _confirm(claim, (runs[i % len(runs)],), table, cand)
+    table, cand, i = hit
+    _confirm(claim, (runs[i],), table, cand)
     out = {"model": serialize_model(table)}
     if quantified:
         out["element"] = cand
@@ -425,7 +425,7 @@ def _plan_independence(claim, label, removed, order, workers):
         negated = run.descriptors_of(conclusion) or ()
         constraints = ((("not", *negated),) if len(negated) == 1 else ()) + run.descriptors
         accept = partial(_admitted_failure, claim.conclusion, run)
-        hit = search_first(order, [(constraints, accept)], workers)
+        hit = search_first(order, lambda _: [(constraints, accept)], (None,), workers)
         if hit is not None:
             table = hit[0]
             what = f"the premises but {dropped} hold and {conclusion} fails"

@@ -99,14 +99,23 @@ def test_relabeled_pin_equals_oracle_order3():
 
 
 def _quantified_runs():
-    """Every descriptor run that `element_sweep` relabels by (0 k): the
-    element-quantified labels' and claims', at the placeholder E."""
+    """Every descriptor run that `element_sweep` and `search_first` relabel
+    by (0 k), at the placeholder E: the element-quantified labels' runs, and
+    the element claims' premise runs, drop runs and conclusion descriptors
+    (ids without a descriptor are checked in test_properties)."""
     labels = [lb for lb in SINGLE_LABELS if candidate_rule(lb)]
     claims = (*theorems.CLAIMS.values(), theorems._WEAK_QMP, theorems._NORMAL)
     claims = [c for c in claims if c.element]
     assert len(labels) == 5 and len(claims) == 8
     yield from (run for lb in labels for run in runs_at(lb, E))
-    yield from (theorems._descriptors_at(run, E) for c in claims for run in c.premises)
+    for c in claims:
+        yield from (theorems._descriptors_at(run, E) for run in c.premises)
+        for drop in c.drops:
+            removed = drop[1] if isinstance(drop, tuple) else (drop,)
+            for run in c.premises:
+                yield theorems._descriptors_at([i for i in run if i not in removed], E)
+        described = [i for i in c.conclusion if i in theorems._DESCRIPTOR_IDS]
+        yield theorems._descriptors_at(described, E)
 
 
 def test_quantified_descriptors_name_elements_only_through_e():

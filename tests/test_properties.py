@@ -1,9 +1,11 @@
 """Randomized law properties; every suite runs 1000 cases from a fixed
 derandomized seed."""
 
+from itertools import permutations
+
 from hypothesis import given, settings, strategies as st
 
-from hyperlab import axioms
+from hyperlab import axioms, theorems
 from hyperlab.classify import classify_single, classify_two_op
 from hyperlab.model import (
     HyperTable,
@@ -63,6 +65,30 @@ def test_axiom_verdicts_permutation_invariant(case):
         assert (
             axioms.check_law(table, law).holds == axioms.check_law(image, law).holds
         )
+
+
+# premise models of the element claims at orders 1-3, on which the quantified
+# ids hold at their element, beside the random tables where they mostly fail
+_CLAIM_MODELS = [
+    table
+    for claim in ("T13", "T25", "T27")
+    for order in (1, 2, 3)
+    for table, _ in theorems._premise_models(theorems.CLAIMS[claim], order, False, 1)
+]
+
+
+@SUITE
+@given(st.one_of(tables(max_order=3), st.sampled_from(_CLAIM_MODELS)))
+def test_verifier_ids_permutation_equivariant(table):
+    # drop and premise searches at a candidate k are the images under (0 k)
+    # of those at 0 only if every id relabels with its element
+    ids = [*theorems._DESCRIPTOR_IDS, *theorems._PREDICATE_IDS]
+    elements = range(table.order)
+    holds = {(i, e): theorems._id_holds(table, i, e) for i in ids for e in elements}
+    for p in permutations(elements):
+        image = apply_permutation(table, p)
+        for (ident, e), verdict in holds.items():
+            assert theorems._id_holds(image, ident, p[e]) == verdict, (ident, e, p)
 
 
 @SUITE

@@ -3,8 +3,10 @@
 tests/data/verify_snapshots.json holds `to_json(include_wall_time=False)` for
 every theorem id at orders 2 and 3, with and without --drop-premises, at
 order 2 with and without --oracle, and at order 4 for every id whose cap is 4
-(tests/make_verify_snapshots.py records it).  The order-3 drop cases and
-T25, T26 and T27 at order 4 (several seconds each) run under `-m slow`.  Cases go through
+(tests/make_verify_snapshots.py records it).  T25, T26 and T27 at order 4
+(several seconds each) and the order-3 drop cases run under `-m slow`, but
+the order-3 drop cases of FAST_ORDER3_DROPS (0.4 s or less each) run in
+tier-1.  Cases go through
 `verify_cached` with the argument spelling the other tests use, so no sweep
 runs twice in one session.
 """
@@ -28,11 +30,13 @@ def _case_id(case):
 
 
 SLOW_ORDER4 = {"T25", "T26", "T27"}
+FAST_ORDER3_DROPS = {"T13", "T24", "T25", "T26", "T27"}
 
 
 def _params():
     for case in CASES:
-        slow = case["order"] == 3 and case["drop_premises"] or (
+        slow_drop = case["drop_premises"] and case["theorem"] not in FAST_ORDER3_DROPS
+        slow = case["order"] == 3 and slow_drop or (
             case["order"] == 4 and case["theorem"] in SLOW_ORDER4
         )
         marks = [pytest.mark.slow] if slow else []

@@ -1,11 +1,14 @@
 import json
 import time
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
-from hyperlab import axioms, classify, engines, theorems
+from hyperlab import axioms, classify, engines, enumeration, theorems
 from hyperlab.enumeration import EnumerationJob, enumerate_models, sweep, two_op_plan
-from hyperlab.modelio import parse_model
+from hyperlab.model import HyperTable, table_key
+from hyperlab.modelio import parse_model, serialize_model
 from hyperlab.samples import cyclic_group_table
 from hyperlab.theorems import (
     THEOREM_IDS,
@@ -458,6 +461,72 @@ def test_two_operation_drop_witnesses_equal_at_one_and_two_workers(theorem, orde
     one = verify(theorem, order, drop_premises=True, workers=1).independence_witnesses
     assert one == verify(theorem, order, drop_premises=True, workers=2).independence_witnesses
     assert one == _recorded_witnesses(theorem, order)
+
+
+# the element claims with drops; each drops single premise ids
+ELEMENT_DROP_CLAIMS = [t for t, c in theorems.CLAIMS.items() if c.element and c.drops]
+
+
+def _reference_drop_entries(claim, order):
+    """Every (candidate, run) pair searched on all its shards with
+    `engines.first_hit_task`; the witness is the canonical first hit, ties to
+    the lower (candidate, run)."""
+    entries = []
+    for dropped in claim.drops:
+        runs = list(dict.fromkeys(tuple(i for i in r if i != dropped) for r in claim.premises))
+        hits = []
+        for e in range(order):
+            fails = partial(
+                theorems._conclusion_fails, claim.conclusion, claim.biconditional is not None, e
+            )
+            for i, run in enumerate(runs):
+                constraints = theorems._descriptors_at(run, e)
+                kind = engines.table_kind(constraints)
+                for task in engines.sweep_tasks(engines.BACKTRACK, order, constraints)[1]:
+                    cells = engines.first_hit_task(task, fails)
+                    if cells is not None:
+                        hits.append((HyperTable(order, cells, kind), e, i))
+        if hits:
+            table, e, _ = min(hits, key=lambda hit: (table_key(hit[0]), hit[1], hit[2]))
+            entries.append({"dropped": dropped, "model": serialize_model(table), "element": e})
+        else:
+            entries.append({"dropped": dropped, "none_at_order": order})
+    return entries
+
+
+@pytest.mark.parametrize("order", [2, pytest.param(3, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("theorem", ELEMENT_DROP_CLAIMS)
+def test_element_drop_witnesses_equal_the_exhaustive_search(theorem, order):
+    # the drop search skips the other candidates of a run with no hit at 0;
+    # searching every candidate and shard must give the same entries
+    assert ELEMENT_DROP_CLAIMS == ["T13", "T24", "T25", "T26", "T27"]
+    claim = theorems.CLAIMS[theorem]
+    assert theorems._drop_entries(claim, order, workers=1) == _reference_drop_entries(claim, order)
+
+
+def test_a_drop_run_without_a_witness_at_candidate_0_is_searched_once(monkeypatch):
+    searches = []
+    real = enumeration.first_hit
+
+    def counting(fn, tasks, workers=1):
+        searches.append(fn)
+        return real(fn, tasks, workers)
+
+    monkeypatch.setattr(enumeration, "first_hit", counting)
+    claim = theorems.CLAIMS["T26"]
+    counts = {}
+    for dropped in claim.drops:
+        searches.clear()
+        (entry,) = theorems._drop_entries(replace(claim, drops=(dropped,)), 3, workers=1)
+        counts[dropped] = ("model" in entry, len(searches))
+    # one run per drop: searched at candidate 0 only without a witness there,
+    # and at all three candidates with one
+    assert counts == {
+        "associative": (False, 1),
+        "commutative": (True, 3),
+        "unique-opposite": (False, 1),
+        "reversibility-canonical": (True, 3),
+    }
 
 
 def test_t28_drop_runs_link_the_group_action_exactly_when_its_axioms_are_kept():
