@@ -28,7 +28,7 @@ from functools import partial
 from . import axioms
 from .classify import classify_two_op
 from .model import TwoOpModel, complex_product, members_of, singleton_value
-from .parallel import parallel_map
+from .parallel import parallel_map, pool
 
 # largest accepted window radius: sign.model, the largest bundled base, probes
 # its 250,047 triples in about 2 s on one CPU (range 16 took 7.5 s)
@@ -284,7 +284,8 @@ def associativity_probe(
     weak_count = 0
     inclusion_ok = True
     first_violation = None
-    rows = parallel_map(partial(_probe_row, kernel=kernel, window=window), window, workers)
+    with pool(workers):
+        rows = parallel_map(partial(_probe_row, kernel=kernel, window=window), window)
     for equal, weak, included, first in rows:
         equal_count += equal
         weak_count += weak

@@ -1157,7 +1157,8 @@ def _vector_collect_task(head_digits, constraints):
 
 @lru_cache(maxsize=1)
 def _backtracker(order, constraints):
-    """One build per sweep, shared by its probe and shards (and forked workers)."""
+    """One build per sweep and process: the probe that counts the shards and
+    each pool worker's first shard of the sweep build it, later shards reuse it."""
     return Backtracker(SearchSpec(order, constraints))
 
 

@@ -25,7 +25,9 @@ RuntimeError, which the CLI reports as an internal error.
 
 Every enumeration job and every verifier premise sweep share one sweep,
 `sweep`, which plans each descriptor run with `engines.plan_sweep`
-and fans its tasks out over the workers.  By default that is the sharded
+and fans its tasks out over the command's one worker pool
+(`parallel.pool`, opened by `enumerate_models` and `golden_check`; a golden
+check's jobs share it).  By default the planned engine is the sharded
 backtracker, whose pruned-node count the summary reports (for a
 two-operation job, that of its plan runs' sweeps).  A
 two-operation search states its pins and links as descriptors too: the
@@ -66,7 +68,7 @@ from .model import (
     table_key,
     two_op_key,
 )
-from .parallel import first_hit, parallel_map
+from .parallel import first_hit, parallel_map, pool
 
 
 @dataclass
@@ -163,15 +165,16 @@ def _single_runs(job: EnumerationJob, cand):
 # -- shared sweeps ------------------------------------------------------------------
 
 
-def sweep(order, runs, oracle=False, workers=1, pruned=False):
+def sweep(order, runs, oracle=False, pruned=False):
     """(tables satisfying some descriptor run, in canonical order; pruned
     nodes).  Each run goes to its `engines.plan_sweep` engine, whose tasks
-    fan out over `workers`; a run's tables are of its `engines.table_kind`."""
+    fan out over the command's worker pool; a run's tables are of its
+    `engines.table_kind`."""
     found, pruned_nodes = [], 0
     for run in runs:
         engine = engines.plan_sweep(order, run, oracle, pruned=pruned)
         fn, tasks = engines.sweep_tasks(engine, order, run)
-        cells, nodes = engines.merge_sweep(engine, order, run, parallel_map(fn, tasks, workers))
+        cells, nodes = engines.merge_sweep(engine, order, run, parallel_map(fn, tasks))
         found.append((cells, engines.table_kind(run)))
         pruned_nodes += nodes
     if len(found) == 1:  # every engine emits in canonical order
@@ -182,14 +185,14 @@ def sweep(order, runs, oracle=False, workers=1, pruned=False):
     return sorted(tables, key=table_key), pruned_nodes
 
 
-def element_sweep(order, runs_at, candidates, oracle=False, workers=1, pruned=False):
+def element_sweep(order, runs_at, candidates, oracle=False, pruned=False):
     """((table, e) pairs in (table_key, e) order, pruned nodes) for the
     descriptor runs `runs_at(e)` at each candidate element e (None: no
     element).  The descriptors name an element only through E, so the
     generator searches element 0 and maps its set to each candidate k by the
     transposition (0 k); the oracle searches every candidate on its own."""
     searched = candidates if oracle or None in candidates else (0,)
-    swept = {e: sweep(order, runs_at(e), oracle, workers, pruned) for e in searched}
+    swept = {e: sweep(order, runs_at(e), oracle, pruned) for e in searched}
     pairs = []
     for k in candidates:
         if k in swept:
@@ -202,18 +205,18 @@ def element_sweep(order, runs_at, candidates, oracle=False, workers=1, pruned=Fa
     return pairs, sum(nodes for _, nodes in swept.values())
 
 
-def count_sweep(runs, conclusion, biconditional, workers=1):
+def count_sweep(runs, conclusion, biconditional):
     """Order-3 count mode: (tables satisfying some run, the first of them
     where the conclusion fails, or None); see `engines.v3_count_chunk`."""
     fn = partial(
         engines.v3_count_chunk, runs=runs, conclusion=conclusion, biconditional=biconditional
     )
-    results = parallel_map(fn, engines.vector_sweep3_tasks(), workers)
+    results = parallel_map(fn, engines.vector_sweep3_tasks())
     first = next((cells for _, cells in results if cells is not None), None)
     return sum(count for count, _ in results), None if first is None else HyperTable(3, first)
 
 
-def search_first(order, searches_at, candidates, workers=1):
+def search_first(order, searches_at, candidates):
     """The canonical first (table, e, i) where the table satisfies the
     descriptors of searches_at(e)[i] = (constraints, accept) at a candidate
     element e (None: no element) and `accept(table)` holds (None accepts
@@ -229,7 +232,7 @@ def search_first(order, searches_at, candidates, workers=1):
         for i, (constraints, accept) in enumerate(searches_at(e)):
             if live is None or i in live:
                 _, tasks = engines.sweep_tasks(engines.BACKTRACK, order, constraints)
-                cells = first_hit(partial(engines.first_hit_task, accept=accept), tasks, workers)
+                cells = first_hit(partial(engines.first_hit_task, accept=accept), tasks)
                 if cells is not None:
                     kind = engines.table_kind(constraints)
                     hits.append((HyperTable(order, cells, kind), pos, i))
@@ -259,7 +262,7 @@ _MUL_DESCRIPTORS = {
 }
 
 
-def mul_compositions(n: int, zero: int, one, ring_ids, workers=1):
+def mul_compositions(n: int, zero: int, one, ring_ids):
     """Associative composition tables for the multiplication that pass the
     ids in `ring_ids` that read only it.  An absorbing zero pins its row and
     column, and so does a pinned `one` when a semigroup or group on H* is
@@ -274,7 +277,7 @@ def mul_compositions(n: int, zero: int, one, ring_ids, workers=1):
                 forced[one * n + x] = forced[x * n + one] = 1 << x
     run = (("law", "associative"), ("singleton-cells",))
     run += tuple(("forced", *pin) for pin in forced.items())
-    for mul in sweep(n, [run], workers=workers)[0]:
+    for mul in sweep(n, [run])[0]:
         probe = TwoOpModel(n, mul, mul, zero)  # these checks read only mul
         if all(axioms.check_ring_axioms(probe, r).holds for r in ring_ids if r in _MUL_ONLY):
             yield mul
@@ -316,7 +319,7 @@ class TwoOpRun:
         return _MUL_DESCRIPTORS[axiom](self.fixed, self.zero) if axiom in _MUL_DESCRIPTORS else None
 
 
-def two_op_plan(n, label_axioms, zero=None, one=None, dropped=None, workers=1):
+def two_op_plan(n, label_axioms, zero=None, one=None, dropped=None):
     """The runs of a two-operation search in plan order, at the pinned zero
     or every one.  The full axiom list picks the strategy: when it makes the
     multiplication a semigroup or group on H*, each run fixes a
@@ -344,18 +347,18 @@ def two_op_plan(n, label_axioms, zero=None, one=None, dropped=None, workers=1):
         return
     group = "multiplicative-group-on-H*" in ring and "distributive-equal" in ring
     for z in range(n) if zero is None else (zero,):
-        for mul in mul_compositions(n, z, one, ring, workers):
+        for mul in mul_compositions(n, z, one, ring):
             yield run(mul, z, True, _group_action_links(mul, z, n) if group else ())
 
 
-def two_op_sweep(n, runs, one=None, oracle=False, workers=1):
+def two_op_sweep(n, runs, one=None, oracle=False):
     """(models of the plan runs in `two_op_key` order, pruned nodes): each
     run's tables from `sweep` on the pruned generator, or its oracle, as
     models with the detected identity (the pinned `one`, if given) on which
     the run's open axioms hold."""
     seen, pruned_total = {}, 0
     for run in runs:
-        tables, pruned = sweep(n, [run.descriptors], oracle, workers, pruned=True)
+        tables, pruned = sweep(n, [run.descriptors], oracle, pruned=True)
         pruned_total += pruned
         for table in tables:
             model = run.model(table, one)
@@ -364,7 +367,7 @@ def two_op_sweep(n, runs, one=None, oracle=False, workers=1):
     return [seen[k] for k in sorted(seen)], pruned_total
 
 
-def _enumerate_two_op(job: EnumerationJob, workers: int):
+def _enumerate_two_op(job: EnumerationJob):
     structures = [c for c in job.constraints if c in classify.TWO_OP_LABELS]
     extra_laws = [c for c in job.constraints if c in axioms.LAW_IDS]
     # the search comes from the structures' axioms in the table
@@ -377,8 +380,8 @@ def _enumerate_two_op(job: EnumerationJob, workers: int):
         adds = sweep(n, [(("law", "associative"), ("law", "commutative"))], oracle=True)[0]
         runs = [TwoOpRun((), add, zero, False) for zero in _candidates(job) for add in adds]
     else:
-        runs = two_op_plan(n, table_axioms, job.zero, job.one, workers=workers)
-    models, pruned = two_op_sweep(n, runs, job.one, job.oracle, workers)
+        runs = two_op_plan(n, table_axioms, job.zero, job.one)
+    models, pruned = two_op_sweep(n, runs, job.one, job.oracle)
     kept = [
         m for m in models
         if all(axioms.check_law(m.add, law).holds for law in extra_laws)
@@ -410,18 +413,21 @@ def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummar
     sorted first; only then is each one passed to job.emit."""
     _check_job(job)
     start = time.perf_counter()
-    if job_is_two_op(job):
-        models, pruned = _enumerate_two_op(job, workers)
-        reps = sorted(set(map(canonical_form_two_op, models)), key=two_op_key)
-    else:
-        runs_at, cands = partial(_single_runs, job), _candidates(job)
-        pairs, pruned = element_sweep(job.order, runs_at, cands, job.oracle, workers, True)
-        models = list({t.cells: t for t, _ in pairs}.values())  # each table once
-        fixed = [p for p in (job.zero, job.one) if p is not None]
-        reps = orbit_representatives(models, fixed)
-        for r in reps:
-            if canonical_form(r, fixed) is not r:
-                raise RuntimeError(f"orbit walk kept {r.cells}, which is not its canonical form")
+    with pool(workers):
+        if job_is_two_op(job):
+            models, pruned = _enumerate_two_op(job)
+            reps = sorted(set(map(canonical_form_two_op, models)), key=two_op_key)
+        else:
+            runs_at, cands = partial(_single_runs, job), _candidates(job)
+            pairs, pruned = element_sweep(job.order, runs_at, cands, job.oracle, True)
+            models = list({t.cells: t for t, _ in pairs}.values())  # each table once
+            fixed = [p for p in (job.zero, job.one) if p is not None]
+            reps = orbit_representatives(models, fixed)
+            for r in reps:
+                if canonical_form(r, fixed) is not r:
+                    raise RuntimeError(
+                        f"orbit walk kept {r.cells}, which is not its canonical form"
+                    )
 
     emitted = reps if job.up_to_iso else models
     if job.emit is not None:
@@ -467,15 +473,16 @@ def golden_check(catalog_path, workers: int = 1) -> dict:
         raise ValueError(f"catalog missing or corrupt: {exc}") from exc
 
     results = []
-    for name, job, expected_raw, expected_canonical in jobs:
-        summary = enumerate_models(job, workers)
-        results.append({
-            "name": name,
-            "expected_raw": expected_raw,
-            "actual_raw": summary.raw_count,
-            "expected_canonical": expected_canonical,
-            "actual_canonical": summary.canonical_count,
-            "ok": (summary.raw_count, summary.canonical_count)
-            == (expected_raw, expected_canonical),
-        })
+    with pool(workers):  # one pool for every job
+        for name, job, expected_raw, expected_canonical in jobs:
+            summary = enumerate_models(job, workers)
+            results.append({
+                "name": name,
+                "expected_raw": expected_raw,
+                "actual_raw": summary.raw_count,
+                "expected_canonical": expected_canonical,
+                "actual_canonical": summary.canonical_count,
+                "ok": (summary.raw_count, summary.canonical_count)
+                == (expected_raw, expected_canonical),
+            })
     return {"pass": all(r["ok"] for r in results), "entries": results}

@@ -41,7 +41,8 @@ Sweeps quantified over a distinguished element (identity or zero) count
 element-quantified sweep, `element_sweep`.  Every counterexample and independence witness is
 revalidated through the axiom predicates before a report is emitted (a
 disagreement raises RuntimeError), and reports are identical for any worker
-count.
+count.  `verify` and `search_independence` open the command's worker pool
+(`parallel.pool`) once, and every sweep and search of the claim shares it.
 """
 
 import time
@@ -55,7 +56,7 @@ from .engines import E, at
 from .enumeration import count_sweep, element_sweep, search_first, two_op_plan, two_op_sweep
 from .model import HyperTable, HypermoduleModel, members_of
 from .modelio import serialize_model
-from .parallel import parallel_map
+from .parallel import parallel_map, pool
 from .samples import krasner_hyperfield, sign_hyperfield
 
 DROP_CAP = 3
@@ -63,6 +64,7 @@ _DEF7 = "multiplicative-hyperring-def7"
 _DEF15 = "hyperfield-def15"
 NOT_SEARCHED = f"drop searches run at orders <= {DROP_CAP}"
 
+# a claim on a label's premises is capped where the label is
 _ORDER_CAPS = {
     "T2": 3,
     "T3": 3,
@@ -70,13 +72,9 @@ _ORDER_CAPS = {
     "T7": 3,
     "T9": 3,
     "T11": 3,
-    "T13": 4,
-    "T24": 4,
-    "P14-P23": 4,
-    "T25": 4,
-    "T26": 4,
-    "T27": 4,
-    "T28": 4,
+    **dict.fromkeys(("T13", "T24", "P14-P23"), classify.max_order("qmp-hypergroup")),
+    **dict.fromkeys(("T25", "T26", "T27"), classify.max_order("canonical-hypergroup")),
+    "T28": classify.max_order(_DEF15),
     "T29": 3,
 }
 THEOREM_IDS = tuple(_ORDER_CAPS)
@@ -232,7 +230,6 @@ class Swept:
     claim: Claim
     order: int
     oracle: bool
-    workers: int
     models: list | None
     first: tuple | None
     runs: list | None = None
@@ -249,11 +246,11 @@ def sweep_engine(claim: Claim, order: int, oracle: bool = False) -> str:
     return engines.plan_sweep(order, descriptors, oracle, counts=counts, pruned=claim.pruned)
 
 
-def _run_claim(theorem, order, drop_premises, oracle, workers):
+def _run_claim(theorem, order, drop_premises, oracle):
     claim = CLAIMS[theorem]
     label, runs = _two_op_label(claim), None
     if label is not None:
-        found, runs = _label_models(label, order, oracle, workers)
+        found, runs = _label_models(label, order, oracle)
         models = [(m, m.zero) for m in found]
         # the searched hyperoperations times the fixed operations: every
         # multiplication composition (also for an empty plan), or the fixed
@@ -265,9 +262,9 @@ def _run_claim(theorem, order, drop_premises, oracle, workers):
         space = engines.space_size(order, engines.table_kind(premises))
         space *= order if claim.element else 1
         counts = sweep_engine(claim, order, oracle) == engines.VECTOR_COUNT
-        models = None if counts else _premise_models(claim, order, oracle, workers)
+        models = None if counts else _premise_models(claim, order, oracle)
     if models is None:
-        premise_models, first = _count_premises(claim, workers)
+        premise_models, first = _count_premises(claim)
     else:
         premise_models, first = len(models), _first_failure(claim, models)
     report = VerificationReport(
@@ -279,9 +276,9 @@ def _run_claim(theorem, order, drop_premises, oracle, workers):
         counterexample=None if first is None else _counterexample(claim, *first),
     )
     if claim.extras is not None:
-        report.extras = claim.extras(Swept(claim, order, oracle, workers, models, first, runs))
+        report.extras = claim.extras(Swept(claim, order, oracle, models, first, runs))
     if drop_premises and claim.drops:
-        report.independence_witnesses = _drop_entries(claim, order, workers)
+        report.independence_witnesses = _drop_entries(claim, order)
     return report
 
 
@@ -323,13 +320,12 @@ def _counterexample(claim, table, cand):
     return out
 
 
-def _count_premises(claim, workers):
+def _count_premises(claim):
     """Order-3 count mode: (premise models, first failure or None)."""
     premise_models, table = count_sweep(
         tuple(_descriptors_at(run, None) for run in claim.premises),
         _descriptors_at(claim.conclusion, None),
         claim.biconditional is not None,
-        workers,
     )
     if table is None:
         return premise_models, None
@@ -337,12 +333,12 @@ def _count_premises(claim, workers):
     return premise_models, (table, None)
 
 
-def _premise_models(claim, order, oracle, workers):
+def _premise_models(claim, order, oracle):
     """(table, element) premise models in canonical order; the element is
     None when the claim quantifies none."""
     return element_sweep(
         order, lambda e: [_descriptors_at(run, e) for run in claim.premises],
-        range(order) if claim.element else (None,), oracle, workers, claim.pruned,
+        range(order) if claim.element else (None,), oracle, claim.pruned,
     )[0]
 
 
@@ -352,27 +348,27 @@ def _two_op_label(claim):
     return ids[0] if ids and ids[0] in classify.TWO_OP_LABELS else None
 
 
-def _plan(label, order, dropped=None, workers=1):
+def _plan(label, order, dropped=None):
     """(the plan runs of a two-operation label, the pinned one): a
     multiplicative group on H* pins zero 0 and one 1, else nothing is pinned."""
     label_axioms = classify.axioms_of(label)
     zero = one = None
     if "multiplicative-group-on-H*" in label_axioms:
         zero, one = 0, 1 if order > 1 else None
-    return two_op_plan(order, label_axioms, zero, one, dropped, workers), one
+    return two_op_plan(order, label_axioms, zero, one, dropped), one
 
 
-def _label_models(label, order, oracle, workers):
+def _label_models(label, order, oracle):
     """(the label's models at its pins, in `two_op_key` order; its plan runs)."""
-    runs, one = _plan(label, order, workers=workers)
+    runs, one = _plan(label, order)
     runs = list(runs)
-    return two_op_sweep(order, runs, one, oracle, workers)[0], runs
+    return two_op_sweep(order, runs, one, oracle)[0], runs
 
 
 # -- independence witnesses ------------------------------------------------------
 
 
-def _independence(claim, runs, order, workers):
+def _independence(claim, runs, order):
     """The canonical first (table, element) where some premise run holds and
     the claim's conclusion fails, as a witness entry, or none_at_order.
     Element-dependent ids share the element, tried at every candidate."""
@@ -383,7 +379,7 @@ def _independence(claim, runs, order, workers):
         fails = partial(_conclusion_fails, claim.conclusion, biconditional, e)
         return [(_descriptors_at(run, e), fails) for run in runs]
 
-    hit = search_first(order, searches_at, range(order) if quantified else (None,), workers)
+    hit = search_first(order, searches_at, range(order) if quantified else (None,))
     if hit is None:
         return {"none_at_order": order}
     table, cand, i = hit
@@ -410,22 +406,23 @@ def search_independence(premises, conclusion, order: int, workers: int = 1):
         if ident in _CONCLUSION_ONLY_IDS and ident != conclusion:
             raise ValueError(f"{ident!r} can only be used as a conclusion")
     claim = Claim(premises=(tuple(premises),), conclusion=(conclusion,))
-    return _independence(claim, claim.premises, order, workers)
+    with pool(workers):
+        return _independence(claim, claim.premises, order)
 
 
-def _plan_independence(claim, label, removed, order, workers):
+def _plan_independence(claim, label, removed, order):
     """Over the label's plan runs without the one removed axiom or
     descriptor, in plan order, the first run's canonical first model on which
     the run's open axioms hold and the one-axiom conclusion fails, as a
     witness entry, or none_at_order."""
     (dropped,), (conclusion,) = removed, claim.conclusion
-    for run in _plan(label, order, dropped, workers)[0]:
+    for run in _plan(label, order, dropped)[0]:
         # a conclusion that is one descriptor of the searched operation is
         # searched negated, and checked first on every table the search emits
         negated = run.descriptors_of(conclusion) or ()
         constraints = ((("not", *negated),) if len(negated) == 1 else ()) + run.descriptors
         accept = partial(_admitted_failure, claim.conclusion, run)
-        hit = search_first(order, lambda _: [(constraints, accept)], (None,), workers)
+        hit = search_first(order, lambda _: [(constraints, accept)], (None,))
         if hit is not None:
             table = hit[0]
             what = f"the premises but {dropped} hold and {conclusion} fails"
@@ -445,7 +442,7 @@ def _admitted_failure(conclusion, run, table) -> bool:
 _UNSEARCHED = {"additive-abelian-group": "the sign rule presupposes additive inverses"}
 
 
-def _drop_entries(claim, order, workers):
+def _drop_entries(claim, order):
     """One independence entry per droppable premise (or premise group)."""
     entries, label = [], _two_op_label(claim)
     for drop in claim.drops:
@@ -454,12 +451,12 @@ def _drop_entries(claim, order, workers):
         if reason is not None:
             outcome = {"not_searched": reason}
         elif label is not None:
-            outcome = _plan_independence(claim, label, removed, order, workers)
+            outcome = _plan_independence(claim, label, removed, order)
         else:
             kept_runs = dict.fromkeys(
                 tuple(i for i in run if i not in removed) for run in claim.premises
             )
-            outcome = _independence(claim, list(kept_runs), order, workers)
+            outcome = _independence(claim, list(kept_runs), order)
         entries.append({"dropped": name, **outcome})
     return entries
 
@@ -479,7 +476,8 @@ def verify(
         raise ValueError(f"order {order} outside 1..{cap} for {theorem}")
     start = time.perf_counter()
     fn = _VERIFIERS.get(theorem, partial(_run_claim, theorem))
-    report = fn(order, drop_premises=drop_premises, oracle=oracle, workers=workers)
+    with pool(workers):
+        report = fn(order, drop_premises=drop_premises, oracle=oracle)
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -556,7 +554,7 @@ def _t24_extras(s: Swept):
     if s.order > 3:
         weak = {"note": "the weak reading is swept at orders <= 3 only"}
     else:
-        models = _premise_models(_WEAK_QMP, s.order, s.oracle, s.workers)
+        models = _premise_models(_WEAK_QMP, s.order, s.oracle)
         first = _first_failure(_WEAK_QMP, models)
         weak = {"premise_models": len(models), "conclusion_holds": first is None}
         if first is not None:
@@ -600,7 +598,7 @@ def _t6_extras(s: Swept):
 
 def _t28_extras(s: Swept):
     def15 = [m for m, _ in s.models]
-    def14 = _label_models("hyperfield", s.order, s.oracle, s.workers)[0]
+    def14 = _label_models("hyperfield", s.order, s.oracle)[0]
     reversible = [m for m, zero in s.models if not _fails(s.claim, m, zero)]
     _revalidate(def14 == reversible, "the Def-14 models are the reversible Def-15 models")
     return {
@@ -695,10 +693,10 @@ _NORMAL = Claim((_ids_of("normal-hypergroup"),), (), element="zero")
 # -- T29: hypermodules ---------------------------------------------------------
 
 
-def _t29_scalar_family(workers):
+def _t29_scalar_family():
     family = [("krasner", krasner_hyperfield()), ("sign", sign_hyperfield())]
     for order in (2, 3):
-        for i, m in enumerate(_label_models("hyperfield", order, False, workers)[0]):
+        for i, m in enumerate(_label_models("hyperfield", order, False)[0]):
             family.append((f"hyperfield-{order}-{i}", m))
     unique = {}
     for name, m in family:
@@ -735,13 +733,13 @@ def _t29_pair(task):
     return count, first, negates
 
 
-def _verify_t29(order, drop_premises, oracle, workers):
-    scalars = _t29_scalar_family(workers)
+def _verify_t29(order, drop_premises, oracle):
+    scalars = _t29_scalar_family()
     # the module additions of orders 1 to `order`, ignoring --oracle
-    modules = sum((_premise_models(_NORMAL, n, False, workers) for n in range(1, order + 1)), [])
+    modules = sum((_premise_models(_NORMAL, n, False) for n in range(1, order + 1)), [])
     triples = [(p, madd, z) for _, p in scalars for madd, z in modules]
     space = sum(madd.order ** (p.order * madd.order) for p, madd, _ in triples)
-    results = parallel_map(_t29_pair, triples, workers)
+    results = parallel_map(_t29_pair, triples)
     commutative = [axioms.check_law(t, "commutative").holds for t, _ in modules] * len(scalars)
     premise = [r for r, comm in zip(results, commutative) if comm]
     premise_models = sum(count for count, _, _ in premise)

@@ -91,7 +91,7 @@ def test_criterion_5_qmp_suite():
         enumerate_models(
             EnumerationJob(order, ("group",), emit=groups.append)
         )
-        qmp_tables = {t.cells for t, _e in _premise_models(CLAIMS["T13"], order, False, 1)}
+        qmp_tables = {t.cells for t, _e in _premise_models(CLAIMS["T13"], order, False)}
         ok = ok and all(g.cells in qmp_tables for g in groups)
     report(5, ok)
 

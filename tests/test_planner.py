@@ -315,41 +315,53 @@ class _FakePool:
     def __init__(self, size):
         self.sizes.append(size)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def map(self, fn, tasks):
         return [fn(t) for t in tasks]
 
     def imap(self, fn, tasks):
         return (fn(t) for t in tasks)
 
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
 
 class _FakeContext:
     Pool = _FakePool
 
 
-def test_pool_size_is_bounded_by_cpus_and_tasks(monkeypatch):
+def _fake_pools(monkeypatch, cpus):
+    """Pools that run in process and record their sizes, on `cpus` CPUs."""
     _FakePool.sizes = []
     monkeypatch.setattr(parallel.multiprocessing, "get_context", lambda method: _FakeContext())
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
-    assert parallel.parallel_map(abs, range(-50, 50), workers=10_000) == [
-        abs(i) for i in range(-50, 50)
-    ]
-    assert parallel.parallel_map(abs, [-1, -2, -3], workers=8) == [1, 2, 3]
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+
+
+def test_pool_size_is_bounded_by_cpus_and_tasks(monkeypatch):
+    _fake_pools(monkeypatch, 4)
+    with parallel.pool(10_000):
+        assert parallel.parallel_map(abs, [-1]) == [1]
+        assert _FakePool.sizes == []  # one task needs no pool
+        assert parallel.parallel_map(abs, range(-50, 50)) == [abs(i) for i in range(-50, 50)]
+        assert parallel.parallel_map(abs, [-1, -2, -3]) == [1, 2, 3]
+        assert parallel.parallel_map(abs, [-1, -2], workers=1) == [1, 2]  # capped: in process
+    assert _FakePool.sizes == [4]  # capped by the CPUs, and shared by the calls
+    with parallel.pool(3):
+        assert parallel.parallel_map(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
     assert _FakePool.sizes == [4, 3]
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
-    assert parallel.parallel_map(abs, [-1, -2], workers=8) == [1, 2]
-    assert _FakePool.sizes == [4, 3]  # one CPU: no pool at all
+    assert parallel.parallel_map(abs, [-1, -2], workers=8) == [1, 2]  # no context: in process
+    assert _FakePool.sizes == [4, 3]
+    _fake_pools(monkeypatch, 1)
+    with parallel.pool(8):
+        assert parallel.parallel_map(abs, [-1, -2]) == [1, 2]
+    assert _FakePool.sizes == []  # one CPU: no pool at all
 
 
 def test_first_hit_keeps_task_order_and_stops_at_the_hit(monkeypatch):
-    _FakePool.sizes = []
-    monkeypatch.setattr(parallel.multiprocessing, "get_context", lambda method: _FakeContext())
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+    _fake_pools(monkeypatch, 4)
     seen = []
 
     def odd(t):
@@ -358,25 +370,36 @@ def test_first_hit_keeps_task_order_and_stops_at_the_hit(monkeypatch):
 
     for workers in (1, 8):
         seen.clear()
-        assert parallel.first_hit(odd, [2, 4, 5, 6, 7], workers=workers) == 5
+        with parallel.pool(workers):
+            assert parallel.first_hit(odd, [2, 4, 5, 6, 7]) == 5
         assert seen == [2, 4, 5]  # the later hit 7 is never computed
     assert _FakePool.sizes == [4]  # capped by the CPUs; one worker needs no pool
-    assert parallel.first_hit(odd, [2, 4], workers=8) is None
-    assert parallel.first_hit(odd, [], workers=8) is None
-    assert _FakePool.sizes == [4, 2]
+    with parallel.pool(8):
+        assert parallel.first_hit(odd, [2, 4]) is None
+        assert parallel.first_hit(odd, []) is None
+        assert parallel.first_hit(odd, [2, 4, 6, 1]) == 1
+    assert _FakePool.sizes == [4, 4]  # one pool for the context's calls
+    seen.clear()
+    assert parallel.first_hit(odd, [2, 3, 5]) == 3  # no context: in process
+    assert seen == [2, 3] and _FakePool.sizes == [4, 4]
 
 
 def test_first_hit_pool_shuts_down_after_every_hit():
     # a pool must not kill a worker that is still sending its result when the
     # hit arrives: the result queue stayed locked and the pool's shutdown
-    # waited forever, about once in a hundred calls with these tasks
+    # waited forever, about once in a hundred calls with these tasks; on a
+    # shared pool, a feed left blocked after a hit stalls every later call
     code = (
-        "from hyperlab.parallel import first_hit\n"
+        "import multiprocessing\n"
+        "from hyperlab.parallel import first_hit, parallel_map, pool\n"
         "def fn(t):\n"
         "    sum(range(20000))\n"
         "    return t if t == 1 else None\n"
-        "for _ in range(200):\n"
-        "    assert first_hit(fn, range(8), workers=2) == 1\n"
+        "with pool(2):\n"
+        "    for i in range(200):\n"
+        "        assert first_hit(fn, range(8)) == 1\n"
+        "        assert parallel_map(abs, [-i, 1 - i]) == [i, abs(1 - i)]\n"
+        "assert not multiprocessing.active_children()\n"
     )
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -73,7 +73,7 @@ _CLAIM_MODELS = [
     table
     for claim in ("T13", "T25", "T27")
     for order in (1, 2, 3)
-    for table, _ in theorems._premise_models(theorems.CLAIMS[claim], order, False, 1)
+    for table, _ in theorems._premise_models(theorems.CLAIMS[claim], order, False)
 ]
 
 

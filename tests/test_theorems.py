@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from hyperlab import axioms, classify, engines, enumeration, theorems
+from hyperlab import axioms, classify, engines, enumeration, parallel, theorems
 from hyperlab.enumeration import EnumerationJob, enumerate_models, sweep, two_op_plan
 from hyperlab.model import HyperTable, table_key
 from hyperlab.modelio import parse_model, serialize_model
@@ -122,8 +122,8 @@ def test_t7_witnesses_on_drop():
     assert not axioms.check_law(table, "cellwise-nonempty").holds
 
 
-def _qmp_pairs(order, workers=1):
-    return theorems._premise_models(theorems.CLAIMS["T13"], order, False, workers)
+def _qmp_pairs(order):
+    return theorems._premise_models(theorems.CLAIMS["T13"], order, False)
 
 
 def test_qmp_pairs_contain_all_group_tables():
@@ -366,7 +366,8 @@ def test_t29_module_additions_are_the_normal_hypergroup_pairs(order, workers):
     expected = [
         (t, z) for t in tables for z in range(order) if classify.holds_at("normal-hypergroup", t, z)
     ]
-    assert theorems._premise_models(theorems._NORMAL, order, False, workers) == expected
+    with parallel.pool(workers):
+        assert theorems._premise_models(theorems._NORMAL, order, False) == expected
     assert expected
 
 
@@ -376,6 +377,33 @@ def test_oracle_equals_default_at_order2():
         oracle = verify(tid, 2, oracle=True)
         assert default.premise_models == oracle.premise_models, tid
         assert default.conclusion_holds == oracle.conclusion_holds, tid
+
+
+# the claims on a label's premises, each with its label
+LABEL_CLAIMS = {
+    "T6": "multiplicative-hyperring-def7",
+    "T13": "qmp-hypergroup",
+    "T24": "qmp-hypergroup",
+    "P14-P23": "qmp-hypergroup",
+    "T25": "canonical-hypergroup",
+    "T26": "canonical-hypergroup",
+    "T27": "canonical-hypergroup",
+    "T28": "hyperfield-def15",
+}
+
+
+@pytest.mark.parametrize("theorem", LABEL_CLAIMS)
+def test_a_label_claim_is_capped_where_its_label_is(theorem):
+    label = LABEL_CLAIMS[theorem]
+    (premises,) = theorems.CLAIMS[theorem].premises
+    if label in classify.TWO_OP_LABELS:
+        assert premises == (label,)
+    else:  # T27 keeps three of the canonical axioms
+        assert set(premises) <= set(theorems._ids_of(label))
+    cap = classify.max_order(label)
+    assert theorems._ORDER_CAPS[theorem] == cap
+    with pytest.raises(ValueError, match=f"outside 1..{cap}"):
+        verify(theorem, cap + 1)
 
 
 def test_all_reports_have_invariants():
@@ -449,8 +477,9 @@ def _recorded_witnesses(theorem, order):
 @pytest.mark.parametrize("theorem", ["T25", "T27"])
 def test_drop_witnesses_equal_at_one_and_two_workers(theorem):
     claim = theorems.CLAIMS[theorem]
-    one = theorems._drop_entries(claim, 3, workers=1)
-    assert one == theorems._drop_entries(claim, 3, workers=2)
+    one = theorems._drop_entries(claim, 3)
+    with parallel.pool(2):
+        assert one == theorems._drop_entries(claim, 3)
     assert one == _recorded_witnesses(theorem, 3)
 
 
@@ -501,23 +530,23 @@ def test_element_drop_witnesses_equal_the_exhaustive_search(theorem, order):
     # searching every candidate and shard must give the same entries
     assert ELEMENT_DROP_CLAIMS == ["T13", "T24", "T25", "T26", "T27"]
     claim = theorems.CLAIMS[theorem]
-    assert theorems._drop_entries(claim, order, workers=1) == _reference_drop_entries(claim, order)
+    assert theorems._drop_entries(claim, order) == _reference_drop_entries(claim, order)
 
 
 def test_a_drop_run_without_a_witness_at_candidate_0_is_searched_once(monkeypatch):
     searches = []
     real = enumeration.first_hit
 
-    def counting(fn, tasks, workers=1):
+    def counting(fn, tasks):
         searches.append(fn)
-        return real(fn, tasks, workers)
+        return real(fn, tasks)
 
     monkeypatch.setattr(enumeration, "first_hit", counting)
     claim = theorems.CLAIMS["T26"]
     counts = {}
     for dropped in claim.drops:
         searches.clear()
-        (entry,) = theorems._drop_entries(replace(claim, drops=(dropped,)), 3, workers=1)
+        (entry,) = theorems._drop_entries(replace(claim, drops=(dropped,)), 3)
         counts[dropped] = ("model" in entry, len(searches))
     # one run per drop: searched at candidate 0 only without a witness there,
     # and at all three candidates with one
@@ -547,7 +576,7 @@ def test_t28_drop_runs_link_the_group_action_exactly_when_its_axioms_are_kept():
 def test_order4_drops_are_not_searched():
     for theorem in ("T13", "T24", "T25", "T26", "T27", "T28"):
         claim = theorems.CLAIMS[theorem]
-        entries = theorems._drop_entries(claim, 4, workers=1)
+        entries = theorems._drop_entries(claim, 4)
         names = [d[0] if isinstance(d, tuple) else d for d in claim.drops]
         assert [e["dropped"] for e in entries] == names, theorem
         assert all(e["not_searched"] == theorems.NOT_SEARCHED for e in entries), theorem
