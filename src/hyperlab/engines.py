@@ -1075,6 +1075,10 @@ VECTOR_COLLECT = "vector-collect"
 BACKTRACK = "backtrack"
 WITNESS_MAP = "witness-map"
 
+# the highest order at which a single-operation oracle runs: above it no
+# engine independent of the backtracker exists, so an oracle certifies nothing
+ORACLE_CAP = 3
+
 
 def plan_sweep(order, constraints, oracle=False, counts=False, pruned=False):
     """The engine for one sweep; every verifier and enumeration sweep asks here.

@@ -16,11 +16,13 @@ two-operation jobs, the premise sweeps of T6 and T28, T28's Def-14 set and
 T29's scalar family take their models from it, and T6's and T28's drop
 searches walk the same plan's runs.  Models are emitted exactly once, in
 canonical table order; with up_to_iso each isomorphism class is emitted
-once, represented by its canonical form.  A single-operation job finds its
-classes in one walk over its models in key order
-(`model.orbit_representatives`), which certifies that the models are closed
-under the relabelings fixing the pins, and each class it keeps is
-revalidated as its own canonical form; a failed certificate raises
+once, represented by its canonical form.  Every job finds its classes in one
+walk over its models in key order (`model.orbit_representatives`; a
+two-operation job walks the models of each (zero, one) on their own), which
+certifies that the models are closed under the relabelings fixing the pins,
+and each class it keeps is revalidated as its own canonical form
+(`canonical_form` or `canonical_form_two_op`, once per class).  The same walk
+certifies `element_sweep`'s relabeling.  A failed certificate raises
 RuntimeError, which the CLI reports as an internal error.
 
 Every enumeration job and every verifier premise sweep share one sweep,
@@ -54,7 +56,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import product
+from itertools import chain, product
 
 from . import axioms, classify, engines
 from .model import (
@@ -124,8 +126,10 @@ def _check_job(job: EnumerationJob):
         raise ValueError(f"order must be at least 1, got {job.order}")
     if job.order > cap:
         raise ValueError(f"order {job.order} above the cap {cap} for {owner}")
-    if job.oracle and job.order > (2 if two_op else 3):
-        raise ValueError("oracle mode caps two-operation jobs at order 2, the others at 3")
+    if job.oracle and job.order > (2 if two_op else engines.ORACLE_CAP):
+        raise ValueError(
+            f"oracle mode caps two-operation jobs at order 2, the others at {engines.ORACLE_CAP}"
+        )
     # canonical forms fix a pinned element, so a pin the search ignores would
     # only split the job's isomorphism classes
     if job.one is not None and not two_op:
@@ -190,16 +194,26 @@ def element_sweep(order, runs_at, candidates, oracle=False, pruned=False):
     descriptor runs `runs_at(e)` at each candidate element e (None: no
     element).  The descriptors name an element only through E, so the
     generator searches element 0 and maps its set to each candidate k by the
-    transposition (0 k); the oracle searches every candidate on its own."""
-    searched = candidates if oracle or None in candidates else (0,)
+    transposition (0 k), and certifies each candidate's set, searched or
+    mapped, with the orbit walk under the permutations fixing that candidate
+    (`model.orbit_representatives`): a run at 0 that names another element,
+    or a wrong map, leaves a set that is not closed and raises RuntimeError.
+    Every witness-map result (`engines.merge_sweep`) comes through here.  The
+    oracle searches every candidate on its own, with no relabeling to
+    certify."""
+    relabels = not oracle and None not in candidates
+    searched = (0,) if relabels else candidates
     swept = {e: sweep(order, runs_at(e), oracle, pruned) for e in searched}
     pairs = []
     for k in candidates:
         if k in swept:
-            pairs += [(t, k) for t in swept[k][0]]
+            tables = swept[k][0]
         else:
             tau = [k if x == 0 else 0 if x == k else x for x in range(order)]
-            pairs += [(apply_permutation(t, tau), k) for t in swept[0][0]]
+            tables = [apply_permutation(t, tau) for t in swept[0][0]]
+        if relabels:  # the orbit certificate of the relabeling
+            orbit_representatives(tables, (k,))
+        pairs += [(t, k) for t in tables]
     if len(candidates) > 1 or candidates[0]:  # one untransposed sweep is sorted already
         pairs.sort(key=lambda pe: (table_key(pe[0]), pe[1]))
     return pairs, sum(nodes for _, nodes in swept.values())
@@ -416,18 +430,20 @@ def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummar
     with pool(workers):
         if job_is_two_op(job):
             models, pruned = _enumerate_two_op(job)
-            reps = sorted(set(map(canonical_form_two_op, models)), key=two_op_key)
+            groups = {}  # a relabeling fixing a model's zero and one keeps them
+            for m in models:
+                groups.setdefault((m.zero, m.one), []).append(m)
+            reps = sorted(chain(*map(orbit_representatives, groups.values())), key=two_op_key)
+            canon = canonical_form_two_op
         else:
             runs_at, cands = partial(_single_runs, job), _candidates(job)
             pairs, pruned = element_sweep(job.order, runs_at, cands, job.oracle, True)
             models = list({t.cells: t for t, _ in pairs}.values())  # each table once
             fixed = [p for p in (job.zero, job.one) if p is not None]
-            reps = orbit_representatives(models, fixed)
-            for r in reps:
-                if canonical_form(r, fixed) is not r:
-                    raise RuntimeError(
-                        f"orbit walk kept {r.cells}, which is not its canonical form"
-                    )
+            reps, canon = orbit_representatives(models, fixed), partial(canonical_form, fixed=fixed)
+        for r in reps:
+            if canon(r) is not r:
+                raise RuntimeError(f"orbit walk kept {r}, which is not its canonical form")
 
     emitted = reps if job.up_to_iso else models
     if job.emit is not None:

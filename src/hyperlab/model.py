@@ -295,36 +295,41 @@ def canonical_form(table: HyperTable, fixed=()) -> HyperTable:
     return table if least is None else HyperTable(table.order, least, table.kind)
 
 
-def orbit_representatives(tables, fixed=()) -> list[HyperTable]:
-    """The least table of each orbit of `tables` under the permutations
-    fixing the pins, in `table_key` order.
+def orbit_representatives(models, fixed=()) -> list:
+    """The least model of each orbit of `models` under the permutations
+    fixing the pins, in key order: the one place that decides isomorphism
+    classes and certifies that a model set is closed under relabeling.
 
-    `tables`, all of one order, come in `table_key` order.  The first table
-    of an orbit is kept and its images are marked, so every later table of
-    the orbit is passed over and each kept one is the least of its orbit in
-    the set; that is its canonical form when the set is closed.  An image
-    outside the set means the set is not closed: RuntimeError, the orbit
-    certificate of an enumeration."""
-    if not tables:
+    `models`, all of one order, are tables in `table_key` order, or
+    two-operation models of one (zero, one) in `two_op_key` order, whose
+    pins are that zero and one and whose (add, mul) cells are walked stacked,
+    as `canonical_form_two_op` compares them.  The first model of an orbit is
+    kept and its images are marked, so every later model of the orbit is
+    passed over and each kept one is the least of its orbit in the set; that
+    is its canonical form when the set is closed.  An image outside the set
+    means the set is not closed: RuntimeError, the orbit certificate of an
+    enumeration and of `enumeration.element_sweep`'s relabeling.  The
+    certificate holds for models in any order; only the kept ones need the
+    key order."""
+    if not models:
         return []
-    order, pins = tables[0].order, tuple(sorted(set(fixed)))
-    masks = key_sorted_masks(order)
-    rels = [
-        (gather, tuple(masks[r] for r in rimg)) for gather, rimg in _relabelings(order, pins, 1)
-    ]
-    marked = dict.fromkeys((t.cells for t in tables), False)
-    reps = []
-    for t in tables:
-        if marked[t.cells]:
+    first, two_op = models[0], isinstance(models[0], TwoOpModel)
+    fixed = {first.zero, first.one} - {None} if two_op else fixed
+    order, pins = first.order, tuple(sorted(set(fixed)))
+    masks = key_sorted_masks(order).__getitem__
+    rels = [(g, tuple(map(masks, rimg))) for g, rimg in _relabelings(order, pins, 1 + two_op)]
+    stacks = [m.add.cells + m.mul.cells if two_op else m.cells for m in models]
+    marked, reps = dict.fromkeys(stacks, False), []
+    for m, stack in zip(models, stacks):
+        if marked[stack]:
             continue
-        marked[t.cells] = True
-        reps.append(t)
+        marked[stack] = True
+        reps.append(m)
         for gather, image in rels:
-            cells = tuple(map(image.__getitem__, gather(t.cells)))
+            cells = tuple(map(image.__getitem__, gather(stack)))
             if cells not in marked:
                 raise RuntimeError(
-                    f"orbit not closed: a relabeling of {t.cells} "
-                    f"fixing {list(pins)} is not in the set"
+                    f"orbit not closed: a relabeling of {stack} fixing {list(pins)} is missing"
                 )
             marked[cells] = True
     return reps

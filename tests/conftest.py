@@ -30,3 +30,17 @@ def drop_one_model(monkeypatch):
         return pairs[:i] + pairs[i + 1:], pruned
 
     monkeypatch.setattr(enumeration, "element_sweep", sweep)
+
+
+@pytest.fixture
+def wrong_transposition(monkeypatch):
+    """`element_sweep` maps the element-0 models to k by (0 k); swapping k
+    with k + 1 instead maps them onto themselves for k = 1, so none sits at 1."""
+    real = enumeration.apply_permutation
+
+    def wrong(table, tau):
+        n, k = table.order, tau[0]
+        swap = {k: (k + 1) % n, (k + 1) % n: k}
+        return real(table, [swap.get(x, x) for x in range(n)])
+
+    monkeypatch.setattr(enumeration, "apply_permutation", wrong)

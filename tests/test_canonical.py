@@ -10,7 +10,7 @@ from itertools import permutations
 import pytest
 
 from hyperlab import enumeration, model
-from hyperlab.classify import SINGLE_LABELS, candidate_rule, max_order
+from hyperlab.classify import SINGLE_LABELS, TWO_OP_LABELS, candidate_rule, max_order
 from hyperlab.enumeration import EnumerationJob, enumerate_models, job_is_two_op
 from hyperlab.model import (
     KIND_COMPOSITION,
@@ -22,6 +22,7 @@ from hyperlab.model import (
     canonical_form_two_op,
     orbit_representatives,
     table_key,
+    two_op_key,
 )
 
 import oracles
@@ -109,6 +110,16 @@ def test_relabeling_cache_stays_bounded():
         for pin in range(order):
             canonical_form(random_table(rng, order), (pin,))
             keys += 1
+    # two-operation walks, each over the orbit of a random model under the
+    # permutations fixing its zero and one
+    for order in range(2, 5):
+        for zero, one in ((0, None), (0, 1), (1, 0), (order - 1, None)):
+            m = TwoOpModel(order, random_table(rng, order), random_table(rng, order), zero, one)
+            pins = {zero, one} - {None}
+            fixing = [p for p in permutations(range(order)) if all(p[x] == x for x in pins)]
+            orbit = sorted({relabeled(m, p) for p in fixing}, key=two_op_key)
+            assert orbit_representatives(orbit) == [canonical_form_two_op(m)]
+            keys += 1
     info = model._relabelings.cache_info()
     assert keys > 8 and info.currsize <= 8, info
 
@@ -132,18 +143,22 @@ def test_canonical_form_equals_brute_force_on_every_order3_hypergroup():
 # -- the orbit walk of `enumerate_models` --------------------------------------
 
 
-def _single_catalog_jobs():
+def _catalog_jobs():
+    """The single-operation catalog jobs up to order 3, and every
+    two-operation one."""
     with (resources.files("hyperlab") / "data" / "golden_catalog.json").open() as fh:
         entries = json.load(fh)["jobs"]
     for e in entries:
-        job = EnumerationJob(e["order"], tuple(e["constraints"]), zero=e.get("zero"))
-        if job.order <= 3 and not job_is_two_op(job):
+        job = EnumerationJob(e["order"], tuple(e["constraints"]), zero=e.get("zero"),
+                             one=e.get("one"))
+        if job.order <= 3 or job_is_two_op(job):
             yield pytest.param(job, id=e["name"])
 
 
 def _pinned_jobs():
-    """Every zero pin of the element-quantified labels, up to order 3."""
-    for label in SINGLE_LABELS:
+    """Every zero pin of the element-quantified and two-operation labels, up
+    to order 3."""
+    for label in SINGLE_LABELS + TWO_OP_LABELS:
         if candidate_rule(label):
             for order in range(1, min(3, max_order(label)) + 1):
                 for zero in range(order):
@@ -153,17 +168,21 @@ def _pinned_jobs():
 
 def _emitted(job, up_to_iso):
     models = []
-    job = EnumerationJob(job.order, job.constraints, up_to_iso, job.zero, emit=models.append)
+    job = EnumerationJob(job.order, job.constraints, up_to_iso, job.zero, job.one,
+                         emit=models.append)
     summary = enumerate_models(job)
     return summary, models
 
 
-@pytest.mark.parametrize("job", [*_single_catalog_jobs(), *_pinned_jobs()])
+@pytest.mark.parametrize("job", [*_catalog_jobs(), *_pinned_jobs()])
 def test_orbit_walk_classes_are_the_oracle_canonical_forms(job):
     summary, models = _emitted(job, False)
     _, reps = _emitted(job, True)
-    pins = () if job.zero is None else (job.zero,)
-    forms = sorted({oracles.canonical_form(m, pins) for m in models}, key=table_key)
+    if job_is_two_op(job):
+        forms = sorted(set(map(oracles.canonical_form_two_op, models)), key=two_op_key)
+    else:
+        pins = () if job.zero is None else (job.zero,)
+        forms = sorted({oracles.canonical_form(m, pins) for m in models}, key=table_key)
     assert reps == forms
     assert summary.canonical_count == len(forms) and summary.raw_count == len(models)
 
@@ -185,19 +204,29 @@ def test_orbit_walk_refuses_a_set_missing_one_model():
         enumerate_models(EnumerationJob(3, ("canonical-hypergroup",), zero=1))
 
 
-def test_orbit_walk_refuses_a_set_mapped_by_a_wrong_transposition(monkeypatch):
-    # element_sweep maps the element-0 models to k by (0 k); swapping k with
-    # k + 1 instead maps them onto themselves for k = 1, so none sits at 1
-    real = enumeration.apply_permutation
-
-    def wrong(table, tau):
-        n, k = table.order, tau[0]
-        swap = {k: (k + 1) % n, (k + 1) % n: k}
-        return real(table, [swap.get(x, x) for x in range(n)])
-
-    monkeypatch.setattr(enumeration, "apply_permutation", wrong)
+@pytest.mark.usefixtures("wrong_transposition")
+def test_orbit_walk_refuses_a_set_mapped_by_a_wrong_transposition():
     with pytest.raises(RuntimeError, match="orbit not closed"):
         enumerate_models(EnumerationJob(3, ("canonical-hypergroup",)))
+
+
+def test_two_operation_canonical_forms_run_once_per_class(monkeypatch):
+    calls = []
+    real = enumeration.canonical_form_two_op
+    monkeypatch.setattr(enumeration, "canonical_form_two_op", lambda m: calls.append(m) or real(m))
+    summary = enumerate_models(EnumerationJob(3, ("multiplicative-hyperring-def7",), zero=0))
+    assert (summary.raw_count, summary.canonical_count, len(calls)) == (40, 33, 33)
+
+
+def test_orbit_walk_groups_two_operation_models_by_their_pins():
+    # unpinned, the models at each zero are walked under the permutations
+    # fixing that zero, and so are the classes the oracle forms give
+    job = EnumerationJob(3, ("multiplicative-hyperring-def7",))
+    summary, models = _emitted(job, False)
+    _, reps = _emitted(job, True)
+    assert {m.zero for m in models} == {0, 1, 2}
+    assert reps == sorted(set(map(oracles.canonical_form_two_op, models)), key=two_op_key)
+    assert summary.canonical_count == 3 * 33
 
 
 def test_enumeration_refuses_a_representative_that_is_not_canonical(monkeypatch):

@@ -4,11 +4,13 @@ import time
 
 import pytest
 
-from hyperlab import theorems
+from hyperlab import enumeration, theorems
 from hyperlab.axioms import check_law
 from hyperlab.classify import candidate_rule, holds_at
 from hyperlab.cli import _component, default_catalog_path, main
+from hyperlab.model import canonical_form_two_op
 from hyperlab.modelio import parse_model
+from make_verify_snapshots import SNAPSHOT_PATH
 
 MODELS = default_catalog_path().rsplit("/", 1)[0] + "/models"
 
@@ -149,6 +151,40 @@ def test_verify_t3_oracle():
     payload = json.loads(out)
     assert payload["space_size"] == 256
     assert payload["conclusion_holds"]
+
+
+# the single-operation claims whose cap is 4; T28 --oracle, a two-operation
+# claim, runs at order 4 (test_t28_oracle_report_equals_default)
+SINGLE_OPERATION_CAP4 = ["T13", "T24", "P14-P23", "T25", "T26", "T27"]
+
+
+@pytest.mark.parametrize("theorem", SINGLE_OPERATION_CAP4)
+def test_verify_refuses_single_operation_oracles_above_order3(theorem):
+    # above order 3 no engine independent of the backtracker exists, so the
+    # oracle would certify nothing, and some of these ran for minutes
+    start = time.perf_counter()
+    code, out, err = run(
+        ["verify", "--theorem", theorem, "--order", "4", "--oracle", "--workers", "1"]
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "--oracle runs single-operation claims up to order 3" in err
+
+
+@pytest.mark.parametrize("theorem", SINGLE_OPERATION_CAP4)
+def test_verify_order3_oracle_reports_equal_the_default_snapshots(theorem):
+    with open(SNAPSHOT_PATH, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    key = (theorem, 3, False, False)
+    (snapshot,) = [
+        c["report"] for c in cases
+        if (c["theorem"], c["order"], c["drop_premises"], c["oracle"]) == key
+    ]
+    argv = ["verify", "--theorem", theorem, "--order", "3", "--oracle", "--json"]
+    code, out, _ = run([*argv, "--workers", "1"])
+    report = json.loads(out)
+    del report["wall_time"]
+    assert code == 0 and report == snapshot
 
 
 def test_verify_unknown_theorem_is_usage_error():
@@ -612,3 +648,41 @@ def test_verify_internal_error_exits_1(monkeypatch):
         code, out, err = run([*argv, "--workers", "1"])
         assert code == 1 and out == ""
         assert err.startswith("error: internal: revalidation failed")
+
+
+def test_enumerate_internal_error_on_a_two_operation_set_missing_a_model(monkeypatch):
+    # the two-operation search loses one model that is not its own canonical form
+    real = enumeration._enumerate_two_op
+
+    def lossy(job):
+        models, pruned = real(job)
+        i = next(i for i, m in enumerate(models) if canonical_form_two_op(m) is not m)
+        return models[:i] + models[i + 1:], pruned
+
+    monkeypatch.setattr(enumeration, "_enumerate_two_op", lossy)
+    argv = ["enumerate", "--order", "3", "--structure", "multiplicative-hyperring-def7"]
+    code, out, err = run([*argv, "--zero", "0", "--workers", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal: orbit not closed")
+
+
+@pytest.mark.parametrize("theorem", ["T13", "T25", "T27"])
+@pytest.mark.usefixtures("wrong_transposition")
+def test_verify_internal_error_on_a_wrong_transposition(theorem):
+    code, out, err = run(["verify", "--theorem", theorem, "--order", "3", "--workers", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal: orbit not closed")
+
+
+def test_verify_internal_error_on_an_element0_run_that_names_a_fixed_element(monkeypatch):
+    # each element-0 premise run also asks for a unique opposite at element 1,
+    # which the permutations fixing 0 move
+    real = theorems._descriptors_at
+
+    def at_one_too(ids, cand):
+        return real(ids, cand) + ((("unique-opposite-at", 1),) if cand == 0 else ())
+
+    monkeypatch.setattr(theorems, "_descriptors_at", at_one_too)
+    code, out, err = run(["verify", "--theorem", "T24", "--order", "3", "--workers", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal: orbit not closed")
