@@ -61,9 +61,14 @@ The backtracker turns some descriptors into devices beyond the final check:
 commutativity and identity-at link mirrored cells, the sign rule links each
 cell to its row and column negations, equivariance links each cell to its
 relabeled image, forced, scalar-zero, total and degenerate pin cells,
-cellwise non-emptiness keeps the empty value out of every domain, and the
-triple laws, reproductivity, unique opposites, polysymmetry and inclusion
-distributivity get pruning checks, compiled per slot (`Backtracker`).
+cellwise non-emptiness keeps the empty value out of every domain, unique
+opposites and polysymmetry filter each slot's domain, one verdict per class
+of values that they cannot tell apart, before any of it is written, and the
+triple laws, reproductivity and inclusion distributivity get pruning
+checks; filters and checks are compiled per slot (`Backtracker`).  A
+filtered value counts as a visited and pruned node, as a failed check does.
+The reversibility, opposite-additivity, divisions and negated descriptors
+have no device: the leaf re-check runs them before the others.
 
 The pure engine and the backtracker emit only tables that pass the
 authoritative predicates; pruning is a conservative accelerator, never the
@@ -724,6 +729,17 @@ def _inclusion_watch(sums, entries, lines):
     return watch
 
 
+# descriptor tags that the backtracker has no device for: only the leaf
+# check reads them
+_UNPRUNED = {
+    "reversibility-at",
+    "opposite-additivity-at",
+    "reversibility-poly-at",
+    "divisions-nonempty",
+    "not",
+}
+
+
 class Backtracker:
     """Row-major DFS over orbit representatives with compiled pruning checks.
 
@@ -758,10 +774,25 @@ class Backtracker:
       cells or a line cell that an outer cell's mask selects; the others
       read nothing that changed since the slot that last decided them.
 
-    A table is emitted only after `satisfies_all` re-checks it."""
+    The unique-opposite and polysymmetry checks are the slot's filters
+    (`_slot`): they read a written cell w only as w & bit (opposites) or
+    w & keep == bit (polysymmetry), so the values of the slot's domain
+    whose writes agree on those bits, its signature classes (`_classes`),
+    share a verdict.  On entry the slot writes the first value of each class
+    and runs the filters once per class.  It then walks its domain: a value
+    of a failed class is written nowhere and checked no further, and a kept
+    value runs only the other checks.  Each value still counts one node, and
+    a rejected one one pruned node, at its place in the walk, so `nodes` and
+    `pruned` are those of a search that wrote and checked every value, at
+    every table the search yields too.
+
+    A table is emitted only after `satisfies_all` re-checks every
+    descriptor on it, those without a device first (`leaf_order`): the
+    pruning already passed the others on most tables that reach it."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
+        self.leaf_order = sorted(spec.constraints, key=lambda c: c[0] not in _UNPRUNED)
         n = spec.order
         self.n = n
         self.n2 = n * n
@@ -947,19 +978,42 @@ class Backtracker:
         return sel
 
     def _checks_after(self, depth):
-        checks = self._checks[depth + 1]
-        if checks is None:
-            checks = self._checks[depth + 1] = self._compile(depth)
-        return checks
+        """Every check that runs after slot `depth` (-1: the prefill) is
+        written, its filters first."""
+        filters, checks, _ = self._slot(depth)
+        return filters + checks
+
+    def _slot(self, depth):
+        """(filters, remaining checks, (class per value, class
+        representatives)) of slot `depth`, compiled on first use."""
+        slot = self._checks[depth + 1]
+        if slot is None:
+            slot = self._checks[depth + 1] = self._compile(depth)
+        return slot
+
+    def _classes(self, depth, features):
+        """The slot's domain grouped by the signature that its filters read:
+        per write (pos, lut) and per (mask, want) of `features`, whether
+        lut[v] & mask == want.  Returns (class index per value mask, the
+        first value of each class in domain order)."""
+        writes = self.slot_writes[depth]
+        index, classes, reps = {}, [None] * (1 << self.n), []
+        for v in self.domains[depth]:
+            sig = tuple(lut[v] & mask == want for _, lut in writes for mask, want in features)
+            if sig not in index:
+                index[sig] = len(reps)
+                reps.append(v)
+            classes[v] = index[sig]
+        return classes, tuple(reps)
 
     def _compile(self, depth):
-        """The checks that run after slot `depth` (-1: the prefill) is written."""
+        """The filters and the remaining checks of slot `depth` (see `_slot`)."""
         if depth < 0:
             written = tuple(self.prefill)
         else:
             written = tuple(dict.fromkeys(pos for pos, _ in self.slot_writes[depth]))
         if not written:
-            return ()
+            return (), (), None
         n, full = self.n, self.full
         wmask = sum(1 << pos for pos in written)
         known = sum(1 << pos for pos in self.prefill)
@@ -972,6 +1026,8 @@ class Backtracker:
             (self._selection(line, bits), full ^ bits) for line, bits in enumerate(known_bits)
         ]
         checks = []
+        # the filters read each written cell w only through w & mask == want
+        filters, features = [], []
         touched = []  # per line the slot wrote to: its set cells, and whether it is complete
         if self.reproductive or self.opposites or self.inclusions:  # the line devices
             touched = [
@@ -985,7 +1041,8 @@ class Backtracker:
                 checks.append(_union_watch(complete, full))
         if self.opposites:
             rows = tuple((cells, done) for line, cells, done in touched if line < n)
-            checks += [_opposite_watch(bit, rows) for bit in self.opposites]
+            filters += [_opposite_watch(bit, rows) for bit in self.opposites]
+            features += [(bit, bit) for bit in self.opposites]
         if self.polysymmetries:
             witnesses = []  # per x whose row or column the slot wrote to: per x', its set cells
             for x in range(n):
@@ -997,7 +1054,8 @@ class Backtracker:
                     if all(candidates):  # else some x' is still a candidate whatever is set
                         witnesses.append(candidates)
             if witnesses:
-                checks += [_poly_watch(bit, keep, witnesses) for bit, keep in self.polysymmetries]
+                filters += [_poly_watch(bit, keep, witnesses) for bit, keep in self.polysymmetries]
+                features += [(keep, bit) for bit, keep in self.polysymmetries]
         lines = tuple(cells for _, cells, _ in touched if len(cells) > 1)
         for sums, entries in self.inclusions:
             entries = tuple(e for mask, *e in entries if mask & wmask and mask & known == mask)
@@ -1016,7 +1074,11 @@ class Backtracker:
                 checks.append(_weak_watch(written, tuple(entries)))
             elif entries:
                 checks.append(_strict_watch(tuple(entries)))
-        return tuple(checks)
+        # the prefill has no domain: `search` runs its filters as checks
+        classes = None
+        if filters and depth >= 0:
+            classes = self._classes(depth, tuple(dict.fromkeys(features)))
+        return tuple(filters), tuple(checks), classes
 
     # -- search ----------------------------------------------------------------
 
@@ -1045,13 +1107,30 @@ class Backtracker:
             return
         writes = self.slot_writes[depth]
         domain = domains[depth]
+        if not domain:
+            return
         # every value in the domain writes cells unset at this slot, and
         # agrees with itself where the slot writes a cell twice (see
         # _build_domains); no check reads a cell that is unset at its slot,
         # so a deeper slot's stale cells need no reset
-        checks = self._checks_after(depth) if domain else ()
+        filters, checks, classes = self._slot(depth)
+        kept = []
+        if filters:  # one filter verdict per class, from its first value
+            classes, reps = classes
+            for rep in reps:
+                for pos, lut in writes:
+                    cur[pos] = lut[rep]
+                for fn in filters:
+                    if not fn(cur):
+                        kept.append(False)
+                        break
+                else:
+                    kept.append(True)
         for v in domain:
             self.nodes += 1
+            if kept and not kept[classes[v]]:  # its class failed: write nothing
+                self.pruned += 1
+                continue
             for pos, lut in writes:
                 cur[pos] = lut[v]
             for fn in checks:
@@ -1063,7 +1142,7 @@ class Backtracker:
 
     def _emit(self, cur):
         table = HyperTable(self.n, tuple(cur), self.kind)
-        if satisfies_all(table, self.spec.constraints):
+        if satisfies_all(table, self.leaf_order):
             yield table.cells
 
 
@@ -1075,19 +1154,20 @@ VECTOR_COLLECT = "vector-collect"
 BACKTRACK = "backtrack"
 WITNESS_MAP = "witness-map"
 
-# the highest order at which a single-operation oracle runs: above it no
-# engine independent of the backtracker exists, so an oracle certifies nothing
+# the highest order at which an oracle runs: above it no engine independent
+# of the backtracker exists, so an oracle certifies nothing
 ORACLE_CAP = 3
 
 
 def plan_sweep(order, constraints, oracle=False, counts=False, pruned=False):
     """The engine for one sweep; every verifier and enumeration sweep asks here.
 
-    * oracle: pure at order <= 2 and for compositions (a ("singleton-cells",)
+    * oracle, at orders up to ORACLE_CAP, above which every caller refuses
+      it: pure at order <= 2 and for compositions (a ("singleton-cells",)
       descriptor selects that space, see `table_kind`); at order 3 vector
       count when only counts are needed and every constraint vectorizes,
       else vector collect, which filters its survivors through the
-      constraints it cannot vectorize; the backtracker above order 3;
+      constraints it cannot vectorize;
     * strict polysymmetry at some e at order >= 4, unless the caller asks
       for the pruned generator: the witness-map split, when every descriptor
       is invariant under the permutations that fix e (others, such as a
@@ -1104,8 +1184,6 @@ def plan_sweep(order, constraints, oracle=False, counts=False, pruned=False):
     if oracle:
         if order <= 2 or table_kind(constraints) == KIND_COMPOSITION:
             return PURE
-        if order > 3:
-            return BACKTRACK
         return VECTOR_COUNT if counts and vector else VECTOR_COLLECT
     strict = [c[1] for c in constraints if c[0] == "polysymmetry-at" and not c[2]]
     # invariant under the permutations fixing e: laws, descriptors without

@@ -474,8 +474,8 @@ def verify(
     cap = _ORDER_CAPS[theorem]
     if not 1 <= order <= cap:
         raise ValueError(f"order {order} outside 1..{cap} for {theorem}")
-    if oracle and order > engines.ORACLE_CAP and _two_op_label(CLAIMS[theorem]) is None:
-        raise ValueError(f"--oracle runs single-operation claims up to order {engines.ORACLE_CAP}")
+    if oracle and order > engines.ORACLE_CAP:
+        raise ValueError(f"--oracle runs up to order {engines.ORACLE_CAP}")
     start = time.perf_counter()
     fn = _VERIFIERS.get(theorem, partial(_run_claim, theorem))
     with pool(workers):

@@ -153,22 +153,22 @@ def test_verify_t3_oracle():
     assert payload["conclusion_holds"]
 
 
-# the single-operation claims whose cap is 4; T28 --oracle, a two-operation
-# claim, runs at order 4 (test_t28_oracle_report_equals_default)
+# the single-operation claims whose cap is 4
 SINGLE_OPERATION_CAP4 = ["T13", "T24", "P14-P23", "T25", "T26", "T27"]
 
 
-@pytest.mark.parametrize("theorem", SINGLE_OPERATION_CAP4)
-def test_verify_refuses_single_operation_oracles_above_order3(theorem):
+@pytest.mark.parametrize("theorem", SINGLE_OPERATION_CAP4 + ["T28"])
+def test_verify_refuses_oracles_above_order3(theorem):
     # above order 3 no engine independent of the backtracker exists, so the
-    # oracle would certify nothing, and some of these ran for minutes
+    # oracle would certify nothing, and some of these ran for minutes; T28,
+    # the one two-operation claim with cap 4, ran the default backtracker
     start = time.perf_counter()
     code, out, err = run(
         ["verify", "--theorem", theorem, "--order", "4", "--oracle", "--workers", "1"]
     )
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
-    assert "--oracle runs single-operation claims up to order 3" in err
+    assert "--oracle runs up to order 3" in err
 
 
 @pytest.mark.parametrize("theorem", SINGLE_OPERATION_CAP4)

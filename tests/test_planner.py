@@ -31,6 +31,7 @@ COUNT = engines.VECTOR_COUNT
 COLLECT = engines.VECTOR_COLLECT
 BT = engines.BACKTRACK
 WMAP = engines.WITNESS_MAP
+REFUSED = "refused"  # verify refuses --oracle above engines.ORACLE_CAP
 
 # theorem -> engine by order, as (default, --oracle)
 VERIFIER_PLANS = {
@@ -39,18 +40,18 @@ VERIFIER_PLANS = {
     "T7": {1: (BT, PURE), 2: (BT, PURE), 3: (COUNT, COUNT)},
     "T9": {1: (BT, PURE), 2: (BT, PURE), 3: (COUNT, COUNT)},
     "T11": {1: (BT, PURE), 2: (BT, PURE), 3: (COUNT, COUNT)},
-    "T13": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (WMAP, BT)},
-    "T24": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (WMAP, BT)},
-    "P14-P23": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (WMAP, BT)},
+    "T13": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (WMAP, REFUSED)},
+    "T24": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (WMAP, REFUSED)},
+    "P14-P23": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (WMAP, REFUSED)},
     # canonical reversibility does not vectorize: the oracle's vector
     # collect filters the survivors through its predicate
-    "T25": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
-    "T26": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
-    "T27": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
+    "T25": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, REFUSED)},
+    "T26": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, REFUSED)},
+    "T27": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, REFUSED)},
     # two-operation premises: every run of the plan; T28 has no run at order 1,
     # where the multiplicative group on the empty H* does not exist
     "T6": {1: (BT, PURE), 2: (BT, PURE), 3: (BT, COLLECT)},
-    "T28": {1: (None, None), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, BT)},
+    "T28": {1: (None, None), 2: (BT, PURE), 3: (BT, COLLECT), 4: (BT, REFUSED)},
 }
 
 
@@ -71,6 +72,10 @@ def test_every_spec_driven_verifier_and_order_is_pinned():
     ],
 )
 def test_verifier_engine(theorem, order, oracle, engine):
+    if engine == REFUSED:
+        with pytest.raises(ValueError, match="--oracle runs up to order 3"):
+            theorems.verify(theorem, order, oracle=oracle)
+        return
     claim = theorems.CLAIMS[theorem]
     label = theorems._two_op_label(claim)
     if label is None:
@@ -181,7 +186,6 @@ def test_planner_rule():
     assert plan(3, assoc, oracle=True, counts=True, pruned=True) == COUNT
     assert plan(3, reversible, oracle=True) == COLLECT
     assert plan(3, reversible, oracle=True, counts=True) == COLLECT
-    assert plan(4, assoc, oracle=True) == BT
     # the tables of an order-3 set: vector collect only under weak polysymmetry
     assert plan(3, assoc) == BT
     assert plan(3, weak) == COLLECT
@@ -192,7 +196,6 @@ def test_planner_rule():
     assert plan(2, assoc) == BT
     assert plan(4, strict) == WMAP
     assert plan(4, strict, pruned=True) == BT
-    assert plan(4, strict, oracle=True) == BT
     assert plan(4, weak) == BT
 
 

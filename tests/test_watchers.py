@@ -8,15 +8,23 @@ the partial table: `triple_watch` over every triple of a triple law, and
 the partial predicates of reproductivity, unique opposites, polysymmetry
 and inclusion distributivity.  The two searches must visit the same nodes,
 prune the same ones and emit the same tables, and at every visited node the
-checks of the written slot must give the reference's verdict.
+checks of the written slot, its domain filters included, must give the
+reference's verdict.
+
+The search runs a slot's filters (unique opposites, polysymmetry) once per
+signature class of its domain, on the class's first value, and skips the
+other values of a failed class unwritten.  At every visited slot each
+value's own filter verdict must equal its class's.
 """
 
 import random
+from functools import partial
 from itertools import product
 
 import pytest
 
 import oracles
+from hyperlab import engines, enumeration, theorems
 from hyperlab.engines import Backtracker, SearchSpec, satisfies_all
 from hyperlab.model import HyperTable
 
@@ -150,10 +158,29 @@ def reference_fails(constraints, n, cur):
     return False
 
 
+def assert_classes_agree(bt, depth, cur):
+    """At a visited slot, each value's own filter verdict is the verdict of
+    its class's first value, the one the search runs the filters on."""
+    filters, _, classes = bt._slot(depth)
+    if not filters:
+        return
+    classes, reps = classes
+
+    def verdict(v):
+        state = list(cur)
+        for pos, lut in bt.slot_writes[depth]:
+            state[pos] = lut[v]
+        return all(fn(state) for fn in filters)
+
+    for v in bt.domains[depth]:
+        assert verdict(v) == verdict(reps[classes[v]]), (depth, v, cur)
+
+
 def reference_search(bt):
     """The DFS of `bt` over its slots and domains, pruning by
     `reference_fails`; asserts at each visited node that the checks of the
-    written slot agree.  Returns (solutions, nodes, pruned)."""
+    written slot agree, and at each visited slot that the filter classes
+    do.  Returns (solutions, nodes, pruned)."""
     n = bt.n
     cur = [None] * bt.n2
     for pos, v in bt.prefill.items():
@@ -172,6 +199,7 @@ def reference_search(bt):
             if satisfies_all(table, bt.spec.constraints):
                 solutions.append(table.cells)
             return
+        assert_classes_agree(bt, depth, cur)
         for v in bt.domains[depth]:
             counts["nodes"] += 1
             written, ok = [], True
@@ -207,3 +235,27 @@ def test_search_equals_the_reference_dfs(device, n, link):
         solutions, nodes, pruned = expected
         outcomes.add((bool(solutions), bool(pruned)))
     assert (True, True) in outcomes  # some search both pruned and emitted
+
+
+def test_first_hit_counters_of_a_drop_search(monkeypatch):
+    # T25/3 without commutativity, searched at element 0 alone: shard 0 has
+    # no hit, and shard 1's hit ends its walk.  The counters count the values
+    # that the filters skip unwritten exactly as a search that writes and
+    # checks every value counts them, also at the hit.
+    claim = theorems.CLAIMS["T25"]
+    run = tuple(i for i in claim.premises[0] if i != "commutative")
+    constraints = theorems._descriptors_at(run, 0)
+    accept = partial(theorems._conclusion_fails, claim.conclusion, False, 0)
+    counters = []
+    real = engines.first_hit_task
+
+    def task(args, accept=None):
+        cells = real(args, accept)
+        bt = engines._backtracker(**args[0])
+        counters.append((args[1], bt.nodes, bt.pruned))
+        return cells
+
+    monkeypatch.setattr(engines, "first_hit_task", task)
+    table, e, i = enumeration.search_first(3, lambda _: [(constraints, accept)], (0,))
+    assert (table.cells, e, i) == ((1, 2, 6, 2, 2, 7, 4, 2, 7), 0, 0)
+    assert counters == [(0, 1657, 1416), (1, 1232, 1038)]
