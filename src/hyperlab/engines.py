@@ -67,8 +67,10 @@ of values that they cannot tell apart, before any of it is written, and the
 triple laws, reproductivity and inclusion distributivity get pruning
 checks; filters and checks are compiled per slot (`Backtracker`).  A
 filtered value counts as a visited and pruned node, as a failed check does.
-The reversibility, opposite-additivity, divisions and negated descriptors
-have no device: the leaf re-check runs them before the others.
+Canonical reversibility gets a leaf device, which rejects a complete cell
+list before a table is built.  The opposite-additivity, polysymmetric
+reversibility, divisions and negated descriptors have no device: the leaf
+re-check runs them before the others.
 
 The pure engine and the backtracker emit only tables that pass the
 authoritative predicates; pruning is a conservative accelerator, never the
@@ -729,10 +731,55 @@ def _inclusion_watch(sums, entries, lines):
     return watch
 
 
-# descriptor tags that the backtracker has no device for: only the leaf
-# check reads them
+def _reversibility_device(n, zero):
+    """Canonical reversibility at `zero` on a complete cell list: the
+    verdict of `constraint_holds`.  The opposite of y is the one y' whose
+    cell y*y' holds zero; a row with no such cell or with two fails, as the
+    predicate's precondition does.  Then z in x*y needs x in z*y'."""
+    bit = 1 << zero
+    rows = tuple(range(0, n * n, n))
+    members = tuple(tuple(z * n for z in range(n) if m >> z & 1) for m in range(1 << n))
+
+    def device(cur):
+        opp = []
+        for r in rows:
+            found = -1
+            for y in range(n):
+                if cur[r + y] & bit:
+                    if found >= 0:
+                        return False
+                    found = y
+            if found < 0:
+                return False
+            opp.append(found)
+        for x, r in enumerate(rows):
+            xb = 1 << x
+            for y in range(n):
+                yp = opp[y]
+                for zr in members[cur[r + y]]:
+                    if not cur[zr + yp] & xb:
+                        return False
+        return True
+
+    return device
+
+
+@lru_cache(maxsize=None)
+def _line_subsets(n):
+    """(lines, subsets) of order n: the rows, then the columns, and per line
+    and mask m the cells line[i] with i in m, which `_selection` reads per
+    set of known cells."""
+    lines = tuple(_line_cells(n, line) for line in range(2 * n))
+    subsets = tuple(
+        tuple(tuple(p for i, p in enumerate(line) if m >> i & 1) for m in range(1 << n))
+        for line in lines
+    )
+    return lines, subsets
+
+
+# descriptor tags that the backtracker has neither a slot nor a leaf device
+# for: only the leaf check reads them, and it runs them first
 _UNPRUNED = {
-    "reversibility-at",
     "opposite-additivity-at",
     "reversibility-poly-at",
     "divisions-nonempty",
@@ -786,9 +833,13 @@ class Backtracker:
     `pruned` are those of a search that wrote and checked every value, at
     every table the search yields too.
 
-    A table is emitted only after `satisfies_all` re-checks every
-    descriptor on it, those without a device first (`leaf_order`): the
-    pruning already passed the others on most tables that reach it."""
+    A leaf is a complete cell list.  The leaf devices (`leaf_devices`, one
+    per canonical reversibility descriptor, see `_reversibility_device`)
+    read it first, and a leaf that one rejects is dropped before a table is
+    built; it counts no node and no pruned node.  A table is emitted only
+    after `satisfies_all` re-checks every descriptor on it, those without a
+    device first (`leaf_order`): the pruning and the leaf devices already
+    passed the others on most tables that reach it."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
@@ -879,13 +930,12 @@ class Backtracker:
                 for e in ((x * n + s, x * n + y, x * n + z), (s * n + x, y * n + x, z * n + x)):
                     entries.append((1 << e[0] | 1 << e[1] | 1 << e[2], *e))
             self.inclusions.append((_complex_sums(add), tuple(entries)))
-        # lines: the rows, then the columns; _subsets[line][m]: the cells
-        # line[i] with i in m, which `_selection` reads per set of known cells
-        self.lines = tuple(_line_cells(n, line) for line in range(2 * n))
-        self._subsets = [
-            [tuple(p for i, p in enumerate(line) if m >> i & 1) for m in range(1 << n)]
-            for line in self.lines
-        ]
+        self.lines, self._subsets = _line_subsets(n)
+        self.leaf_devices = tuple(
+            _reversibility_device(n, c[1])
+            for c in dict.fromkeys(spec.constraints)
+            if c[0] == "reversibility-at"
+        )
         self._selections = {}
         self._checks = [None] * (len(self.slots) + 1)
 
@@ -1141,6 +1191,9 @@ class Backtracker:
                 yield from self._dfs(cur, depth + 1, domains)
 
     def _emit(self, cur):
+        for fn in self.leaf_devices:
+            if not fn(cur):
+                return
         table = HyperTable(self.n, tuple(cur), self.kind)
         if satisfies_all(table, self.leaf_order):
             yield table.cells

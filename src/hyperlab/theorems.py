@@ -476,6 +476,8 @@ def verify(
         raise ValueError(f"order {order} outside 1..{cap} for {theorem}")
     if oracle and order > engines.ORACLE_CAP:
         raise ValueError(f"--oracle runs up to order {engines.ORACLE_CAP}")
+    if oracle and theorem not in CLAIMS:
+        raise ValueError(f"{theorem} has no --oracle: its action search has no oracle engine")
     start = time.perf_counter()
     fn = _VERIFIERS.get(theorem, partial(_run_claim, theorem))
     with pool(workers):
@@ -737,7 +739,7 @@ def _t29_pair(task):
 
 def _verify_t29(order, drop_premises, oracle):
     scalars = _t29_scalar_family()
-    # the module additions of orders 1 to `order`, ignoring --oracle
+    # the module additions of orders 1 to `order` (`verify` refuses --oracle)
     modules = sum((_premise_models(_NORMAL, n, False) for n in range(1, order + 1)), [])
     triples = [(p, madd, z) for _, p in scalars for madd, z in modules]
     space = sum(madd.order ** (p.order * madd.order) for p, madd, _ in triples)

@@ -3,8 +3,9 @@
     PYTHONPATH=src python3 tests/make_verify_snapshots.py [--workers N] [--timeout S]
 
 Every theorem id runs at orders 2 and 3, with and without --drop-premises,
-and at order 2 also in oracle mode.  Every id whose order cap is 4 also runs
-at order 4, without --drop-premises (order-4 drops are not searched).  Each case runs in its own process under
+and at order 2 also in oracle mode, except T29, which refuses --oracle.
+Every id whose order cap is 4 also runs at order 4, without --drop-premises
+(order-4 drops are not searched).  Each case runs in its own process under
 a time limit; its `to_json(include_wall_time=False)` is written to
 tests/data/verify_snapshots.json, and a case that does not finish in time is
 listed there as skipped, which tests/test_snapshots.py rejects.  Reports do
@@ -39,7 +40,8 @@ def snapshot_cases(theorem_ids):
 
     out = []
     for tid in theorem_ids:
-        for order, oracles in ((2, (False, True)), (3, (False,))):
+        oracle2 = (False, True) if tid in theorems.CLAIMS else (False,)
+        for order, oracles in ((2, oracle2), (3, (False,))):
             for oracle in oracles:
                 for drop in (False, True):
                     out.append((tid, order, drop, oracle))

@@ -171,6 +171,17 @@ def test_verify_refuses_oracles_above_order3(theorem):
     assert "--oracle runs up to order 3" in err
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_verify_refuses_t29_oracle(order):
+    # T29's action search over its bundled scalar family has no engine
+    # independent of the backtracker, so the oracle would certify nothing
+    code, out, err = run(
+        ["verify", "--theorem", "T29", "--order", str(order), "--oracle", "--workers", "1"]
+    )
+    assert code == 1 and out == ""
+    assert "T29 has no --oracle" in err
+
+
 @pytest.mark.parametrize("theorem", SINGLE_OPERATION_CAP4)
 def test_verify_order3_oracle_reports_equal_the_default_snapshots(theorem):
     with open(SNAPSHOT_PATH, encoding="utf-8") as fh:

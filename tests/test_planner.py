@@ -96,8 +96,9 @@ def test_order3_oracle_counts_without_materialising_tables(theorem):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_sweeps_outside_the_claims_table(order):
-    # T29's module additions run on the backtracker (it ignores --oracle);
-    # T24's weak reading runs vector collect at order 3
+    # T29's module additions run on the backtracker, the only engine T29
+    # has (verify refuses T29 --oracle); T24's weak reading runs vector
+    # collect at order 3
     assert theorems.sweep_engine(theorems._NORMAL, order) == BT
     weak = theorems.sweep_engine(theorems._WEAK_QMP, order)
     assert weak == (COLLECT if order == 3 else BT)

@@ -2,8 +2,9 @@
 
 tests/data/verify_snapshots.json holds `to_json(include_wall_time=False)` for
 every theorem id at orders 2 and 3, with and without --drop-premises, at
-order 2 with and without --oracle, and at order 4 for every id whose cap is 4
-(tests/make_verify_snapshots.py records it).  T25, T26 and T27 at order 4
+order 2 with and without --oracle (but T29, which refuses --oracle), and at
+order 4 for every id whose cap is 4 (tests/make_verify_snapshots.py records
+it).  T25, T26 and T27 at order 4
 (several seconds each) and the order-3 drop cases run under `-m slow`, but
 the order-3 drop cases of FAST_ORDER3_DROPS (0.4 s or less each) run in
 tier-1.  Cases go through

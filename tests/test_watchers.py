@@ -9,7 +9,8 @@ the partial predicates of reproductivity, unique opposites, polysymmetry
 and inclusion distributivity.  The two searches must visit the same nodes,
 prune the same ones and emit the same tables, and at every visited node the
 checks of the written slot, its domain filters included, must give the
-reference's verdict.
+reference's verdict.  At every leaf the leaf devices (canonical
+reversibility) must give the verdict of `constraint_holds` on the table.
 
 The search runs a slot's filters (unique opposites, polysymmetry) once per
 signature class of its domain, on the class's first value, and skips the
@@ -18,6 +19,7 @@ value's own filter verdict must equal its class's.
 """
 
 import random
+from collections import Counter
 from functools import partial
 from itertools import product
 
@@ -25,7 +27,7 @@ import pytest
 
 import oracles
 from hyperlab import engines, enumeration, theorems
-from hyperlab.engines import Backtracker, SearchSpec, satisfies_all
+from hyperlab.engines import Backtracker, SearchSpec, constraint_holds, satisfies_all
 from hyperlab.model import HyperTable
 
 TRIPLE_LAWS = (
@@ -40,6 +42,7 @@ DEVICES = TRIPLE_LAWS + (
     "polysymmetry-at",
     "weak-polysymmetry-at",
     "distributive-inclusion-over",
+    "reversibility-at",
 )
 LINKS = ("none", "commutative", "identity-at", "equivariant-under", "witness-map")
 # free slots per order: few enough that the reference DFS stays small
@@ -49,7 +52,10 @@ FREE = {2: 4, 3: 3, 4: 2}
 # The witness-map pins fix a polysymmetry skeleton, so under them
 # polysymmetry never prunes (its witness-map tasks drop it).  No table of
 # order 2 is strictly polysymmetric at 0 and equivariant under x -> 1-x, and
-# at order 4 none of `candidate_tables` is so under x -> 3-x.
+# at order 4 none of `candidate_tables` is so under x -> 3-x.  Canonical
+# reversibility at 0 holds on no table of order 2 or 3 with an identity other
+# than 0, nor on one of order 2 under x -> 1-x, and on none of
+# `candidate_tables` under x -> n-1-x.
 CASES = [
     (device, n, link)
     for device in DEVICES
@@ -58,6 +64,7 @@ CASES = [
     if not (device == "distributive-inclusion-over" and n == 4)
     and not (device.endswith("polysymmetry-at") and link == "witness-map")
     and not (device == "polysymmetry-at" and n != 3 and link == "equivariant-under")
+    and not (device == "reversibility-at" and link in ("identity-at", "equivariant-under"))
 ]
 
 
@@ -102,6 +109,7 @@ def descriptor(device, n):
             "distributive-inclusion-over",
             HyperTable(n, tuple(cyclic_table(n))),
         ),
+        "reversibility-at": ("reversibility-at", 0),
     }[device]
 
 
@@ -176,11 +184,17 @@ def assert_classes_agree(bt, depth, cur):
         assert verdict(v) == verdict(reps[classes[v]]), (depth, v, cur)
 
 
-def reference_search(bt):
+def opposite_counts(cells, n, z):
+    """The numbers of cells per row that hold z."""
+    return {sum(cells[x * n + y] >> z & 1 for y in range(n)) for x in range(n)}
+
+
+def reference_search(bt, leaves=None):
     """The DFS of `bt` over its slots and domains, pruning by
     `reference_fails`; asserts at each visited node that the checks of the
-    written slot agree, and at each visited slot that the filter classes
-    do.  Returns (solutions, nodes, pruned)."""
+    written slot agree, at each visited slot that the filter classes do,
+    and at each leaf that the leaf devices do.  Appends each leaf's cells
+    to `leaves`.  Returns (solutions, nodes, pruned)."""
     n = bt.n
     cur = [None] * bt.n2
     for pos, v in bt.prefill.items():
@@ -196,6 +210,12 @@ def reference_search(bt):
     def dfs(depth):
         if depth == len(bt.slots):
             table = HyperTable(n, tuple(cur), bt.kind)
+            reversible = all(
+                constraint_holds(table, c) for c in bt.spec.constraints if c[0] == "reversibility-at"
+            )
+            assert all(fn(cur) for fn in bt.leaf_devices) == reversible, cur
+            if leaves is not None:
+                leaves.append(table.cells)
             if satisfies_all(table, bt.spec.constraints):
                 solutions.append(table.cells)
             return
@@ -226,15 +246,22 @@ def reference_search(bt):
 @pytest.mark.parametrize("device, n, link", CASES)
 def test_search_equals_the_reference_dfs(device, n, link):
     rng = random.Random(f"{device}/{n}/{link}")
-    outcomes = set()
+    outcomes, leaves = set(), []
     for _ in range(8):
         spec = seeded_spec(device, n, link, rng)
-        expected = reference_search(Backtracker(spec))
+        expected = reference_search(Backtracker(spec), leaves)
         bt = Backtracker(spec)
         assert (list(bt.search()), bt.nodes, bt.pruned) == expected, spec
         solutions, nodes, pruned = expected
         outcomes.add((bool(solutions), bool(pruned)))
-    assert (True, True) in outcomes  # some search both pruned and emitted
+    if device == "reversibility-at":  # a leaf device: no slot prunes for it
+        assert (True, False) in outcomes
+        # leaves with a row that has two opposites and, unless the
+        # witness-map pins give every row one, with a row that has none
+        counts = {k for cells in leaves for k in opposite_counts(cells, n, 0)}
+        assert ({2} if link == "witness-map" else {0, 2}) <= counts
+    else:
+        assert (True, True) in outcomes  # some search both pruned and emitted
 
 
 def test_first_hit_counters_of_a_drop_search(monkeypatch):
@@ -259,3 +286,35 @@ def test_first_hit_counters_of_a_drop_search(monkeypatch):
     table, e, i = enumeration.search_first(3, lambda _: [(constraints, accept)], (0,))
     assert (table.cells, e, i) == ((1, 2, 6, 2, 2, 7, 4, 2, 7), 0, 0)
     assert counters == [(0, 1657, 1416), (1, 1232, 1038)]
+
+
+def test_leaf_device_counts_of_a_drop_search(monkeypatch):
+    # T25/3 --drop-premises: canonical reversibility, which no slot reads,
+    # rejects 9,412 of the 9,460 leaves that its searches reach before a
+    # table is built, and `satisfies_all` re-checks the other 48
+    counts = Counter()
+    device = engines._reversibility_device
+    check = engines.satisfies_all
+
+    def counted_device(n, zero):
+        fn = device(n, zero)
+
+        def counted(cur):
+            ok = fn(cur)
+            counts["rejected"] += not ok
+            return ok
+
+        return counted
+
+    def counted_check(table, constraints):
+        counts["checked"] += 1
+        return check(table, constraints)
+
+    monkeypatch.setattr(engines, "_reversibility_device", counted_device)
+    monkeypatch.setattr(engines, "satisfies_all", counted_check)
+    engines._backtracker.cache_clear()  # build the sweeps' backtrackers anew
+    try:
+        theorems.verify("T25", 3, drop_premises=True, workers=1)
+    finally:
+        engines._backtracker.cache_clear()
+    assert counts == {"rejected": 9412, "checked": 48}
