@@ -80,6 +80,7 @@ tests/test_vector_kernel.py); collect mode re-checks only the descriptors
 that it cannot vectorize.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import permutations, product
@@ -251,14 +252,27 @@ def _pure_task(_task, order, constraints):
 # six cells.  Tail cell k is a broadcast view of the cell-set codes on axis k
 # of an (8,)*6 shape, so tail digit k is axis k and the C order of a full mask
 # is the canonical tail order.  Each intermediate is only as large as the
-# axes it reads; a conjunction broadcasts to the full shape last.
+# axes it reads; a mask broadcasts to the full shape only where it reads all
+# six.  The module arrays are read-only, as every chunk shares them.
+
+
+def _v3_axis(values, k):
+    """One value per cell-set code, as a read-only view on tail axis k."""
+    values.setflags(write=False)
+    return values.reshape(tuple(8 if j == k else 1 for j in range(6)))
+
 
 _V3_CODE_TO_MASK = np.array(key_sorted_masks(3), dtype=np.uint8)  # digit -> mask
 _V3_TAILS = 8 ** 6
 _V3_TAIL_SHAPE = (8,) * 6
-_V3_TAIL_CELLS = tuple(
-    _V3_CODE_TO_MASK.reshape(tuple(8 if j == k else 1 for j in range(6))) for k in range(6)
-)
+_V3_TAIL_CELLS = tuple(_v3_axis(_V3_CODE_TO_MASK, k) for k in range(6))
+# bit x of each cell-set code, built without a numpy ufunc: the first call of
+# each one at import would map its code into every process
+_V3_CODE_BITS = [np.array([m >> x & 1 for m in key_sorted_masks(3)], dtype=bool) for x in range(3)]
+# _V3_BIT_PLANES[k][x]: bit x of tail cell k
+_V3_BIT_PLANES = tuple(tuple(_v3_axis(_V3_CODE_BITS[x], k) for x in range(3)) for k in range(6))
+
+_V3_HEAD_BITS = tuple(tuple(bool(m >> x & 1) for x in range(3)) for m in range(8))
 
 _TRIPLE_LAWS = {("law", law) for law in axioms.TRIPLE_LAW_IDS}
 
@@ -280,15 +294,49 @@ def vectorizable(c) -> bool:
     }
 
 
+def _v3_bits(cells, i):
+    """The membership bits of chunk cell i: bools or bit planes."""
+    return _V3_HEAD_BITS[cells[i]] if i < 3 else _V3_BIT_PLANES[i - 3]
+
+
+def _v3_any(bits):
+    """Disjunction of bits, the bools folded first."""
+    out = np.False_
+    for b in bits:
+        if b is True:
+            return np.True_
+        if b is not False:
+            out = b if out is np.False_ else out | b
+    return out
+
+
+def _v3_both(a, b):
+    """Conjunction of two bits, the bools folded first."""
+    if a is False or b is False:
+        return False
+    if a is True:
+        return b
+    return a if b is True else a & b
+
+
 def _v3_triple_law(cells, law):
     """Mask of a triple law over the sides of `_law_triples`: a side is the
     union of its line's cells at the element bits of its outer cell, and
     each side is computed once."""
-    bit = [[(cell >> a) & 1 for a in range(3)] for cell in cells]
+    if cells[3] is _V3_TAIL_CELLS[0]:
+        bits = [_v3_bits(cells, i) for i in range(9)]
+    else:
+        bits = [_v3_bits(cells, i) for i in range(3)]
+        bits += [[(cell >> a) & 1 for a in range(3)] for cell in cells[3:]]
 
     def side(p, line):
-        q = _line_cells(3, line)
-        return bit[p][0] * cells[q[0]] | bit[p][1] * cells[q[1]] | bit[p][2] * cells[q[2]]
+        out = 0
+        for b, q in zip(bits[p], _line_cells(3, line)):
+            if b is True:
+                out = out | cells[q]
+            elif b is not False:
+                out = out | b * cells[q]
+        return out
 
     parts = []
     for _, _, pa, la, pb, lb in _law_triples(law, 3):
@@ -298,23 +346,37 @@ def _v3_triple_law(cells, law):
 
 
 def _v3_conj(parts):
-    """Conjunction of masks, smallest first, so only the last steps broadcast
-    to the widest shape.  Among equal sizes a mask on later axes goes first:
-    the masks combined last then broadcast over leading axes, which keeps the
-    innermost loops long."""
-    out = np.True_
-    for p in sorted(parts, key=lambda p: (np.size(p), np.shape(p))):
-        if np.ndim(p) == 0:
-            if not p:
-                return np.False_
-        else:
-            out = p if np.ndim(out) == 0 else out & p
-    return out
+    """Conjunction of masks: the masks of one shape (axis group) first, then
+    the groups smallest first, so only the last steps broadcast to the widest
+    shape.  Among equal sizes a group on later axes goes first, which keeps
+    the innermost loops long.  uint8 views: numpy's bool AND is slow over an
+    operand broadcast along its inner loop."""
+    groups = {}
+    for p in parts:
+        if isinstance(p, np.ndarray):
+            p = p.view(np.uint8)
+            group = groups.get(p.shape)
+            if group is None:
+                groups[p.shape] = [p]
+            else:
+                group.append(p)
+        elif not p:
+            return np.False_
+    out = None
+    for shape in sorted(groups, key=lambda s: (math.prod(s), s)):
+        group = groups[shape]
+        acc = group[0]
+        if len(group) > 1:
+            acc = acc & group[1]
+            for p in group[2:]:
+                acc &= p
+        out = acc if out is None else out & acc
+    return np.True_ if out is None else out.view(bool)
 
 
 def _v3_predicate(cells, c):
-    """Boolean array (or scalar) for one vectorizable constraint; its shape
-    broadcasts over the tail axes that the constraint reads."""
+    """Boolean array (or numpy bool) for one vectorizable constraint; its
+    shape broadcasts over the tail axes that the constraint reads."""
     tag = c[0]
     if tag == "law":
         law = c[1]
@@ -343,22 +405,21 @@ def _v3_predicate(cells, c):
         parts = []
         for x in range(3):
             parts.append(cells[3 * e + x] == cells[3 * x + e])
-            parts.append(((cells[3 * e + x] >> x) & 1) != 0)
+            parts.append(_v3_bits(cells, 3 * e + x)[x])
         return _v3_conj(parts)
     if tag == "polysymmetry-at":
         e, weak = c[1], c[2]
         bit = 1 << e
         parts = []
         for x in range(3):
-            found = np.False_
+            pairs = []
             for xp in range(3):
-                a, b = cells[3 * x + xp], cells[3 * xp + x]
+                p, q = 3 * x + xp, 3 * xp + x
                 if weak:
-                    ok = (((a >> e) & 1) != 0) & (((b >> e) & 1) != 0)
+                    pairs.append((_v3_bits(cells, p)[e], _v3_bits(cells, q)[e]))
                 else:
-                    ok = (a == bit) & (b == bit)
-                found = found | ok
-            parts.append(found)
+                    pairs.append((cells[p] == bit, cells[q] == bit))
+            parts.append(_v3_any(_v3_both(a, b) for a, b in pairs))
         return _v3_conj(parts)
     if tag == "unique-opposite-at":
         z = c[1]
@@ -400,9 +461,15 @@ def _v3_tails_at(idx):
     return [_V3_CODE_TO_MASK[(idx >> (3 * (5 - k))) & 7] for k in range(6)]
 
 
+def _v3_flat(mask):
+    """A mask flattened to the 8^6 tails."""
+    return np.broadcast_to(mask, _V3_TAIL_SHAPE).reshape(-1)
+
+
 def v3_eval(cells, constraints):
-    """Conjunction of vectorizable constraints over one chunk: a flat mask of
-    its 8^6 tails in canonical order, or a numpy scalar for all of them.
+    """Conjunction of vectorizable constraints over one chunk: a numpy bool
+    for all of its 8^6 tails, or a bool array that broadcasts to the tail
+    shape (8,)*6, whose C order is the canonical tail order.
 
     The constraints other than the triple laws run on the factored tail axes.
     The triple laws run last, and when the mask is already an array only on
@@ -414,7 +481,7 @@ def v3_eval(cells, constraints):
     mask, idx = np.True_, None
     for c in ordered:
         if c in _TRIPLE_LAWS and idx is None and isinstance(mask, np.ndarray):
-            idx = np.flatnonzero(np.broadcast_to(mask, _V3_TAIL_SHAPE))
+            idx = np.flatnonzero(_v3_flat(mask))
             cells, mask = list(cells[:3]) + _v3_tails_at(idx), np.True_
         mask = _v3_conj([mask, _v3_predicate(cells, c)])
         if not mask.any():
@@ -422,8 +489,7 @@ def v3_eval(cells, constraints):
     if idx is not None:
         survivors, mask = mask, np.zeros(_V3_TAILS, dtype=bool)
         mask[idx] = survivors
-    elif isinstance(mask, np.ndarray):
-        mask = np.broadcast_to(mask, _V3_TAIL_SHAPE).reshape(-1)
+        mask = mask.reshape(_V3_TAIL_SHAPE)
     return mask
 
 
@@ -433,12 +499,8 @@ def v3_divisions_nonempty(cells):
     parts = []
     for x in range(3):
         for y in range(3):
-            rd = np.False_
-            ld = np.False_
-            for z in range(3):
-                rd = rd | (((cells[3 * z + y] >> x) & 1) != 0)
-                ld = ld | (((cells[3 * y + z] >> x) & 1) != 0)
-            parts += [rd, ld]
+            parts.append(_v3_any(_v3_bits(cells, 3 * z + y)[x] for z in range(3)))
+            parts.append(_v3_any(_v3_bits(cells, 3 * y + z)[x] for z in range(3)))
     return _v3_conj(parts)
 
 
@@ -481,20 +543,13 @@ def v3_decode(head_digits, i) -> tuple:
     return head + tuple(int(cell) for cell in _v3_tails_at(i))
 
 
-def _v3_first(mask):
-    """Index of the first set tail in a mask that may be a numpy scalar."""
-    if isinstance(mask, np.ndarray):
-        hits = np.flatnonzero(mask)
-        return int(hits[0]) if hits.size else None
-    return 0 if mask else None
-
-
 def v3_count_chunk(head_digits, runs, conclusion, biconditional=False):
     """Count mode over one chunk: (premise tables, first failure or None).
 
     The premises are a disjunction of descriptor conjunctions.  A failure is
     a premise table where some conclusion descriptor fails or, for a
-    biconditional, where the two conclusion descriptors disagree.
+    biconditional, where the two conclusion descriptors disagree.  Only a
+    chunk with a failure is flattened.
     """
     cells = v3_chunk_cells(head_digits)
     premise = np.False_
@@ -502,12 +557,15 @@ def v3_count_chunk(head_digits, runs, conclusion, biconditional=False):
         premise = premise | (v3_eval(cells, list(run)) if run else np.True_)
     if biconditional:
         a, b = (v3_eval(cells, [c]) for c in conclusion)
-        bad = premise & (a ^ b)
+        bad = a ^ b
     else:
-        bad = premise & ~v3_eval(cells, list(conclusion))
-    count = int(np.count_nonzero(premise)) * (1 if np.ndim(premise) else _V3_TAILS)
-    first = _v3_first(bad)
-    return count, None if first is None else v3_decode(head_digits, first)
+        bad = ~v3_eval(cells, list(conclusion))
+    if premise is not np.True_:
+        bad = premise & bad
+    count = int(np.count_nonzero(premise)) * _V3_TAILS // np.size(premise)
+    if not bad.any():
+        return count, None
+    return count, v3_decode(head_digits, int(np.flatnonzero(_v3_flat(bad))[0]))
 
 
 def v3_collect_chunk(head_digits, constraints):
@@ -518,10 +576,9 @@ def v3_collect_chunk(head_digits, constraints):
     cells = v3_chunk_cells(head_digits)
     head = tuple(cells[:3])
     mask = v3_eval(cells, vec)
-    if isinstance(mask, np.ndarray):
-        idx = np.flatnonzero(mask)
-    else:
-        idx = np.arange(_V3_TAILS if mask else 0)
+    if not mask.any():
+        return []
+    idx = np.flatnonzero(_v3_flat(mask))
     out = []
     for tail in np.stack(_v3_tails_at(idx), axis=1).tolist():
         cell_tuple = head + tuple(tail)

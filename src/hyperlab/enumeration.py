@@ -57,6 +57,7 @@ import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, product
+from operator import is_not
 
 from . import axioms, classify, engines
 from .model import (
@@ -189,7 +190,7 @@ def sweep(order, runs, oracle=False, pruned=False):
     return sorted(tables, key=table_key), pruned_nodes
 
 
-def element_sweep(order, runs_at, candidates, oracle=False, pruned=False):
+def element_sweep(order, runs_at, candidates, oracle=False, pruned=False, walks=None):
     """((table, e) pairs in (table_key, e) order, pruned nodes) for the
     descriptor runs `runs_at(e)` at each candidate element e (None: no
     element).  The descriptors name an element only through E, so the
@@ -200,7 +201,11 @@ def element_sweep(order, runs_at, candidates, oracle=False, pruned=False):
     or a wrong map, leaves a set that is not closed and raises RuntimeError.
     Every witness-map result (`engines.merge_sweep`) comes through here.  The
     oracle searches every candidate on its own, with no relabeling to
-    certify."""
+    certify.
+
+    With one candidate k, its set is walked in key order, so the walk keeps
+    the least table of each orbit under the permutations fixing k; a dict
+    passed as `walks` receives walks[(k,)] = (tables, kept tables)."""
     relabels = not oracle and None not in candidates
     searched = (0,) if relabels else candidates
     swept = {e: sweep(order, runs_at(e), oracle, pruned) for e in searched}
@@ -211,10 +216,14 @@ def element_sweep(order, runs_at, candidates, oracle=False, pruned=False):
         else:
             tau = [k if x == 0 else 0 if x == k else x for x in range(order)]
             tables = [apply_permutation(t, tau) for t in swept[0][0]]
+            if len(candidates) == 1:
+                tables.sort(key=table_key)
         if relabels:  # the orbit certificate of the relabeling
-            orbit_representatives(tables, (k,))
+            kept = orbit_representatives(tables, (k,))
+            if walks is not None and len(candidates) == 1:
+                walks[(k,)] = tables, kept
         pairs += [(t, k) for t in tables]
-    if len(candidates) > 1 or candidates[0]:  # one untransposed sweep is sorted already
+    if len(candidates) > 1:  # one sweep is sorted already
         pairs.sort(key=lambda pe: (table_key(pe[0]), pe[1]))
     return pairs, sum(nodes for _, nodes in swept.values())
 
@@ -436,11 +445,15 @@ def enumerate_models(job: EnumerationJob, workers: int = 1) -> EnumerationSummar
             reps = sorted(chain(*map(orbit_representatives, groups.values())), key=two_op_key)
             canon = canonical_form_two_op
         else:
-            runs_at, cands = partial(_single_runs, job), _candidates(job)
-            pairs, pruned = element_sweep(job.order, runs_at, cands, job.oracle, True)
+            runs_at, cands, walks = partial(_single_runs, job), _candidates(job), {}
+            pairs, pruned = element_sweep(job.order, runs_at, cands, job.oracle, True, walks)
             models = list({t.cells: t for t, _ in pairs}.values())  # each table once
             fixed = [p for p in (job.zero, job.one) if p is not None]
-            reps, canon = orbit_representatives(models, fixed), partial(canonical_form, fixed=fixed)
+            walked, reps = walks.get(tuple(fixed), ((), None))
+            # the sweep's walk holds for exactly the models it walked
+            if reps is None or len(walked) != len(models) or any(map(is_not, walked, models)):
+                reps = orbit_representatives(models, fixed)
+            canon = partial(canonical_form, fixed=fixed)
         for r in reps:
             if canon(r) is not r:
                 raise RuntimeError(f"orbit walk kept {r}, which is not its canonical form")

@@ -247,15 +247,21 @@ def left_division(table: HyperTable, y: int, x: int) -> int:
 
 def apply_permutation(table: HyperTable, perm) -> HyperTable:
     """Relabel the table: result[p(a)][p(b)] = p(table[a][b]); kind preserved."""
-    n = table.order
-    if sorted(perm) != list(range(n)):
+    source, image = _permutation_tables(table.order, tuple(perm))
+    cells = map(table.cells.__getitem__, source)
+    return HyperTable(table.order, tuple(map(image.__getitem__, cells)), table.kind)
+
+
+@lru_cache(maxsize=1024)
+def _permutation_tables(order: int, perm: tuple):
+    """(source, image) of a permutation of the carrier: the cell that each
+    relabeled cell is read from, row-major, and the image of every mask.  A
+    call that raises is not cached."""
+    if sorted(perm) != list(range(order)):
         raise ValueError("not a permutation of the carrier")
-    cells = [0] * (n * n)
-    for a in range(n):
-        pa = perm[a] * n
-        for b in range(n):
-            cells[pa + perm[b]] = mask_image(table.cell(a, b), perm)
-    return HyperTable(n, tuple(cells), table.kind)
+    n2 = order * order
+    source = sorted(range(n2), key=lambda s: perm[s // order] * order + perm[s % order])
+    return tuple(source), tuple(mask_image(m, perm) for m in range(1 << order))
 
 
 # an entry holds n!*(k*n*n + 2**n) references: about 13M at order 8 for k = 1
@@ -267,9 +273,9 @@ def _relabelings(order: int, fixed: tuple[int, ...], tables: int):
     ranks, n2 = _mask_ranks(order), order * order
     out = []
     for p in [p for p in permutations(range(order)) if all(p[i] == i for i in fixed)][1:]:
-        src = sorted(range(n2), key=lambda s: p[s // order] * order + p[s % order])
-        gather = itemgetter(*(t * n2 + s for t in range(tables) for s in src))
-        out.append((gather, tuple(ranks[mask_image(m, p)] for m in range(1 << order))))
+        source, image = _permutation_tables(order, p)
+        gather = itemgetter(*(t * n2 + s for t in range(tables) for s in source))
+        out.append((gather, tuple(map(ranks.__getitem__, image))))
     return tuple(out)
 
 

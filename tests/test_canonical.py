@@ -210,6 +210,22 @@ def test_orbit_walk_refuses_a_set_mapped_by_a_wrong_transposition():
         enumerate_models(EnumerationJob(3, ("canonical-hypergroup",)))
 
 
+@pytest.mark.parametrize("zero", [0, 1, 2])
+def test_a_job_pinned_at_its_candidate_walks_its_models_once(monkeypatch, zero):
+    # element_sweep's certificate walk under the permutations fixing the one
+    # candidate gives the classes; the enumeration does not walk again
+    walks = []
+    real = enumeration.orbit_representatives
+    monkeypatch.setattr(enumeration, "orbit_representatives",
+                        lambda models, fixed=(): walks.append(tuple(fixed)) or real(models, fixed))
+    job = EnumerationJob(3, ("canonical-hypergroup",), zero=zero)
+    summary, models = _emitted(job, False)
+    _, reps = _emitted(job, True)
+    assert walks == [(zero,), (zero,)]
+    assert reps == real(models, (zero,))
+    assert (summary.raw_count, summary.canonical_count) == (len(models), len(reps))
+
+
 def test_two_operation_canonical_forms_run_once_per_class(monkeypatch):
     calls = []
     real = enumeration.canonical_form_two_op

@@ -159,6 +159,14 @@ def test_apply_permutation_roundtrip():
         assert apply_permutation(apply_permutation(t, perm), inv) == t
 
 
+def test_apply_permutation_refuses_a_non_permutation_every_time():
+    for perm in [(0, 0), (1,), (0, 2), (1, 0, 2)]:
+        for _ in range(2):  # a refused permutation is not cached
+            with pytest.raises(ValueError, match="not a permutation of the carrier"):
+                apply_permutation(Z2, perm)
+    assert apply_permutation(Z2, [1, 0]) == apply_permutation(Z2, (1, 0))
+
+
 def test_cell_key_order_shorter_prefix_first():
     keys = sorted(cell_key(m) for m in range(8))
     assert keys == [
